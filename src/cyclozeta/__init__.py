@@ -6,7 +6,7 @@ from .algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership, ZERO_DIAMOND
                       quasi_shuffle, shuffle, x_to_y, y_to_x)
 from .dmr import (dmr_check, dmrd_check, dmrd_check_all, eds_dmr_equality_check,
                   functor_sharp, functor_star, grouplike_check, phi_from_Z,
-                  phi_star, qg_hat)
+                  phi_star)
 from .duality import duality_suite
 from .groups import (FiniteAbelianGroup, GroupElement, GroupHom, PowerStructure,
                      construct_group, divisors_of_order, hom_inclusion, hom_power,

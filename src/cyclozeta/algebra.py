@@ -2,7 +2,10 @@
 
 The same sparse container backs the full word algebra over X, its
 subalgebras of words ending in a group letter (the Y-encodable ones) and the
-convergent subalgebra, as well as Y-side combinations.  Products:
+convergent subalgebra, as well as Y-side combinations.  A degree-truncated
+series (:class:`~cyclozeta.series.TruncatedSeries`) is the same container
+with a degree bound, and every operation here returns a series when given
+one.  Products:
 
 * :func:`shuffle` -- the interleaving product, on either alphabet;
 * :func:`quasi_shuffle` -- the generic letter-merging product driven by a
@@ -21,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .errors import AlphabetMismatchError, NotInH1Error, ParseError
@@ -31,44 +35,58 @@ from . import words as W
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A finitely supported map word -> coefficient over one alphabet."""
+    """A finitely supported map word -> coefficient over one alphabet.
+
+    Every result is built by :meth:`_like`, so a subclass that carries more
+    structure (a truncated series) gets results of its own type back.
+    """
 
     ring: object
     kind: str  # 'x' or 'y'
     group: FiniteAbelianGroup
     terms: dict
 
+    #: the fields two operands must share to be combined
+    _frame = attrgetter("ring", "kind", "group")
+
     @staticmethod
     def make(ring, kind, group, mapping: dict) -> "AlgebraElement":
         cleaned = {w: c for w, c in mapping.items() if not ring.is_stored_zero(c)}
         return AlgebraElement(ring, kind, group, cleaned)
 
-    @staticmethod
-    def zero(ring, kind, group) -> "AlgebraElement":
-        return AlgebraElement(ring, kind, group, {})
+    @classmethod
+    def zero(cls, *frame) -> "AlgebraElement":
+        """``frame`` is the arguments of :meth:`make` before the mapping."""
+        return cls.make(*frame, {})
 
-    @staticmethod
-    def one(ring, kind, group) -> "AlgebraElement":
-        return AlgebraElement(ring, kind, group, {(): ring.one})
+    @classmethod
+    def one(cls, *frame) -> "AlgebraElement":
+        return cls.make(*frame, {(): frame[0].one})
 
     @staticmethod
     def from_word(ring, kind, group, word, coeff=None) -> "AlgebraElement":
         c = ring.one if coeff is None else ring.coerce(coeff)
         return AlgebraElement.make(ring, kind, group, {tuple(word): c})
 
+    def _like(self, terms: dict, kind: str | None = None) -> "AlgebraElement":
+        """An element of the same space holding ``terms``; ``kind`` moves it
+        to the other alphabet."""
+        return AlgebraElement.make(self.ring, kind or self.kind, self.group, terms)
+
     # -- linear structure ----------------------------------------------------
 
     def _check(self, other: "AlgebraElement"):
-        if (self.ring, self.kind, self.group) != (other.ring, other.kind, other.group):
+        if type(self) is not type(other) or self._frame(self) != other._frame(other):
             raise AlphabetMismatchError(
-                f"cannot combine {self.kind}/{self.group} with {other.kind}/{other.group}")
+                f"cannot combine {self.kind}/{self.group} with "
+                f"{other.kind}/{other.group}: rings, alphabets or bounds differ")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return AlgebraElement.make(self.ring, self.kind, self.group, out)
+        return self._like(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
@@ -78,10 +96,8 @@ class AlgebraElement:
 
     def scale(self, c) -> "AlgebraElement":
         if c == 0:
-            return AlgebraElement.zero(self.ring, self.kind, self.group)
-        return AlgebraElement.make(
-            self.ring, self.kind, self.group,
-            {w: c * v for w, v in self.terms.items()})
+            return self._like({})
+        return self._like({w: c * v for w, v in self.terms.items()})
 
     def concat(self, other: "AlgebraElement") -> "AlgebraElement":
         """The noncommutative concatenation product."""
@@ -91,7 +107,7 @@ class AlgebraElement:
             for w2, c2 in other.terms.items():
                 w = w1 + w2
                 out[w] = out.get(w, 0) + c1 * c2
-        return AlgebraElement.make(self.ring, self.kind, self.group, out)
+        return self._like(out)
 
     # -- queries ---------------------------------------------------------
 
@@ -119,7 +135,7 @@ class AlgebraElement:
         for w, c in self.terms.items():
             nw = fn(w)
             out[nw] = out.get(nw, 0) + c
-        return AlgebraElement.make(self.ring, self.kind, self.group, out)
+        return self._like(out)
 
     def __str__(self):
         return format_element_combo(self)
@@ -183,14 +199,14 @@ def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The bilinear shuffle product."""
     a._check(b)
     if not a.terms or not b.terms:
-        return AlgebraElement.zero(a.ring, a.kind, a.group)
+        return a._like({})
     out: dict = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             c = c1 * c2
             for word, count in shuffle_words(w1, w2).items():
                 out[word] = out.get(word, 0) + count * c
-    return AlgebraElement.make(a.ring, a.kind, a.group, out)
+    return a._like(out)
 
 
 def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
@@ -202,7 +218,7 @@ def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
     """
     a._check(b)
     if not a.terms or not b.terms:
-        return AlgebraElement.zero(a.ring, a.kind, a.group)
+        return a._like({})
     memo: dict = {}
 
     def qs(w1: tuple, w2: tuple) -> dict:
@@ -234,7 +250,7 @@ def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
             c = c1 * c2
             for word, count in qs(w1, w2).items():
                 out[word] = out.get(word, 0) + count * c
-    return AlgebraElement.make(a.ring, a.kind, a.group, out)
+    return a._like(out)
 
 
 def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -264,7 +280,7 @@ def x_to_y(a: AlgebraElement) -> AlgebraElement:
             raise NotInH1Error(f"{W.format_x_word(w)} ends in x0")
         yw = W.x_to_y_word(w)
         out[yw] = out.get(yw, 0) + c
-    return AlgebraElement.make(a.ring, "y", a.group, out)
+    return a._like(out, "y")
 
 
 def y_to_x(a: AlgebraElement) -> AlgebraElement:
@@ -274,7 +290,7 @@ def y_to_x(a: AlgebraElement) -> AlgebraElement:
     for w, c in a.terms.items():
         xw = W.y_to_x_word(w)
         out[xw] = out.get(xw, 0) + c
-    return AlgebraElement.make(a.ring, "x", a.group, out)
+    return a._like(out, "x")
 
 
 class Membership(enum.Enum):
@@ -303,7 +319,7 @@ def project_piY(a: AlgebraElement) -> AlgebraElement:
         if W.x_word_in_h1(w):
             yw = W.x_to_y_word(w)
             out[yw] = out.get(yw, 0) + c
-    return AlgebraElement.make(a.ring, "y", a.group, out)
+    return a._like(out, "y")
 
 
 def pairing(obj, word):

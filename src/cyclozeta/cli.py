@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
 
 from . import serialize
 from .algebra import harmonic, parse_element_combo, shuffle
@@ -24,55 +23,11 @@ from .numeval import (DEFAULT_CUTOFF, DEFAULT_TOLERANCE, NumericZMap,
 from .regularization import bar_reg_T
 from .relations import fdtd1_grid, fdtd1_identity_check, regdist_full_check, zhao_case_table
 from .rings import ring_from_name
-from .words import format_y_word
+from .words import format_x_word, format_y_word
 
 
 def _meta_row(**fields) -> str:
     return "#meta\t" + "\t".join(f"{k}={v}" for k, v in fields.items() if v is not None)
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """A parsed invocation: the subcommand plus its option values.
-
-    The textual form is one ``key = value`` line per option (subcommand
-    first), and parsing it back reproduces the config; the same format is
-    accepted by ``--config`` files, whose values sit between hard-coded
-    defaults and explicit flags.
-    """
-
-    subcommand: str
-    options: tuple
-
-    @staticmethod
-    def from_args(args) -> "CommandConfig":
-        skip = {"fn", "command", "config"}
-        options = tuple(sorted((k, v) for k, v in vars(args).items()
-                               if k not in skip and v is not None))
-        return CommandConfig(args.command, options)
-
-    def to_text(self) -> str:
-        lines = [f"subcommand = {self.subcommand}"]
-        lines.extend(f"{k} = {v}" for k, v in self.options)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "CommandConfig":
-        subcommand = ""
-        options = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise CycloZetaError(f"bad config line {line!r}")
-            if key == "subcommand":
-                subcommand = value
-            else:
-                options.append((key, _coerce_config_value(value)))
-        return CommandConfig(subcommand, tuple(sorted(options)))
 
 
 def _coerce_config_value(value: str):
@@ -85,9 +40,21 @@ def _coerce_config_value(value: str):
 
 
 def load_config_defaults(path) -> dict:
+    """Option defaults from a ``key = value`` file; ``#`` starts a comment
+    line and a ``subcommand`` line is ignored."""
+    defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
-        config = CommandConfig.from_text(fh.read())
-    return {k.replace("-", "_"): v for k, v in config.options}
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if not key or not value:
+                raise CycloZetaError(f"bad config line {line!r}")
+            if key != "subcommand":
+                defaults[key.replace("-", "_")] = _coerce_config_value(value)
+    return defaults
 
 
 class Report:
@@ -187,10 +154,13 @@ def cmd_dmr_check(args) -> int:
     result = dmr_check(phi)
     report = Report(_meta_row(group=f"Z{args.N}", degree=args.degree,
                               ring="complex", tol=args.tol))
-    report.add("dmr-shuffle-grouplike", f"N={args.N}", result.shuffle_report.passed,
-               result.shuffle_report.max_residual)
-    report.add("dmr-harmonic-grouplike", f"N={args.N}", result.harmonic_report.passed,
-               result.harmonic_report.max_residual)
+    for check, grouplike, fmt_word in (
+            ("dmr-shuffle-grouplike", result.shuffle_report, format_x_word),
+            ("dmr-harmonic-grouplike", result.harmonic_report, format_y_word)):
+        worst = grouplike.worst
+        pair = f"{fmt_word(worst[0])}|{fmt_word(worst[1])}" if worst else ""
+        report.add(check, f"N={args.N}", grouplike.passed, grouplike.max_residual,
+                   f"worst={pair}")
     report.add("dmr-x0-x1-vanish", f"N={args.N}", result.x0_ok and result.x1_ok, None)
     if args.save_phi:
         serialize.write_text(args.save_phi, serialize.format_series(phi))
@@ -206,7 +176,9 @@ def cmd_dmrd_check(args) -> int:
                               ring="complex", tol=args.tol))
     for d in divisors:
         result = dmrd_check(phi, power_structure(group, d))
-        report.add("dmrd", f"N={args.N} d={d}", result.passed, result.max_residual)
+        worst = format_x_word(result.worst_word) if result.worst_word is not None else ""
+        report.add("dmrd", f"N={args.N} d={d}", result.passed, result.max_residual,
+                   f"worst={worst}")
     return report.emit()
 
 

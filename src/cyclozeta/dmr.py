@@ -5,6 +5,14 @@ double-shuffle and distribution conditions on series.
 Coproducts are never materialized: a series is grouplike for the coproduct
 dual to a product exactly when its coefficient functional is multiplicative,
 so the checks run over word pairs through the truncation degree.
+
+The corrected series twists and projects with the word-algebra maps
+:func:`~cyclozeta.algebra.qg_apply` and :func:`~cyclozeta.algebra.project_piY`,
+which return series on series.  The star functors (on series) and the sharp
+functors (on polynomials) are one letter substitution read in the two
+directions of a group arrow: a push forward ``x_g -> x_{hom(g)}`` or a pull
+back ``x_h -> sum of preimage letters``, with ``x0 -> |ker| x0`` on the
+covariant side of the duality.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND,
-                      ZERO_DIAMOND, quasi_shuffle)
+                      ZERO_DIAMOND, project_piY, qg_apply, quasi_shuffle)
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, divisors_of_order, hom_inclusion, hom_power, power_structure
 from .regularization import ZMap, bar_reg, extend_Z_st
@@ -83,35 +91,6 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle",
     return GrouplikeReport(product, bound, passed, max_res, worst, unit_ok, pairs)
 
 
-# -- series-level label twist and projection --------------------------------
-
-
-def qg_hat(phi: TruncatedSeries, inverse: bool = False) -> TruncatedSeries:
-    """Re-index coefficients by the label untwist: the coefficient of ``w`` in
-    the output is the input coefficient at the untwisted word, so a stored
-    coefficient moves to the forward-twisted word (and conversely for the
-    inverse automorphism)."""
-    if phi.alphabet.kind != "x":
-        raise AlphabetMismatchError("qg_hat acts on X-side series")
-    out = {}
-    for w, c in phi.coeffs.items():
-        out[W.qg_x_word(w, inverse=inverse)] = c
-    return TruncatedSeries.make(phi.ring, phi.alphabet, phi.degree_bound, out)
-
-
-def project_piY_series(phi: TruncatedSeries) -> TruncatedSeries:
-    """Kill words ending in x0 and re-encode the rest as a Y-series of the
-    same bound (X length becomes Y weight)."""
-    if phi.alphabet.kind != "x":
-        raise AlphabetMismatchError("project_piY_series acts on X-side series")
-    out = {}
-    for w, c in phi.coeffs.items():
-        if W.x_word_in_h1(w):
-            out[W.x_to_y_word(w)] = c
-    y_alphabet = Alphabet.y(phi.alphabet.group, phi.alphabet.letters)
-    return TruncatedSeries.make(phi.ring, y_alphabet, phi.degree_bound, out)
-
-
 # -- the generating series of an evaluation map -----------------------------
 
 
@@ -148,7 +127,7 @@ def phi_star(phi: TruncatedSeries) -> TruncatedSeries:
     """The corrected Y-side series ``phi_corr . piY(qhat(phi))``."""
     if not phi.ring.eq(phi.coeff(()), phi.ring.one):
         raise InvalidArgumentError("phi_star needs (phi | 1) = 1")
-    return phi_corr(phi) * project_piY_series(qg_hat(phi))
+    return phi_corr(phi) * project_piY(qg_apply(phi))
 
 
 # -- DMR membership -------------------------------------------------------
@@ -198,6 +177,24 @@ def _ambient(letters) -> FiniteAbelianGroup:
     return letters[0].group
 
 
+def _substitute(terms: dict, images, x0_factor: int) -> dict:
+    """Replace each group letter ``g`` by the sum of the letters
+    ``images(g)`` and each ``x0`` by ``x0_factor * x0``, linearly."""
+    out: dict = {}
+    for word, c in terms.items():
+        factor = 1
+        expansions = [()]
+        for letter in word:
+            if letter is W.X0:
+                factor *= x0_factor
+                expansions = [w + (W.X0,) for w in expansions]
+            else:
+                expansions = [w + (g,) for w in expansions for g in images(letter)]
+        for key in expansions:
+            out[key] = out.get(key, 0) + factor * c
+    return out
+
+
 def functor_star(phi: TruncatedSeries, hom: GroupHom, kind: str) -> TruncatedSeries:
     """The series-level functors of a group arrow.
 
@@ -208,39 +205,18 @@ def functor_star(phi: TruncatedSeries, hom: GroupHom, kind: str) -> TruncatedSer
     if phi.alphabet.kind != "x":
         raise AlphabetMismatchError("functor_star acts on X-side series")
     if kind == "upper":
-        expected = set(hom.codomain)
-        out_alphabet = Alphabet.x(_ambient(hom.domain), hom.domain)
+        source, target = hom.codomain, hom.domain
+        images, x0_factor = hom.preimage, 1
     elif kind == "lower":
-        expected = set(hom.domain)
-        out_alphabet = Alphabet.x(_ambient(hom.codomain), hom.codomain)
+        source, target = hom.domain, hom.codomain
+        images, x0_factor = (lambda g: (hom(g),)), hom.kernel_size
     else:
         raise InvalidArgumentError(f"unknown functor kind {kind!r}")
-    if not set(phi.alphabet.letters) <= expected:
+    if not set(phi.alphabet.letters) <= set(source):
         raise AlphabetMismatchError("series alphabet does not match the arrow")
-    out: dict = {}
-    for word, c in phi.coeffs.items():
-        if kind == "lower":
-            factor = 1
-            new = []
-            for letter in word:
-                if letter is W.X0:
-                    factor *= hom.kernel_size
-                    new.append(W.X0)
-                else:
-                    new.append(hom(letter))
-            key = tuple(new)
-            out[key] = out.get(key, 0) + factor * c
-        else:
-            expansions = [()]
-            for letter in word:
-                if letter is W.X0:
-                    expansions = [w + (W.X0,) for w in expansions]
-                else:
-                    pre = hom.preimage(letter)
-                    expansions = [w + (g,) for w in expansions for g in pre]
-            for key in expansions:
-                out[key] = out.get(key, 0) + c
-    return TruncatedSeries.make(phi.ring, out_alphabet, phi.degree_bound, out)
+    out_alphabet = Alphabet.x(_ambient(target), target)
+    return TruncatedSeries.make(phi.ring, out_alphabet, phi.degree_bound,
+                                _substitute(phi.terms, images, x0_factor))
 
 
 def functor_sharp(elem: AlgebraElement, hom: GroupHom, kind: str) -> AlgebraElement:
@@ -250,29 +226,13 @@ def functor_sharp(elem: AlgebraElement, hom: GroupHom, kind: str) -> AlgebraElem
     if elem.kind != "x":
         raise AlphabetMismatchError("functor_sharp acts on X-side elements")
     if kind == "upper":
-        out_group = _ambient(hom.codomain)
+        target, images, x0_factor = hom.codomain, (lambda g: (hom(g),)), 1
     elif kind == "lower":
-        out_group = _ambient(hom.domain)
+        target, images, x0_factor = hom.domain, hom.preimage, hom.kernel_size
     else:
         raise InvalidArgumentError(f"unknown functor kind {kind!r}")
-    out: dict = {}
-    for word, c in elem.terms.items():
-        if kind == "upper":
-            key = tuple(W.X0 if letter is W.X0 else hom(letter) for letter in word)
-            out[key] = out.get(key, 0) + c
-        else:
-            factor = 1
-            expansions = [()]
-            for letter in word:
-                if letter is W.X0:
-                    factor *= hom.kernel_size
-                    expansions = [w + (W.X0,) for w in expansions]
-                else:
-                    pre = hom.preimage(letter)
-                    expansions = [w + (g,) for w in expansions for g in pre]
-            for key in expansions:
-                out[key] = out.get(key, 0) + factor * c
-    return AlgebraElement.make(elem.ring, "x", out_group, out)
+    return AlgebraElement.make(elem.ring, "x", _ambient(target),
+                               _substitute(elem.terms, images, x0_factor))
 
 
 # -- distribution condition on series ---------------------------------------
@@ -308,11 +268,11 @@ def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> DMRDReport:
     diff = lhs - rhs
     max_res = 0.0
     worst = None
-    for w, c in diff.coeffs.items():
+    for w, c in diff.terms.items():
         mag = ring.abs(c)
         if mag > max_res:
             max_res, worst = mag, w
-    passed = all(ring.is_zero(c) for c in diff.coeffs.values())
+    passed = all(ring.is_zero(c) for c in diff.terms.values())
     return DMRDReport(ps.d, phi.degree_bound, passed, max_res, worst)
 
 

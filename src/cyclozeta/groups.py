@@ -171,12 +171,6 @@ class PowerStructure:
     def kernel_order_is_d(self) -> bool:
         return len(self.kernel) == self.d
 
-    def section(self, h: GroupElement) -> GroupElement:
-        """The inclusion ``i_d`` evaluated at ``h in G^d`` (the element itself)."""
-        if h not in self.preimages:
-            raise InvalidArgumentError(f"{h} is not in G^{self.d}")
-        return h
-
 
 def power_structure(group: FiniteAbelianGroup, d: int) -> PowerStructure:
     """Enumerate ``G^d``, ``K_d``, ``p^d`` and its preimage classes."""

@@ -90,7 +90,7 @@ def _prune(mapping: dict) -> dict:
     return {k: v for k, v in mapping.items() if v != 0}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _tilde_word(word: tuple) -> tuple:
     """``tilde_reg`` of one word as ``((word, Fraction), ...)``."""
     if x_word_in_h1(word):
@@ -111,7 +111,7 @@ def _tilde_word(word: tuple) -> tuple:
     return tuple(_prune(out).items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _regt_word(word: tuple) -> tuple:
     """``reg^T`` of one word of the x0-free-tail algebra, as
     ``((l, word, Fraction), ...)``; assumes the word ends in a group letter."""

@@ -38,10 +38,10 @@ def format_series(series: TruncatedSeries) -> str:
         header += f" tol={ring.tolerance!r}"
     fmt_word = W.format_x_word if series.alphabet.kind == "x" else W.format_y_word
     lines = [header]
-    keys = sorted(series.coeffs,
+    keys = sorted(series.terms,
                   key=lambda w: (series.alphabet.word_degree(w), fmt_word(w)))
     for w in keys:
-        lines.append(f"{fmt_word(w)}\t{ring.format(series.coeffs[w])}")
+        lines.append(f"{fmt_word(w)}\t{ring.format(series.terms[w])}")
     return "\n".join(lines) + "\n"
 
 

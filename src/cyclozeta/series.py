@@ -1,9 +1,14 @@
 """Degree-truncated noncommutative power series.
 
-A series holds the coefficients of every word of degree at most its bound
-over a fixed alphabet; absent words are zero.  X-series are graded by word
-length, Y-series by the weight ``sum(n_i)``.  The concatenation product is
-exact through the bound, and formal exp/log are inverse to each other there.
+A series is a word-algebra element with a degree bound: it holds the
+coefficients of every word of degree at most the bound over a fixed
+alphabet, and absent words are zero.  Read as a functional on the word
+algebra, it pairs with polynomials through its coefficients.  X-series are
+graded by word length, Y-series by the weight ``sum(n_i)``.  The linear
+structure, the label twist and the projection to Y words are those of
+:class:`~cyclozeta.algebra.AlgebraElement` and return series; the
+concatenation product is exact through the bound, and formal exp/log are
+inverse to each other there.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterator
 
-from .errors import AlphabetMismatchError, DegreeBoundError, InvalidArgumentError
+from .algebra import AlgebraElement
+from .errors import DegreeBoundError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupElement
 from . import words as W
 
@@ -48,13 +55,15 @@ class Alphabet:
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
-    """All word coefficients up to ``degree_bound``, stored sparsely."""
+class TruncatedSeries(AlgebraElement):
+    """A word-algebra element holding every coefficient up to ``degree_bound``
+    over ``alphabet``; words past the bound are dropped, absent words are
+    zero."""
 
-    ring: object
     alphabet: Alphabet
     degree_bound: int
-    coeffs: dict
+
+    _frame = attrgetter("ring", "alphabet", "degree_bound")
 
     @staticmethod
     def make(ring, alphabet, degree_bound, mapping: dict) -> "TruncatedSeries":
@@ -64,15 +73,8 @@ class TruncatedSeries:
                 continue
             if not ring.is_stored_zero(c):
                 cleaned[w] = c
-        return TruncatedSeries(ring, alphabet, degree_bound, cleaned)
-
-    @staticmethod
-    def one(ring, alphabet, degree_bound) -> "TruncatedSeries":
-        return TruncatedSeries(ring, alphabet, degree_bound, {(): ring.one})
-
-    @staticmethod
-    def zero(ring, alphabet, degree_bound) -> "TruncatedSeries":
-        return TruncatedSeries(ring, alphabet, degree_bound, {})
+        return TruncatedSeries(ring, alphabet.kind, alphabet.group, cleaned,
+                               alphabet, degree_bound)
 
     @staticmethod
     def from_function(ring, alphabet, degree_bound,
@@ -82,6 +84,12 @@ class TruncatedSeries:
             out[w] = fn(w)
         return TruncatedSeries.make(ring, alphabet, degree_bound, out)
 
+    def _like(self, terms: dict, kind: str | None = None) -> "TruncatedSeries":
+        alphabet = self.alphabet
+        if kind not in (None, alphabet.kind):
+            alphabet = Alphabet(kind, alphabet.group, alphabet.letters)
+        return TruncatedSeries.make(self.ring, alphabet, self.degree_bound, terms)
+
     # -- queries -----------------------------------------------------------
 
     def coeff(self, word):
@@ -90,36 +98,16 @@ class TruncatedSeries:
             raise DegreeBoundError(
                 f"word of degree {self.alphabet.word_degree(word)} is beyond "
                 f"the bound {self.degree_bound}")
-        return self.coeffs.get(word, self.ring.zero)
+        return self.terms.get(word, self.ring.zero)
 
     @cached_property
     def _by_degree(self) -> dict:
         out: dict = {}
-        for w, c in self.coeffs.items():
+        for w, c in self.terms.items():
             out.setdefault(self.alphabet.word_degree(w), {})[w] = c
         return out
 
-    def _check(self, other: "TruncatedSeries"):
-        if (self.ring, self.alphabet, self.degree_bound) != (
-                other.ring, other.alphabet, other.degree_bound):
-            raise AlphabetMismatchError("series bounds/alphabets/rings differ")
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return TruncatedSeries.make(self.ring, self.alphabet, self.degree_bound, out)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries.make(
-            self.ring, self.alphabet, self.degree_bound,
-            {w: c * v for w, v in self.coeffs.items()})
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Concatenation-convolution, exact through the degree bound."""
@@ -133,32 +121,18 @@ class TruncatedSeries:
                     for w2, c2 in level2.items():
                         w = w1 + w2
                         out[w] = out.get(w, 0) + c1 * c2
-        return TruncatedSeries.make(self.ring, self.alphabet, self.degree_bound, out)
-
-    def max_abs_diff(self, other: "TruncatedSeries") -> float:
-        self._check(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((self.ring.abs(self.coeffs.get(w, self.ring.zero)
-                                  - other.coeffs.get(w, self.ring.zero))
-                    for w in keys), default=0.0)
-
-    def approx_equal(self, other: "TruncatedSeries") -> bool:
-        self._check(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.ring.eq(self.coeffs.get(w, self.ring.zero),
-                                other.coeffs.get(w, self.ring.zero))
-                   for w in keys)
+        return self._like(out)
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """Formal exponential; requires zero constant term."""
-    if not a.ring.is_stored_zero(a.coeffs.get((), a.ring.zero)):
+    if not a.ring.is_stored_zero(a.terms.get((), a.ring.zero)):
         raise InvalidArgumentError("series_exp needs a zero constant term")
     result = TruncatedSeries.one(a.ring, a.alphabet, a.degree_bound)
     power = result
     for k in range(1, a.degree_bound + 1):
         power = power * a
-        if not power.coeffs:
+        if not power.terms:
             break
         result = result + power.scale(Fraction(1, _factorial(k)))
     return result
@@ -166,14 +140,14 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:
     """Formal logarithm; requires constant term one."""
-    if not a.ring.eq(a.coeffs.get((), a.ring.zero), a.ring.one):
+    if not a.ring.eq(a.terms.get((), a.ring.zero), a.ring.one):
         raise InvalidArgumentError("series_log needs constant term 1")
     x = a - TruncatedSeries.one(a.ring, a.alphabet, a.degree_bound)
     result = TruncatedSeries.zero(a.ring, a.alphabet, a.degree_bound)
     power = TruncatedSeries.one(a.ring, a.alphabet, a.degree_bound)
     for k in range(1, a.degree_bound + 1):
         power = power * x
-        if not power.coeffs:
+        if not power.terms:
             break
         result = result + power.scale(Fraction((-1) ** (k + 1), k))
     return result

@@ -33,26 +33,15 @@ def y_weight(word: YWord) -> int:
 
 
 def y_to_x_word(word: YWord) -> XWord:
-    out: list[XLetter] = []
-    for n, g in word:
-        out.extend([X0] * (n - 1))
-        out.append(g)
-    return tuple(out)
+    return blocks_to_x_word(word, 0)
 
 
 def x_to_y_word(word: XWord) -> YWord:
     """Re-encode an X word ending in a group letter; raises otherwise."""
-    if word and word[-1] is X0:
+    blocks, trailing = x_word_blocks(word)
+    if trailing:
         raise NotInH1Error(f"{word} ends in x0 and has no Y form")
-    out: list[YLetter] = []
-    run = 0
-    for letter in word:
-        if letter is X0:
-            run += 1
-        else:
-            out.append((run + 1, letter))
-            run = 0
-    return tuple(out)
+    return tuple(blocks)
 
 
 def x_word_in_h1(word: XWord) -> bool:
@@ -88,31 +77,12 @@ def blocks_to_x_word(blocks, trailing: int) -> XWord:
     return tuple(out)
 
 
-def qg_x_word(word: XWord, inverse: bool = False) -> XWord:
+def qg_y_word(word: YWord, inverse: bool = False) -> YWord:
     """The group-label twist, acting on one word.
 
     Forward replaces the i-th group label ``g_i`` by ``g_i g_{i-1}^(-1)``;
-    inverse replaces it by the partial product ``g_1 ... g_i``.  Runs of x0
-    are untouched.
+    inverse replaces it by the partial product ``g_1 ... g_i``.
     """
-    blocks, trailing = x_word_blocks(word)
-    if not blocks:
-        return word
-    new_blocks = []
-    if inverse:
-        acc = None
-        for n, g in blocks:
-            acc = g if acc is None else acc * g
-            new_blocks.append((n, acc))
-    else:
-        prev = None
-        for n, g in blocks:
-            new_blocks.append((n, g if prev is None else g * prev.inverse()))
-            prev = g
-    return blocks_to_x_word(new_blocks, trailing)
-
-
-def qg_y_word(word: YWord, inverse: bool = False) -> YWord:
     out: list[YLetter] = []
     if inverse:
         acc = None
@@ -125,6 +95,13 @@ def qg_y_word(word: YWord, inverse: bool = False) -> YWord:
             out.append((n, g if prev is None else g * prev.inverse()))
             prev = g
     return tuple(out)
+
+
+def qg_x_word(word: XWord, inverse: bool = False) -> XWord:
+    """The twist of :func:`qg_y_word` on the blocks of an X word; runs of x0
+    are untouched."""
+    blocks, trailing = x_word_blocks(word)
+    return blocks_to_x_word(qg_y_word(blocks, inverse), trailing)
 
 
 def x_words_up_to(letters, max_length: int) -> Iterator[XWord]:

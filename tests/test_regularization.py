@@ -10,8 +10,8 @@ import pytest
 from conftest import combo, elem, oracle_shuffle_words
 from cyclozeta.algebra import AlgebraElement, shuffle
 from cyclozeta.errors import DegreeBoundError, NotInH0Error, NotInH1Error
-from cyclozeta.regularization import (TPolynomial, TableZMap, bar_reg, bar_reg_T,
-                                      delta_series, extend_Z_sh, extend_Z_st,
+from cyclozeta.regularization import (TPolynomial, TableZMap, _regt_word,
+                                      _tilde_word, bar_reg, bar_reg_T, delta_series, extend_Z_sh, extend_Z_st,
                                       gamma_series, reg_T, rho_apply, sigma_apply,
                                       tilde_reg)
 from cyclozeta.groups import power_structure
@@ -67,6 +67,12 @@ class TestTildeReg:
         for w1, w2 in itertools.product(pool, repeat=2):
             a, b = elem(Z2, *w1), elem(Z2, *w2)
             assert tilde_reg(shuffle(a, b)) == shuffle(tilde_reg(a), tilde_reg(b))
+
+
+class TestWordCaches:
+    def test_caches_are_bounded(self):
+        for cached in (_tilde_word, _regt_word):
+            assert cached.cache_info().maxsize is not None
 
 
 class TestBarRegT:

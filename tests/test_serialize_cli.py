@@ -14,7 +14,7 @@ from cyclozeta.groups import construct_group
 from cyclozeta.regularization import TPolynomial, bar_reg_T
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries
-from cyclozeta.words import X0
+from cyclozeta.words import X0, parse_x_word, parse_y_word
 
 
 class TestSerializeRoundTrips:
@@ -27,7 +27,7 @@ class TestSerializeRoundTrips:
                 coeffs[w] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         series = TruncatedSeries.make(RATIONAL, alphabet, 3, coeffs)
         back = serialize.parse_series(serialize.format_series(series))
-        assert back.coeffs == series.coeffs
+        assert back.terms == series.terms
         assert back.degree_bound == 3 and back.ring == RATIONAL
 
     def test_series_exact_third(self, Z2):
@@ -35,7 +35,7 @@ class TestSerializeRoundTrips:
         series = TruncatedSeries.make(RATIONAL, alphabet, 1,
                                       {(X0,): Fraction(1, 3)})
         back = serialize.parse_series(serialize.format_series(series))
-        assert back.coeffs[(X0,)] == Fraction(1, 3)
+        assert back.terms[(X0,)] == Fraction(1, 3)
 
     def test_series_complex(self, Z3):
         alphabet = Alphabet.x(Z3)
@@ -44,14 +44,14 @@ class TestSerializeRoundTrips:
             (Z3.element(1), Z3.element(2)): complex(math.pi, -1 / 3),
         })
         back = serialize.parse_series(serialize.format_series(series))
-        assert back.coeffs == series.coeffs  # repr round-trips doubles exactly
+        assert back.terms == series.terms  # repr round-trips doubles exactly
 
     def test_y_series(self, Z3):
         alphabet = Alphabet.y(Z3)
         series = TruncatedSeries.make(RATIONAL, alphabet, 3, {
             ((2, Z3.element(1)), (1, Z3.element(0))): Fraction(-7, 2)})
         back = serialize.parse_series(serialize.format_series(series))
-        assert back.coeffs == series.coeffs
+        assert back.terms == series.terms
 
     def test_element_roundtrip(self, Z3):
         a = combo(Z3, (Fraction(2, 7), (X0, Z3.element(1))), (-1, (Z3.element(2),)))
@@ -177,16 +177,32 @@ class TestCliNumericCommands:
         assert out.count("dmrd\t") == 2  # d = 1 and d = 2
 
 
-class TestCommandConfig:
-    def test_round_trip(self):
-        from cyclozeta.cli import CommandConfig, build_parser
-        parser = build_parser()
-        args = parser.parse_args(["dmr-check", "--N", "2", "--degree", "3",
-                                  "--tol", "1e-6"])
-        config = CommandConfig.from_args(args)
-        back = CommandConfig.from_text(config.to_text())
-        assert back == config
+class TestCliWorstDetail:
+    def test_dmrd_detail_names_the_worst_word(self, capsys):
+        code = main(["dmrd-check", "--N", "2", "--degree", "2", "--tol", "1e-300"])
+        out = capsys.readouterr().out
+        assert code == 1
+        group = construct_group([2])
+        failed = [line.split("\t") for line in out.splitlines()[2:]
+                  if "\tFAIL\t" in line]
+        assert failed
+        for row in failed:
+            assert row[4].startswith("worst=")
+            word = parse_x_word(row[4][len("worst="):], group)
+            assert 1 <= len(word) <= 2
 
+    def test_dmr_detail_names_the_worst_pair(self, capsys):
+        main(["dmr-check", "--N", "2", "--degree", "3", "--tol", "1e-300"])
+        rows = {row[0]: row for row in (line.split("\t") for line in
+                                         capsys.readouterr().out.splitlines()[2:])}
+        group = construct_group([2])
+        for check, parse in (("dmr-shuffle-grouplike", parse_x_word),
+                             ("dmr-harmonic-grouplike", parse_y_word)):
+            u, v = rows[check][4][len("worst="):].split("|")
+            assert parse(u, group) and parse(v, group)
+
+
+class TestCommandConfig:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("subcommand = polylog\ncutoff = 50000\ntol = 1e-4\n")

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import combo, elem
-from cyclozeta.algebra import harmonic, shuffle, x_to_y, y_to_x
+from cyclozeta.algebra import (AlgebraElement, harmonic, project_piY, qg_apply,
+                              shuffle, x_to_y, y_to_x)
 from cyclozeta.dmr import (dmr_check, dmrd_check, dmrd_check_all,
                            eds_dmr_equality_check, functor_sharp, functor_star,
-                           grouplike_check, phi_corr, phi_from_Z, phi_star,
-                           project_piY_series, qg_hat)
+                           grouplike_check, phi_corr, phi_from_Z, phi_star)
 from cyclozeta.duality import duality_suite
-from cyclozeta.errors import DegreeBoundError, InvalidArgumentError
+from cyclozeta.errors import (AlphabetMismatchError, DegreeBoundError,
+                              InvalidArgumentError)
 from cyclozeta.groups import (GroupHom, construct_group, hom_inclusion, hom_power,
                               power_structure)
 from cyclozeta.rings import RATIONAL
@@ -39,21 +40,21 @@ class TestSeriesArith:
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
         a = one + x_series(Z3, 2, {(X0,): Fraction(1)})
         b = one - x_series(Z3, 2, {(X0,): Fraction(1)})
-        assert (a * b).coeffs == {(): Fraction(1), (X0, X0): Fraction(-1)}
+        assert (a * b).terms == {(): Fraction(1), (X0, X0): Fraction(-1)}
 
     def test_unit(self, Z3):
         rng = random.Random(0)
         s = random_series(Alphabet.x(Z3), 2, rng)
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
-        assert (s * one).coeffs == s.coeffs
+        assert (s * one).terms == s.terms
 
     def test_square(self, Z3):
         g = Z3.element(1)
         s = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2) + \
             x_series(Z3, 2, {(g,): Fraction(1)})
         sq = s * s
-        assert sq.coeffs == {(): Fraction(1), (g,): Fraction(2),
-                             (g, g): Fraction(1)}
+        assert sq.terms == {(): Fraction(1), (g,): Fraction(2),
+                            (g, g): Fraction(1)}
 
     def test_bound_mismatch(self, Z3):
         a = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
@@ -67,23 +68,78 @@ class TestSeriesArith:
             s.coeff((X0, X0, X0))
 
 
+class TestSeriesIsAlgebraElement:
+    """A series is the word-algebra container plus a degree bound; the
+    algebra's operations hand back series of the same ring and bound."""
+
+    def test_is_an_element(self, Z3):
+        s = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
+        assert isinstance(s, AlgebraElement)
+        assert (s.kind, s.group) == ("x", Z3)
+
+    def test_operations_keep_the_series_frame(self, Z3):
+        rng = random.Random(3)
+        alphabet = Alphabet.x(Z3, (Z3.identity(),))
+        s = random_series(alphabet, 3, rng)
+        t = random_series(alphabet, 3, rng)
+        results = {"add": s + t, "sub": s - t, "scale": s.scale(Fraction(2, 3)),
+                   "map_words": s.map_words(lambda w: w[::-1]),
+                   "qg_apply": qg_apply(s), "qg_apply_inverse": qg_apply(s, True)}
+        for name, r in results.items():
+            assert type(r) is TruncatedSeries, name
+            assert (r.ring, r.alphabet, r.degree_bound) == (RATIONAL, alphabet, 3), name
+        assert (s - s).terms == {}
+        assert s.scale(0).terms == {} and type(s.scale(0)) is TruncatedSeries
+
+    def test_words_past_the_bound_are_dropped(self, Z3):
+        g = Z3.element(1)
+        s = x_series(Z3, 2, {(g,): Fraction(1), (g, g): Fraction(2)})
+        longer = s.map_words(lambda w: (X0,) + w)
+        assert type(longer) is TruncatedSeries and longer.degree_bound == 2
+        assert longer.terms == {(X0, g): Fraction(1)}
+        assert s.concat(s).terms == {(g, g): Fraction(1)}
+
+    def test_project_piY_gives_y_series_on_same_letters(self, Z4):
+        letters = (Z4.identity(), Z4.element(2))
+        two = Z4.element(2)
+        s = x_series(Z4, 3, {(): Fraction(1), (X0, two): Fraction(3),
+                             (two, X0): Fraction(5), (two, X0, two): Fraction(7)},
+                     letters)
+        y = project_piY(s)
+        assert type(y) is TruncatedSeries and y.degree_bound == 3
+        assert y.alphabet == Alphabet.y(Z4, letters)
+        assert y.terms == {(): Fraction(1), ((2, two),): Fraction(3),
+                           ((1, two), (2, two)): Fraction(7)}
+
+    def test_mismatched_series_still_refuse_to_combine(self, Z3):
+        a = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
+        for other in (TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 3),
+                      TruncatedSeries.one(RATIONAL, Alphabet.y(Z3), 2),
+                      TruncatedSeries.one(RATIONAL, Alphabet.x(Z3, (Z3.identity(),)), 2),
+                      AlgebraElement.one(RATIONAL, "x", Z3)):
+            with pytest.raises(AlphabetMismatchError):
+                a + other
+            with pytest.raises(AlphabetMismatchError):
+                other - a
+
+
 class TestExpLog:
     def test_exp_zero(self, Z3):
         z = TruncatedSeries.zero(RATIONAL, Alphabet.x(Z3), 3)
-        assert series_exp(z).coeffs == {(): Fraction(1)}
+        assert series_exp(z).terms == {(): Fraction(1)}
 
     def test_exp_single_letter(self, Z3):
         one_el = Z3.identity()
         c = Fraction(3, 2)
         s = series_exp(x_series(Z3, 3, {(one_el,): c}))
-        assert s.coeffs == {(): Fraction(1), (one_el,): c,
-                            (one_el,) * 2: c ** 2 / 2,
-                            (one_el,) * 3: c ** 3 / 6}
+        assert s.terms == {(): Fraction(1), (one_el,): c,
+                           (one_el,) * 2: c ** 2 / 2,
+                           (one_el,) * 3: c ** 3 / 6}
 
     def test_log_exp_roundtrip(self, Z3):
         g = Z3.element(1)
         a = x_series(Z3, 4, {(X0,): Fraction(1), (g,): Fraction(1)})
-        assert series_log(series_exp(a)).coeffs == a.coeffs
+        assert series_log(series_exp(a)).terms == a.terms
 
     def test_constant_term_guards(self, Z3):
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
@@ -122,19 +178,19 @@ class TestGrouplike:
 class TestQgHat:
     def test_unit(self, Z3):
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 3)
-        assert qg_hat(one).coeffs == one.coeffs
+        assert qg_apply(one).terms == one.terms
 
     def test_single_word_reindex(self, Z3):
         g1, g2 = Z3.element(1), Z3.element(2)
         c = Fraction(5)
         s = x_series(Z3, 2, {(g1, g2): c})
         # untwist of x1 x1 is x1 x2, so the twisted series puts c there
-        assert qg_hat(s).coeff((g1, g1)) == c
+        assert qg_apply(s).coeff((g1, g1)) == c
 
     def test_roundtrip(self, Z3):
         rng = random.Random(1)
         s = random_series(Alphabet.x(Z3), 4, rng)
-        assert qg_hat(qg_hat(s), inverse=True).coeffs == s.coeffs
+        assert qg_apply(qg_apply(s), inverse=True).terms == s.terms
 
 
 class TestPhiFromZ:
@@ -164,7 +220,7 @@ class TestPhiFromZ:
 class TestPhiStar:
     def test_unit_series(self, Z2):
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z2), 3)
-        assert phi_star(one).coeffs == {(): Fraction(1)}
+        assert phi_star(one).terms == {(): Fraction(1)}
 
     def test_corr_expansion(self, Z2):
         Z = prime_zmap(Z2, 2)
@@ -226,7 +282,7 @@ class TestFunctors:
         s = x_series(Z4, 2, {(g,): Fraction(1), (Z4.element(2),): Fraction(3)})
         image = functor_star(s, i2, "upper")
         assert image.coeff((Z4.element(2),)) == 3
-        assert (g,) not in image.coeffs
+        assert (g,) not in image.terms
 
     def test_sharp_tables(self, Z4):
         ps = power_structure(Z4, 2)
@@ -245,8 +301,8 @@ class TestFunctors:
         rng = random.Random(2)
         s = random_series(Alphabet.x(Z4), 3, rng)
         ident = hom_identity(Z4)
-        assert functor_star(s, ident, "upper").coeffs == s.coeffs
-        assert functor_star(s, ident, "lower").coeffs == s.coeffs
+        assert functor_star(s, ident, "upper").terms == s.terms
+        assert functor_star(s, ident, "lower").terms == s.terms
 
 
 def _pair_series_element(series, element):
@@ -325,29 +381,29 @@ class TestAppendixLemmas:
 
     def test_ast_comm_projection(self):
         series = random_series(self.full_alphabet, 4, self.rng, density=0.4)
-        lhs = project_piY_series(functor_star(series, self.i2, "upper"))
+        lhs = project_piY(functor_star(series, self.i2, "upper"))
         # act on the Y part through its X embedding
-        y_part = project_piY_series(series)
+        y_part = project_piY(series)
         embedded = TruncatedSeries.make(
             RATIONAL, self.full_alphabet, 4,
             {tuple(sum(((X0,) * (n - 1) + (g,) for n, g in w), ())): c
-             for w, c in y_part.coeffs.items()})
-        rhs = project_piY_series(functor_star(embedded, self.i2, "upper"))
-        assert lhs.coeffs == rhs.coeffs
+             for w, c in y_part.terms.items()})
+        rhs = project_piY(functor_star(embedded, self.i2, "upper"))
+        assert lhs.terms == rhs.terms
 
     def test_ast_comm_twist(self):
         for hom, s_alphabet in ((self.i2, self.full_alphabet),
                                 (self.pd, self.sub_alphabet)):
             series = random_series(s_alphabet, 4, self.rng, density=0.4)
             for kind in ("upper",) if hom is self.i2 else ("upper",):
-                lhs = qg_hat(functor_star(series, hom, kind))
-                rhs = functor_star(qg_hat(series), hom, kind)
-                assert lhs.coeffs == rhs.coeffs
+                lhs = qg_apply(functor_star(series, hom, kind))
+                rhs = functor_star(qg_apply(series), hom, kind)
+                assert lhs.terms == rhs.terms
         # and the covariant side
         series = random_series(self.full_alphabet, 4, self.rng, density=0.4)
-        lhs = qg_hat(functor_star(series, self.pd, "lower"))
-        rhs = functor_star(qg_hat(series), self.pd, "lower")
-        assert lhs.coeffs == rhs.coeffs
+        lhs = qg_apply(functor_star(series, self.pd, "lower"))
+        rhs = functor_star(qg_apply(series), self.pd, "lower")
+        assert lhs.terms == rhs.terms
 
     def test_sharp_algebra_morphisms(self):
         # shuffle morphism property for both sharps, random pairs length <= 4
@@ -415,12 +471,12 @@ class TestAppendixLemmas:
         s = random_series(Alphabet.x(Z12, cube_image), 3, rng)
         lhs = functor_star(s, composed, "upper")
         rhs = functor_star(functor_star(s, phi, "upper"), psi, "upper")
-        assert lhs.coeffs == rhs.coeffs
+        assert lhs.terms == rhs.terms
         # covariant: (phi o psi)_* = phi_* o psi_*
         s2 = random_series(Alphabet.x(Z12), 3, rng)
         lhs2 = functor_star(s2, composed, "lower")
         rhs2 = functor_star(functor_star(s2, psi, "lower"), phi, "lower")
-        assert lhs2.coeffs == rhs2.coeffs
+        assert lhs2.terms == rhs2.terms
 
 
 class TestDMRD:
@@ -471,4 +527,4 @@ class TestExpLogReverse:
         s = random_series(Alphabet.x(Z3), 4, rng)
         s = s - x_series(Z3, 4, {(): s.coeff(())}) + \
             TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 4)
-        assert series_exp(series_log(s)).coeffs == s.coeffs
+        assert series_exp(series_log(s)).terms == s.terms
