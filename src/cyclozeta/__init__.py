@@ -4,6 +4,7 @@ distribution relations of cyclotomic multiple zeta values."""
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership, ZERO_DIAMOND,
                       harmonic, membership, pairing, project_piY, qg_apply,
                       quasi_shuffle, shuffle, x_to_y, y_to_x)
+from .checks import Check, fold
 from .dmr import (dmr_check, dmrd_check, dmrd_check_all, eds_dmr_equality_check,
                   functor_sharp, functor_star, grouplike_check, phi_from_Z,
                   phi_star)

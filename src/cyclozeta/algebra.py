@@ -29,7 +29,6 @@ from typing import Callable, Iterable
 
 from .errors import AlphabetMismatchError, NotInH1Error, ParseError
 from .groups import FiniteAbelianGroup
-from .rings import RATIONAL
 from . import words as W
 
 
@@ -148,17 +147,14 @@ class DiamondProduct:
     """A commutative, associative product on letters with sparse constants.
 
     ``mul(a, b)`` returns the finitely many ``(letter, rational)`` pairs of
-    ``a <> b``; the empty result is the zero product.
+    ``a <> b``; the empty result is the zero product, which degenerates the
+    quasi-shuffle to the plain shuffle.
     """
 
     name = "zero"
 
     def mul(self, a, b) -> Iterable[tuple[object, Fraction]]:
         return ()
-
-
-class ZeroDiamond(DiamondProduct):
-    """Degenerates the quasi-shuffle to the plain shuffle."""
 
 
 class HarmonicDiamond(DiamondProduct):
@@ -171,7 +167,7 @@ class HarmonicDiamond(DiamondProduct):
         return (((n1 + n2, g1 * g2), 1),)
 
 
-ZERO_DIAMOND = ZeroDiamond()
+ZERO_DIAMOND = DiamondProduct()
 HARMONIC_DIAMOND = HarmonicDiamond()
 
 
@@ -395,11 +391,3 @@ def parse_element_combo(text: str, ring, kind: str,
                 else W.parse_y_word(word_text, group))
         out[word] = out.get(word, 0) + coeff
     return AlgebraElement.make(ring, kind, group, out)
-
-
-def word_element(group: FiniteAbelianGroup, text: str, ring=RATIONAL,
-                 kind: str = "x") -> AlgebraElement:
-    """Convenience: one word from its textual form, with coefficient 1."""
-    word = (W.parse_x_word(text, group) if kind == "x"
-            else W.parse_y_word(text, group))
-    return AlgebraElement.from_word(ring, kind, group, word)

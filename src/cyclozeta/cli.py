@@ -9,11 +9,11 @@ Parse or precondition errors exit 2.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
 from . import serialize
 from .algebra import harmonic, parse_element_combo, shuffle
+from .checks import Check, fold
 from .dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from .duality import duality_suite
 from .errors import CycloZetaError
@@ -22,8 +22,8 @@ from .numeval import (DEFAULT_CUTOFF, DEFAULT_TOLERANCE, NumericZMap,
                       PolylogQuery, numeric_relation_suite, polylog_numeric)
 from .regularization import bar_reg_T
 from .relations import fdtd1_grid, fdtd1_identity_check, regdist_full_check, zhao_case_table
-from .rings import ring_from_name
-from .words import format_x_word, format_y_word
+from .rings import RATIONAL, ring_from_name
+from .words import format_x_word
 
 
 def _meta_row(**fields) -> str:
@@ -58,29 +58,26 @@ def load_config_defaults(path) -> dict:
 
 
 class Report:
-    """Collects (check, params, status, residual, detail) rows."""
+    """A ``#meta`` row over (check, params, status, residual, detail) rows."""
 
     columns = ("check", "params", "status", "residual", "detail")
 
-    def __init__(self, meta: str):
+    def __init__(self, meta: str, checks):
         self.meta = meta
-        self.rows: list[tuple] = []
-
-    def add(self, check: str, params: str, passed: bool, residual, detail: str = ""):
-        res_text = "" if residual is None else f"{residual:.6e}"
-        self.rows.append((check, params, "PASS" if passed else "FAIL", res_text, detail))
+        self.checks = list(checks)
 
     def emit(self, stream=None) -> int:
         stream = stream or sys.stdout
         print(self.meta, file=stream)
         print("\t".join(self.columns), file=stream)
-        for row in self.rows:
-            print("\t".join(row), file=stream)
-        return 0 if all(r[2] == "PASS" for r in self.rows) else 1
+        for check in self.checks:
+            print(check, file=stream)
+        return 0 if all(c.passed for c in self.checks) else 1
 
 
-def _element_hash(elem) -> str:
-    return hashlib.sha256(str(elem).encode()).hexdigest()[:12]
+def _numeric_report(args, degree, checks) -> int:
+    meta = _meta_row(group=f"Z{args.N}", degree=degree, ring="complex", tol=args.tol)
+    return Report(meta, checks).emit()
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -123,105 +120,61 @@ def cmd_reg(args) -> int:
 
 def cmd_fdt_verify(args) -> int:
     group = parse_group(args.group)
-    report = Report(_meta_row(group=args.group, degree=2, ring="rational", tol=0))
     if args.d is None:
         results = fdtd1_grid(group)
     else:
         ps = power_structure(group, args.d)
         results = [fdtd1_identity_check(group, args.d, h) for h in ps.subgroup]
-    for r in results:
-        detail = "0" if r.passed else _element_hash(r.difference)
-        report.add("fdt1-decomposition", f"d={r.d} h={r.h} branch={r.branch}",
-                   r.passed, 0.0 if r.passed else r.difference.max_abs(), detail)
-    return report.emit()
+    checks = [fold("fdt1-decomposition", f"d={r.d} h={r.h} branch={r.branch}",
+                   RATIONAL, r.difference.terms.items(), format_x_word)
+              for r in results]
+    meta = _meta_row(group=args.group, degree=2, ring="rational", tol=0)
+    return Report(meta, checks).emit()
 
 
 def cmd_duality_test(args) -> int:
     group = parse_group(args.group)
     result = duality_suite(group, args.degree, args.maps, args.seed)
-    report = Report(_meta_row(group=args.group, degree=args.degree,
-                              ring="rational", tol=0))
     bad = [r for r in result.rows if not (r.consistent and r.expected)]
-    report.add("duality", f"maps={args.maps} weight<={args.degree}",
-               result.passed, float(len(bad)),
-               f"multiplicative_iff_grouplike on {len(result.rows)} maps")
-    return report.emit()
+    check = Check("duality", f"maps={args.maps} weight<={args.degree}",
+                  result.passed, float(len(bad)),
+                  f"multiplicative_iff_grouplike on {len(result.rows)} maps")
+    meta = _meta_row(group=args.group, degree=args.degree, ring="rational", tol=0)
+    return Report(meta, [check]).emit()
 
 
 def cmd_dmr_check(args) -> int:
     Z = NumericZMap(args.N, args.cutoff, args.tol)
     phi = phi_from_Z(Z, args.degree)
-    result = dmr_check(phi)
-    report = Report(_meta_row(group=f"Z{args.N}", degree=args.degree,
-                              ring="complex", tol=args.tol))
-    for check, grouplike, fmt_word in (
-            ("dmr-shuffle-grouplike", result.shuffle_report, format_x_word),
-            ("dmr-harmonic-grouplike", result.harmonic_report, format_y_word)):
-        worst = grouplike.worst
-        pair = f"{fmt_word(worst[0])}|{fmt_word(worst[1])}" if worst else ""
-        report.add(check, f"N={args.N}", grouplike.passed, grouplike.max_residual,
-                   f"worst={pair}")
-    report.add("dmr-x0-x1-vanish", f"N={args.N}", result.x0_ok and result.x1_ok, None)
+    checks = dmr_check(phi)
     if args.save_phi:
         serialize.write_text(args.save_phi, serialize.format_series(phi))
-    return report.emit()
+    return _numeric_report(args, args.degree, checks)
 
 
 def cmd_dmrd_check(args) -> int:
     Z = NumericZMap(args.N, args.cutoff, args.tol)
     phi = phi_from_Z(Z, args.degree)
-    group = Z.group
-    divisors = [args.d] if args.d else [d for d in divisors_of_order(group)]
-    report = Report(_meta_row(group=f"Z{args.N}", degree=args.degree,
-                              ring="complex", tol=args.tol))
-    for d in divisors:
-        result = dmrd_check(phi, power_structure(group, d))
-        worst = format_x_word(result.worst_word) if result.worst_word is not None else ""
-        report.add("dmrd", f"N={args.N} d={d}", result.passed, result.max_residual,
-                   f"worst={worst}")
-    return report.emit()
+    # at d = 1 both arrows are identities; dmr-check's vanish row covers it
+    divisors = [args.d] if args.d else [d for d in divisors_of_order(Z.group) if d >= 2]
+    return _numeric_report(args, args.degree, [
+        dmrd_check(phi, power_structure(Z.group, d)) for d in divisors])
 
 
 def cmd_eds_dmr_check(args) -> int:
     Z = NumericZMap(args.N, args.cutoff, args.tol)
-    result = eds_dmr_equality_check(Z, args.degree)
-    report = Report(_meta_row(group=f"Z{args.N}", degree=args.degree,
-                              ring="complex", tol=args.tol))
-    worst = format_y_word(result.worst_word) if result.worst_word else ""
-    report.add("eds-dmr-equality", f"N={args.N} degree={args.degree}",
-               result.passed, result.max_residual, f"worst={worst}")
-    return report.emit()
+    return _numeric_report(args, args.degree, [eds_dmr_equality_check(Z, args.degree)])
 
 
 def cmd_zhao_verify(args) -> int:
     Z = NumericZMap(args.N, args.cutoff, args.tol)
-    hypotheses, cells = zhao_case_table(Z, Z.group, args.d, args.spot_degree)
-    report = Report(_meta_row(group=f"Z{args.N}", degree=2, ring="complex",
-                              tol=args.tol))
-    report.add("zhao-hypothesis-eds", f"spot_degree={hypotheses.eds_spot_degree}",
-               hypotheses.eds_ok, None)
-    report.add("zhao-hypothesis-weight1", f"d={args.d}", hypotheses.weight1_ok,
-               hypotheses.weight1_residual)
-    report.add("zhao-hypothesis-depth2", f"d={args.d}", hypotheses.depth2_ok,
-               hypotheses.depth2_residual)
-    for cell in cells:
-        report.add("zhao-cell", f"d={args.d} cell={cell.cell}", cell.passed,
-                   cell.residual)
-    return report.emit()
+    return _numeric_report(args, 2, zhao_case_table(Z, Z.group, args.d, args.spot_degree))
 
 
 def cmd_regdist(args) -> int:
     Z = NumericZMap(args.N, args.cutoff, args.tol)
-    result = regdist_full_check(Z, Z.group, args.d, args.max_len)
-    report = Report(_meta_row(group=f"Z{args.N}", degree=args.max_len,
-                              ring="complex", tol=args.tol))
-    report.add("regdist-T-level", f"d={args.d}", result.t_level_passed,
-               result.t_level_residual)
-    report.add("regdist-ev0-level", f"d={args.d}", result.ev0_level_passed,
-               result.ev0_level_residual)
-    report.add("regdist-generators", f"d={args.d}", result.generator_passed,
-               result.generator_residual)
-    return report.emit()
+    return _numeric_report(args, args.max_len,
+                           regdist_full_check(Z, Z.group, args.d, args.max_len))
 
 
 def cmd_polylog(args) -> int:
@@ -238,19 +191,8 @@ def cmd_polylog(args) -> int:
 
 
 def cmd_relation_suite(args) -> int:
-    result = numeric_relation_suite(args.N, args.weight, args.tol, args.cutoff)
-    print(_meta_row(group=f"Z{args.N}", degree=args.weight, ring="complex",
-                    tol=args.tol))
-    print("query\tvalue\tresidual\tbound")
-    failed = False
-    for row in result.rows:
-        status_fail = row.residual > args.tol
-        failed = failed or status_fail
-        print(f"{row.kind}:{row.label}\t{row.value!r}\t{row.residual:.6e}"
-              f"\t{row.bound:.3e}")
-    print(f"# max_residual={result.max_residual:.6e} passed={result.passed}",
-          file=sys.stderr)
-    return 1 if failed else 0
+    return _numeric_report(args, args.weight, numeric_relation_suite(
+        args.N, args.weight, args.tol, args.cutoff))
 
 
 # -- parser -------------------------------------------------------------------

@@ -4,7 +4,8 @@ double-shuffle and distribution conditions on series.
 
 Coproducts are never materialized: a series is grouplike for the coproduct
 dual to a product exactly when its coefficient functional is multiplicative,
-so the checks run over word pairs through the truncation degree.
+so the checks run over word pairs through the truncation degree.  Every
+check returns :class:`~cyclozeta.checks.Check` rows, one per CLI report line.
 
 The corrected series twists and projects with the word-algebra maps
 :func:`~cyclozeta.algebra.qg_apply` and :func:`~cyclozeta.algebra.project_piY`,
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND,
-                      ZERO_DIAMOND, project_piY, qg_apply, quasi_shuffle)
+from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
+                      project_piY, qg_apply, quasi_shuffle)
+from .checks import Check, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, divisors_of_order, hom_inclusion, hom_power, power_structure
 from .regularization import ZMap, bar_reg, extend_Z_st
@@ -35,60 +37,50 @@ from . import words as W
 
 @dataclass(frozen=True)
 class GrouplikeReport:
-    product: str
-    degree: int
-    passed: bool
-    max_residual: float
-    worst: tuple | None  # (u, v, residual)
-    unit_ok: bool
+    """A grouplike check and the number of word pairs it compared."""
+
+    check: Check
     pairs_checked: int
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} grouplike[{self.product}] degree={self.degree} "
-                f"max_residual={self.max_residual:.3e} pairs={self.pairs_checked}")
+    @property
+    def passed(self) -> bool:
+        return self.check.passed
 
 
-def grouplike_check(phi: TruncatedSeries, product: str = "shuffle",
-                    diamond: DiamondProduct | None = None) -> GrouplikeReport:
+def _pair_format(kind: str):
+    fmt = W.format_x_word if kind == "x" else W.format_y_word
+    return lambda pair: f"{fmt(pair[0])}|{fmt(pair[1])}"
+
+
+def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> GrouplikeReport:
     """Verify ``(phi | u * v) = (phi | u)(phi | v)`` for all nonempty word
-    pairs within the truncation degree, together with ``(phi | 1) = 1``."""
+    pairs within the truncation degree, together with ``(phi | 1) = 1``,
+    which the check reports as the pair ``1|1``."""
+    diamond = {"shuffle": ZERO_DIAMOND, "harmonic": HARMONIC_DIAMOND}.get(product)
     if diamond is None:
-        if product == "shuffle":
-            diamond = ZERO_DIAMOND
-        elif product == "harmonic":
-            diamond = HARMONIC_DIAMOND
-        else:
-            raise InvalidArgumentError(f"unknown coproduct {product!r}")
+        raise InvalidArgumentError(f"unknown coproduct {product!r}")
     if diamond is HARMONIC_DIAMOND and phi.alphabet.kind != "y":
         raise AlphabetMismatchError("the harmonic check needs a Y-side series")
     ring = phi.ring
     alphabet = phi.alphabet
     bound = phi.degree_bound
-    unit_ok = ring.eq(phi.coeff(()), ring.one)
-    worst = None
-    max_res = 0.0
-    pairs = 0
+    residuals = [(((), ()), phi.coeff(()) - ring.one)]
     words = [w for w in alphabet.words_up_to(bound - 1) if w]
     for u in words:
         du = alphabet.word_degree(u)
         for v in words:
             if du + alphabet.word_degree(v) > bound:
                 continue
-            pairs += 1
             eu = AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, u)
             ev = AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, v)
             prod = quasi_shuffle(eu, ev, diamond)
             lhs = ring.zero
             for w, c in prod.terms.items():
                 lhs = lhs + c * phi.coeff(w)
-            residual = lhs - phi.coeff(u) * phi.coeff(v)
-            mag = ring.abs(residual)
-            if mag > max_res:
-                max_res = mag
-                worst = (u, v, residual)
-    passed = unit_ok and (worst is None or ring.is_zero(worst[2]))
-    return GrouplikeReport(product, bound, passed, max_res, worst, unit_ok, pairs)
+            residuals.append(((u, v), lhs - phi.coeff(u) * phi.coeff(v)))
+    check = fold(f"dmr-{product}-grouplike", f"N={alphabet.group.order}", ring,
+                 residuals, _pair_format(alphabet.kind))
+    return GrouplikeReport(check, len(residuals) - 1)
 
 
 # -- the generating series of an evaluation map -----------------------------
@@ -133,41 +125,24 @@ def phi_star(phi: TruncatedSeries) -> TruncatedSeries:
 # -- DMR membership -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DMRReport:
-    degree: int
-    shuffle_report: GrouplikeReport
-    harmonic_report: GrouplikeReport
-    x0_ok: bool
-    x1_ok: bool
-    passed: bool
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} dmr degree={self.degree} "
-                f"shuffle={self.shuffle_report.max_residual:.3e} "
-                f"harmonic={self.harmonic_report.max_residual:.3e} "
-                f"x0_ok={self.x0_ok} x1_ok={self.x1_ok}")
-
-
-def dmr_check(phi: TruncatedSeries,
-              diamond: DiamondProduct | None = None) -> DMRReport:
+def dmr_check(phi: TruncatedSeries) -> list[Check]:
     """The double-shuffle-and-regularization condition on a series: shuffle
     grouplikeness, harmonic grouplikeness of the corrected series, and
     vanishing x0 and x1 coefficients.  Failures are reported, not raised."""
     ring = phi.ring
-    group = phi.alphabet.group
-    sh = grouplike_check(phi, "shuffle")
-    if sh.unit_ok:
-        st = grouplike_check(phi_star(phi), "harmonic", diamond)
+    params = f"N={phi.alphabet.group.order}"
+    sh = grouplike_check(phi, "shuffle").check
+    unit = phi.coeff(()) - ring.one
+    if ring.is_zero(unit):
+        st = grouplike_check(phi_star(phi), "harmonic").check
     else:
-        # no corrected series without a unit coefficient; report the failure
-        st = GrouplikeReport("harmonic", phi.degree_bound, False, float("inf"),
-                             None, False, 0)
-    x0_ok = ring.is_zero(phi.coeff((W.X0,)))
-    x1_ok = ring.is_zero(phi.coeff((group.identity(),)))
-    passed = sh.passed and st.passed and x0_ok and x1_ok
-    return DMRReport(phi.degree_bound, sh, st, x0_ok, x1_ok, passed)
+        # no corrected series without a unit coefficient; report the unit
+        st = fold("dmr-harmonic-grouplike", params, ring, [(((), ()), unit)],
+                  _pair_format("y"))
+    letters = ((W.X0,), (phi.alphabet.group.identity(),))
+    vanish = fold("dmr-x0-x1-vanish", params, ring,
+                  ((w, phi.coeff(w)) for w in letters), W.format_x_word)
+    return [sh, st, vanish]
 
 
 # -- letter-substitution functors -------------------------------------------
@@ -238,21 +213,7 @@ def functor_sharp(elem: AlgebraElement, hom: GroupHom, kind: str) -> AlgebraElem
 # -- distribution condition on series ---------------------------------------
 
 
-@dataclass(frozen=True)
-class DMRDReport:
-    d: int
-    degree: int
-    passed: bool
-    max_residual: float
-    worst_word: tuple | None
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} dmrd d={self.d} degree={self.degree} "
-                f"max_residual={self.max_residual:.3e}")
-
-
-def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> DMRDReport:
+def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> Check:
     """One divisor's distribution condition:
     ``p^d_*(phi) = exp(sum_{g^d=1} (phi|x_g) x_1) i_d^*(phi)``."""
     ring = phi.ring
@@ -265,19 +226,14 @@ def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> DMRDReport:
     exp_arg = TruncatedSeries.make(
         ring, restricted.alphabet, phi.degree_bound, {identity_word: coeff})
     rhs = series_exp(exp_arg) * restricted
-    diff = lhs - rhs
-    max_res = 0.0
-    worst = None
-    for w, c in diff.terms.items():
-        mag = ring.abs(c)
-        if mag > max_res:
-            max_res, worst = mag, w
-    passed = all(ring.is_zero(c) for c in diff.terms.values())
-    return DMRDReport(ps.d, phi.degree_bound, passed, max_res, worst)
+    return fold("dmrd", f"N={ps.group.order} d={ps.d}", ring,
+                (lhs - rhs).terms.items(), W.format_x_word)
 
 
-def dmrd_check_all(phi: TruncatedSeries) -> list[DMRDReport]:
-    """The full distribution condition: every divisor of the group order."""
+def dmrd_check_all(phi: TruncatedSeries) -> list[Check]:
+    """The full distribution condition: every divisor of the group order.
+    At d = 1 both arrows are identities, so the row only tests
+    ``(phi | x1) = 0``."""
     group = phi.alphabet.group
     return [dmrd_check(phi, power_structure(group, d))
             for d in divisors_of_order(group)]
@@ -286,38 +242,17 @@ def dmrd_check_all(phi: TruncatedSeries) -> list[DMRDReport]:
 # -- the coefficientwise comparison behind the scheme equivalence -----------
 
 
-@dataclass(frozen=True)
-class EqualityReport:
-    degree: int
-    passed: bool
-    max_residual: float
-    worst_word: tuple | None
-    words_checked: int
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} eds-dmr degree={self.degree} "
-                f"max_residual={self.max_residual:.3e} words={self.words_checked}")
-
-
-def eds_dmr_equality_check(Z: ZMap, degree: int) -> EqualityReport:
+def eds_dmr_equality_check(Z: ZMap, degree: int) -> Check:
     """Compare the corrected series of ``phi_from_Z`` with the series whose
     coefficients come from the harmonic-side regularized map, word by word
     on the Y basis through the degree."""
     lhs = phi_star(phi_from_Z(Z, degree))
     ring = Z.ring
-    max_res = 0.0
-    worst = None
-    count = 0
-    passed = True
-    for w in lhs.alphabet.words_up_to(degree):
-        count += 1
-        elem = AlgebraElement.from_word(ring, "y", Z.group, w)
-        rhs_c = extend_Z_st(Z, elem).coeff(0, ring.zero)
-        residual = lhs.coeff(w) - rhs_c
-        mag = ring.abs(residual)
-        if mag > max_res:
-            max_res, worst = mag, w
-        if not ring.is_zero(residual):
-            passed = False
-    return EqualityReport(degree, passed, max_res, worst, count)
+
+    def residuals():
+        for w in lhs.alphabet.words_up_to(degree):
+            elem = AlgebraElement.from_word(ring, "y", Z.group, w)
+            yield w, lhs.coeff(w) - extend_Z_st(Z, elem).coeff(0, ring.zero)
+
+    return fold("eds-dmr-equality", f"N={Z.group.order} degree={degree}", ring,
+                residuals(), W.format_y_word)

@@ -24,10 +24,14 @@ from .dmr import grouplike_check
 from .words import y_words_up_to, y_weight
 
 
+#: the largest number of summation variables of a nested-sum functional
+MAX_SLOTS = 5
+
+
 def nested_sum_functional(group: FiniteAbelianGroup, weight_bound: int,
-                          rng: random.Random, max_slots: int = 5) -> dict:
+                          rng: random.Random) -> dict:
     """A harmonic-multiplicative functional on the Y-word basis."""
-    slots = rng.randint(1, max_slots)
+    slots = rng.randint(1, MAX_SLOTS)
     xs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(slots)]
     lam = Fraction(rng.randint(1, 4), rng.randint(1, 4))
 

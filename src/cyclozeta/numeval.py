@@ -17,15 +17,18 @@ results, last write wins).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .algebra import AlgebraElement, harmonic, qg_apply, shuffle, x_to_y, y_to_x
+from .checks import Check, fold
 from .errors import DivergentSeriesError, InvalidArgumentError, NotInH0Error
 from .groups import construct_group
 from .regularization import ZMap
 from .rings import ComplexRing
-from .words import x_word_blocks, x_word_in_h0, format_x_word
+from .words import (blocks_to_x_word, format_x_word, qg_x_word, x_word_blocks,
+                    x_word_in_h0, x_words_up_to)
 
 DEFAULT_CUTOFF = 200_000
 DEFAULT_TOLERANCE = 1e-5
@@ -217,43 +220,21 @@ class NumericZMap(ZMap):
 # -- the numeric identity suites ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteRow:
-    kind: str
-    label: str
-    value: complex
-    residual: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    level: int
-    weight_bound: int
-    tolerance: float
-    rows: list[SuiteRow] = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return max((row.residual for row in self.rows), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(row.residual <= self.tolerance for row in self.rows)
-
-
 def numeric_relation_suite(level: int, weight_bound: int,
                            tolerance: float = DEFAULT_TOLERANCE,
-                           cutoff: int = DEFAULT_CUTOFF) -> SuiteReport:
+                           cutoff: int = DEFAULT_CUTOFF) -> list[Check]:
     """Residuals of the finite double shuffle identities and of the
-    distribution identities among the numeric values up to a weight bound."""
-    from .algebra import AlgebraElement, harmonic, qg_apply, shuffle, x_to_y, y_to_x
-    from .words import x_words_up_to
-
+    distribution identities among the numeric values up to a weight bound,
+    one row each; the detail holds the summed tail bound of the values the
+    row used."""
     Z = NumericZMap(level, cutoff, tolerance)
     ring = Z.ring
     group = Z.group
-    rows: list[SuiteRow] = []
+    rows: list[Check] = []
+
+    def row(name: str, params: str, word, residual, bound: float) -> Check:
+        check = fold(name, params, ring, [(word, residual)], str)
+        return replace(check, detail=f"bound={bound:.3e}")
 
     def eval_with_bound(elem: AlgebraElement) -> tuple[complex, float]:
         total, bound = ring.zero, 0.0
@@ -280,9 +261,8 @@ def numeric_relation_suite(level: int, weight_bound: int,
                                    qg_apply(ev, inverse=True))
             left, b1 = eval_with_bound(stuffle_side)
             right, b2 = eval_with_bound(shuffle_side)
-            rows.append(SuiteRow(
-                "fds", f"{format_x_word(u)}|{format_x_word(v)}",
-                left, abs(left - right), b1 + b2))
+            rows.append(row("fds", f"{format_x_word(u)}|{format_x_word(v)}",
+                            (u, v), left - right, b1 + b2))
 
     for d in range(2, level + 1):
         if level % d != 0:
@@ -291,24 +271,27 @@ def numeric_relation_suite(level: int, weight_bound: int,
             blocks, _ = x_word_blocks(w)
             indices = tuple(k for k, _ in blocks)
             # summation arguments of the word, then keep those at level N/d
-            base = word_to_query(w, level, cutoff, tolerance)
-            if any(a % d != 0 for a in base.residues):
+            residues = word_to_query(w, level, cutoff, tolerance).residues
+            if any(a % d != 0 for a in residues):
                 continue
-            lhs = polylog_numeric(base)
+            lhs = Z.eval_word_detailed(w)
             total, bound = 0j, 0.0
             depth = len(indices)
             choices = [[(a // d + j * (level // d)) % level for j in range(d)]
-                       for a in base.residues]
+                       for a in residues]
             stack = [()]
             for options in choices:
                 stack = [t + (o,) for t in stack for o in options]
             for t in stack:
-                term = polylog_numeric(replace(base, residues=t))
+                # the word whose summation arguments are t
+                lifted = qg_x_word(blocks_to_x_word(
+                    [(k, group.element(a)) for k, a in zip(indices, t)], 0),
+                    inverse=True)
+                term = Z.eval_word_detailed(lifted)
                 total += term.value
                 bound += term.tail_bound
-            rhs = d ** (sum(indices) - depth) * total
-            rows.append(SuiteRow(
-                "dist", f"d={d} k={indices} a={base.residues}",
-                lhs.value, abs(lhs.value - rhs),
-                lhs.tail_bound + d ** (sum(indices) - depth) * bound))
-    return SuiteReport(level, weight_bound, tolerance, rows)
+            scale = d ** (sum(indices) - depth)
+            rows.append(row("dist", f"d={d} k={indices} a={residues}", w,
+                            lhs.value - scale * total,
+                            lhs.tail_bound + scale * bound))
+    return rows

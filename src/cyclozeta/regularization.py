@@ -77,11 +77,6 @@ class TPolynomial:
                 out[l] = out[l] + term if l in out else term
         return TPolynomial.make(out)
 
-    def max_abs_diff(self, other: "TPolynomial", ring) -> float:
-        exps = set(self.coeffs) | set(other.coeffs)
-        return max((ring.abs(self.coeff(l, ring.zero) - other.coeff(l, ring.zero))
-                    for l in exps), default=0.0)
-
 
 # -- word-level regularization tables -------------------------------------
 

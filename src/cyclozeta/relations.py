@@ -3,17 +3,21 @@
 Everything in this module lives over exact rationals in the convergent
 subalgebra: the distribution tails ``FDT``, the finite double shuffle
 elements ``FDS`` and the regularized ones ``RDS``, the exact decomposition
-of the depth-two distribution tail into those pieces, the kernel
-reformulations, and the weight-two regularized-distribution verifier.
+of the depth-two distribution tail into those pieces, and the kernel
+reformulations.  The regularized-distribution verifiers (the weight-two
+case table and the full word range) compare the two sides of
+:func:`distribution_sides` under an evaluation map and return
+:class:`~cyclozeta.checks.Check` rows.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (AlgebraElement, Membership, harmonic, membership,
                       qg_apply, shuffle, y_to_x)
+from .checks import Check, fold
 from .dmr import functor_sharp, grouplike_check, phi_from_Z
 from .errors import InvalidArgumentError
 from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
@@ -21,7 +25,7 @@ from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
 from .regularization import (TPolynomial, ZMap, extend_Z_sh, extend_Z_st,
                              sigma_apply)
 from .rings import RATIONAL
-from .words import X0, x_words_up_to
+from .words import X0, format_x_word, x_words_up_to
 
 
 def _word(group, *letters) -> AlgebraElement:
@@ -121,10 +125,6 @@ class FDTd1Report:
     rhs: AlgebraElement
     difference: AlgebraElement
     passed: bool
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} fdt1-decomposition d={self.d} h={self.h} branch={self.branch}"
 
 
 def fdtd1_identity_check(group: FiniteAbelianGroup, d: int,
@@ -247,7 +247,18 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
                              ring.eq(lhs_value, rhs_value), detail)
 
 
-# -- weight-two regularized distribution --------------------------------------
+# -- regularized distribution -------------------------------------------------
+
+
+def distribution_sides(Z: ZMap, ps: PowerStructure,
+                       elem: AlgebraElement) -> tuple[TPolynomial, TPolynomial]:
+    """The two T-polynomials the regularized distribution relation equates
+    on ``elem``: the shuffle-regularized value of its lower sharp image, and
+    ``sigma`` applied to that of its upper sharp image."""
+    lhs = extend_Z_sh(Z, functor_sharp(elem, hom_power(ps), "lower"))
+    rhs = sigma_apply(Z, ps.kernel,
+                      extend_Z_sh(Z, functor_sharp(elem, hom_inclusion(ps), "upper")))
+    return lhs, rhs
 
 
 def _cell_label(h) -> str:
@@ -256,167 +267,85 @@ def _cell_label(h) -> str:
     return "1" if h.is_identity else "h"
 
 
-@dataclass(frozen=True)
-class ZhaoHypotheses:
-    eds_spot_degree: int
-    eds_ok: bool
-    weight1_ok: bool
-    weight1_residual: float
-    depth2_ok: bool
-    depth2_residual: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.eds_ok and self.weight1_ok and self.depth2_ok
-
-
-@dataclass(frozen=True)
-class ZhaoCellReport:
-    d: int
-    h1: object
-    h2: object
-    cell: str
-    lhs: TPolynomial
-    rhs: TPolynomial
-    residual: float
-    passed: bool
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} zhao cell=({self.cell}) d={self.d} residual={self.residual:.3e}"
+def _t_power(l: int) -> str:
+    return f"T^{l}"
 
 
 def zhao_hypotheses(Z: ZMap, ps: PowerStructure,
-                    eds_spot_degree: int = 2) -> ZhaoHypotheses:
+                    eds_spot_degree: int = 2) -> list[Check]:
     """Spot-check the three hypotheses: multiplicativity of the generating
     series through a small degree, and the two finite distribution families."""
     ring = Z.ring
-    sh_report = grouplike_check(phi_from_Z(Z, eds_spot_degree), "shuffle")
+    eds = replace(grouplike_check(phi_from_Z(Z, eds_spot_degree), "shuffle").check,
+                  name="zhao-hypothesis-eds", params=f"spot_degree={eds_spot_degree}")
     pd, incl = hom_power(ps), hom_inclusion(ps)
+    nontrivial = [h for h in ps.subgroup if not h.is_identity]
 
-    def dist_diff(word) -> object:
-        base = AlgebraElement.from_word(ring, "x", ps.group, word)
-        return (Z.eval_element(functor_sharp(base, pd, "lower"))
-                - Z.eval_element(functor_sharp(base, incl, "upper")))
+    def dist_diffs(words):
+        for word in words:
+            base = AlgebraElement.from_word(ring, "x", ps.group, word)
+            yield word, (Z.eval_element(functor_sharp(base, pd, "lower"))
+                         - Z.eval_element(functor_sharp(base, incl, "upper")))
 
-    w1_res, d2_res = 0.0, 0.0
-    w1_ok = d2_ok = True
-    for h in ps.subgroup:
-        if h.is_identity:
-            continue
-        diff = dist_diff((h,))
-        w1_res = max(w1_res, ring.abs(diff))
-        w1_ok = w1_ok and ring.is_zero(diff)
-        for h2 in ps.subgroup:
-            diff = dist_diff((h, h2))
-            d2_res = max(d2_res, ring.abs(diff))
-            d2_ok = d2_ok and ring.is_zero(diff)
-    return ZhaoHypotheses(eds_spot_degree, sh_report.passed,
-                          w1_ok, w1_res, d2_ok, d2_res)
+    weight1 = fold("zhao-hypothesis-weight1", f"d={ps.d}", ring,
+                   dist_diffs((h,) for h in nontrivial), format_x_word)
+    depth2 = fold("zhao-hypothesis-depth2", f"d={ps.d}", ring,
+                  dist_diffs((h, h2) for h in nontrivial for h2 in ps.subgroup),
+                  format_x_word)
+    return [eds, weight1, depth2]
 
 
-def zhao_regdist_check(Z: ZMap, ps: PowerStructure, h1, h2) -> ZhaoCellReport:
+def zhao_regdist_check(Z: ZMap, ps: PowerStructure, h1, h2) -> Check:
     """One cell of the weight-two case table: compare the regularized
-    evaluations of the two letter-substitution images of ``x_{h1} x_{h2}``.
+    evaluations of the two letter-substitution images of ``x_{h1} x_{h2}``
+    coefficient by coefficient in T; the detail names the worst T power.
 
     ``h1`` and ``h2`` are d-th powers or the sentinel ``X0`` for the letter x0.
     """
     for h in (h1, h2):
         if h is not X0 and h not in ps.preimages:
             raise InvalidArgumentError(f"{h} is neither x0 nor a d-th power")
-    ring = Z.ring
-    word = (h1 if h1 is not X0 else X0, h2 if h2 is not X0 else X0)
-    base = AlgebraElement.from_word(ring, "x", ps.group, word)
-    lhs = extend_Z_sh(Z, functor_sharp(base, hom_power(ps), "lower"))
-    rhs = sigma_apply(Z, ps.kernel,
-                      extend_Z_sh(Z, functor_sharp(base, hom_inclusion(ps), "upper")))
-    residual = lhs.max_abs_diff(rhs, ring)
-    diff = lhs - rhs
-    passed = all(ring.is_zero(c) for c in diff.coeffs.values())
-    cell = f"{_cell_label(h1)},{_cell_label(h2)}"
-    return ZhaoCellReport(ps.d, h1, h2, cell, lhs, rhs, residual, passed)
+    base = AlgebraElement.from_word(Z.ring, "x", ps.group, (h1, h2))
+    lhs, rhs = distribution_sides(Z, ps, base)
+    return fold("zhao-cell", f"d={ps.d} cell={_cell_label(h1)},{_cell_label(h2)}",
+                Z.ring, (lhs - rhs).coeffs.items(), _t_power)
 
 
 def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int,
-                    eds_spot_degree: int = 2):
-    """All case-table cells (x0, identity and each nontrivial d-th power in
-    both slots) plus the hypothesis spot checks."""
+                    eds_spot_degree: int = 2) -> list[Check]:
+    """The hypothesis spot checks, then every case-table cell (x0, identity
+    and each nontrivial d-th power in both slots)."""
     ps = power_structure(group, d)
-    hypotheses = zhao_hypotheses(Z, ps, eds_spot_degree)
     choices = [X0] + list(ps.subgroup)
-    cells = [zhao_regdist_check(Z, ps, h1, h2)
-             for h1 in choices for h2 in choices]
-    return hypotheses, cells
-
-
-# -- full regularized distribution check --------------------------------------
-
-
-@dataclass(frozen=True)
-class RegDistReport:
-    d: int
-    max_len: int
-    t_level_residual: float
-    ev0_level_residual: float
-    t_level_passed: bool
-    ev0_level_passed: bool
-    generator_residual: float
-    generator_passed: bool
-    words_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.t_level_passed and self.ev0_level_passed and self.generator_passed
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} regdist d={self.d} len<={self.max_len} "
-                f"T-level={self.t_level_residual:.3e} "
-                f"ev0-level={self.ev0_level_residual:.3e} "
-                f"generators={self.generator_residual:.3e}")
+    return zhao_hypotheses(Z, ps, eds_spot_degree) + [
+        zhao_regdist_check(Z, ps, h1, h2) for h1 in choices for h2 in choices]
 
 
 def regdist_full_check(Z: ZMap, group: FiniteAbelianGroup, d: int,
-                       max_len: int) -> RegDistReport:
+                       max_len: int) -> list[Check]:
     """Check the regularized distribution relation on every word over the
-    d-th power alphabet up to ``max_len``, its evaluation at T = 0, and the
-    generating family ``x1^m sh w`` with ``w`` not starting in x1."""
+    d-th power alphabet up to ``max_len`` (every T coefficient, then the
+    value at T = 0), and on the generating family ``x1^m sh w`` with ``w``
+    not starting in x1, named by the word ``x1^m w``."""
     ps = power_structure(group, d)
     ring = Z.ring
-    pd, incl = hom_power(ps), hom_inclusion(ps)
-
-    def both_sides(elem: AlgebraElement) -> tuple[TPolynomial, TPolynomial]:
-        lhs = extend_Z_sh(Z, functor_sharp(elem, pd, "lower"))
-        rhs = sigma_apply(Z, ps.kernel,
-                          extend_Z_sh(Z, functor_sharp(elem, incl, "upper")))
-        return lhs, rhs
-
-    t_res = ev0_res = gen_res = 0.0
-    t_ok = ev0_ok = gen_ok = True
-    count = 0
     identity = group.identity()
+    t_level, ev0_level, generators = [], [], []
     for w in x_words_up_to(ps.subgroup, max_len):
-        count += 1
-        elem = AlgebraElement.from_word(ring, "x", group, w)
-        lhs, rhs = both_sides(elem)
+        lhs, rhs = distribution_sides(
+            Z, ps, AlgebraElement.from_word(ring, "x", group, w))
         diff = lhs - rhs
-        t_res = max(t_res, lhs.max_abs_diff(rhs, ring))
-        if any(not ring.is_zero(c) for c in diff.coeffs.values()):
-            t_ok = False
-        ev_diff = lhs.coeff(0, ring.zero) - rhs.coeff(0, ring.zero)
-        ev0_res = max(ev0_res, ring.abs(ev_diff))
-        if not ring.is_zero(ev_diff):
-            ev0_ok = False
+        t_level += [(w, c) for c in diff.coeffs.values()]
+        ev0_level.append((w, diff.coeff(0, ring.zero)))
     for m in range(0, max_len + 1):
         x1m = AlgebraElement.from_word(ring, "x", group, (identity,) * m)
         for w in x_words_up_to(ps.subgroup, max_len - m):
             if w and w[0] is not X0 and w[0].is_identity:
                 continue
-            elem = shuffle(x1m, AlgebraElement.from_word(ring, "x", group, w))
-            lhs, rhs = both_sides(elem)
-            diff = lhs - rhs
-            gen_res = max(gen_res, lhs.max_abs_diff(rhs, ring))
-            if any(not ring.is_zero(c) for c in diff.coeffs.values()):
-                gen_ok = False
-    return RegDistReport(d, max_len, t_res, ev0_res, t_ok, ev0_ok,
-                         gen_res, gen_ok, count)
+            lhs, rhs = distribution_sides(
+                Z, ps, shuffle(x1m, AlgebraElement.from_word(ring, "x", group, w)))
+            generators += [((identity,) * m + w, c) for c in (lhs - rhs).coeffs.values()]
+    params = f"d={d}"
+    return [fold("regdist-T-level", params, ring, t_level, format_x_word),
+            fold("regdist-ev0-level", params, ring, ev0_level, format_x_word),
+            fold("regdist-generators", params, ring, generators, format_x_word)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .algebra import AlgebraElement
 from .errors import DegreeBoundError, InvalidArgumentError
@@ -75,14 +75,6 @@ class TruncatedSeries(AlgebraElement):
                 cleaned[w] = c
         return TruncatedSeries(ring, alphabet.kind, alphabet.group, cleaned,
                                alphabet, degree_bound)
-
-    @staticmethod
-    def from_function(ring, alphabet, degree_bound,
-                      fn: Callable[[tuple], object]) -> "TruncatedSeries":
-        out = {}
-        for w in alphabet.words_up_to(degree_bound):
-            out[w] = fn(w)
-        return TruncatedSeries.make(ring, alphabet, degree_bound, out)
 
     def _like(self, terms: dict, kind: str | None = None) -> "TruncatedSeries":
         alphabet = self.alphabet

@@ -24,10 +24,6 @@ YWord = tuple[YLetter, ...]
 X0: XLetter = None
 
 
-def x_length(word: XWord) -> int:
-    return len(word)
-
-
 def y_weight(word: YWord) -> int:
     return sum(n for n, _ in word)
 

@@ -174,9 +174,9 @@ def test_criterion_5_rho_sigma_generating_identities():
 def test_criterion_6_eds_dmr_coefficient_equality():
     Z = NumericZMap(2, tolerance=1e-5)
     result = eds_dmr_equality_check(Z, 4)
-    report(6, result.passed and result.max_residual <= 1e-5,
-           f"both corrected series agree on {result.words_checked} Y-words of "
-           f"weight <= 4 at N=2, max residual {result.max_residual:.2e} <= 1e-5")
+    report(6, result.passed and result.residual <= 1e-5,
+           f"both corrected series agree on every Y-word of weight <= 4 at "
+           f"N=2, max residual {result.residual:.2e} <= 1e-5 ({result.detail})")
 
 
 def test_criterion_7_dmr_membership():
@@ -184,10 +184,9 @@ def test_criterion_7_dmr_membership():
     ok = True
     for level in (1, 2):
         Z = NumericZMap(level, tolerance=1e-5)
-        result = dmr_check(phi_from_Z(Z, 4))
-        ok = ok and result.passed
-        residuals.append(max(result.shuffle_report.max_residual,
-                             result.harmonic_report.max_residual))
+        checks = dmr_check(phi_from_Z(Z, 4))
+        ok = ok and all(c.passed for c in checks)
+        residuals.append(max(c.residual for c in checks))
     report(7, ok and max(residuals) <= 1e-5,
            f"numeric series is double-shuffle grouplike through degree 4 at "
            f"N=1,2; worst residual {max(residuals):.2e} <= 1e-5")
@@ -200,18 +199,19 @@ def test_criterion_8_dmrd_numeric():
     li2_one = polylog_numeric(PolylogQuery((2,), (0,), 2)).value
     li2_minus = polylog_numeric(PolylogQuery((2,), (1,), 2)).value
     scalar_residual = abs(li2_one - 2 * (li2_one + li2_minus))
-    report(8, result.passed and result.max_residual <= 1e-5
+    report(8, result.passed and result.residual <= 1e-5
            and scalar_residual <= 1e-6,
            f"distribution condition at N=2, d=2 through degree 3 "
-           f"(residual {result.max_residual:.2e} <= 1e-5) and scalar instance "
+           f"(residual {result.residual:.2e} <= 1e-5) and scalar instance "
            f"residual {scalar_residual:.2e} <= 1e-6")
 
 
 def test_criterion_9_zhao_weight_two():
     Z = NumericZMap(4, tolerance=1e-5)
-    hypotheses, cells = zhao_case_table(Z, Z.group, 2)
+    checks = zhao_case_table(Z, Z.group, 2)
+    cells = [c for c in checks if c.name == "zhao-cell"]
     worst = max(c.residual for c in cells)
-    ok = hypotheses.all_ok and all(c.passed for c in cells) and worst <= 1e-5
+    ok = all(c.passed for c in checks) and worst <= 1e-5
     report(9, ok, f"all {len(cells)} case-table cells equal as T-polynomials "
                   f"at N=4, d=2; worst per-coefficient residual {worst:.2e} <= 1e-5")
 

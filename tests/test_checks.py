@@ -1,0 +1,60 @@
+"""The check record and the fold that decides every residual check."""
+
+from fractions import Fraction
+
+from cyclozeta.checks import Check, fold
+from cyclozeta.rings import RATIONAL, ComplexRing
+from cyclozeta.words import X0, format_x_word
+
+
+class TestFold:
+    def test_worst_word_is_the_argmax(self, Z2):
+        g = Z2.element(1)
+        residuals = [((X0, g), Fraction(1, 2)), ((g,), Fraction(-3)),
+                     ((g, g), Fraction(2))]
+        check = fold("c", "p", RATIONAL, residuals, format_x_word)
+        assert check.residual == 3.0
+        assert check.detail == "worst=xg[1]"
+        assert not check.passed
+
+    def test_first_word_wins_a_tie(self, Z2):
+        g = Z2.element(1)
+        check = fold("c", "p", RATIONAL, [((g,), 1), ((X0, g), -1)], format_x_word)
+        assert check.detail == "worst=xg[1]"
+
+    def test_exact_zero_passes_without_a_word(self, Z2):
+        g = Z2.element(1)
+        check = fold("c", "p", RATIONAL, [((g,), Fraction(0)), ((X0, g), 0)],
+                     format_x_word)
+        assert check.passed and check.residual == 0 and check.detail == ""
+
+    def test_pass_means_zero_in_the_ring(self, Z2):
+        ring = ComplexRing(1e-3)
+        g = Z2.element(1)
+        small = fold("c", "p", ring, [((g,), 1e-4j)], format_x_word)
+        assert small.passed and small.residual == 1e-4
+        assert small.detail == "worst=xg[1]"  # a PASS row still names its worst
+        large = fold("c", "p", ring, [((g,), 1e-4), ((X0, g), 2e-3)], format_x_word)
+        assert not large.passed and large.detail == "worst=x0xg[1]"
+        # a nonzero rational residual fails however small it is
+        tiny = fold("c", "p", RATIONAL, [((g,), Fraction(1, 10 ** 30))], format_x_word)
+        assert not tiny.passed
+
+    def test_empty_input_passes(self):
+        check = fold("c", "p", RATIONAL, [], format_x_word)
+        assert check == Check("c", "p", True, 0.0, "")
+
+    def test_generator_input(self, Z2):
+        g = Z2.element(1)
+        check = fold("c", "p", RATIONAL, ((w, 1) for w in [(g,)]), format_x_word)
+        assert not check.passed and check.detail == "worst=xg[1]"
+
+
+class TestCheckRow:
+    def test_str_is_one_tsv_row(self):
+        row = str(Check("dmrd", "N=2 d=2", False, 1.5e-9, "worst=xg[0]"))
+        assert row == "dmrd\tN=2 d=2\tFAIL\t1.500000e-09\tworst=xg[0]"
+
+    def test_pass_row_with_empty_detail(self):
+        assert str(Check("c", "p", True, 0.0)).split("\t") == [
+            "c", "p", "PASS", "0.000000e+00", ""]

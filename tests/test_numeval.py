@@ -123,22 +123,21 @@ class TestZcEval:
 
 class TestIdentitySuites:
     def test_weight_two_level_three(self):
-        report = numeric_relation_suite(3, 2, tolerance=1e-5)
-        assert report.rows and report.passed
-        assert report.max_residual < 1e-5
-        kinds = {row.kind for row in report.rows}
-        assert kinds == {"fds", "dist"}
+        checks = numeric_relation_suite(3, 2, tolerance=1e-5)
+        assert checks and all(c.passed for c in checks)
+        assert max(c.residual for c in checks) < 1e-5
+        assert {c.name for c in checks} == {"fds", "dist"}
 
     def test_distribution_level_two(self):
-        report = numeric_relation_suite(2, 2, tolerance=1e-6)
-        dist_rows = [r for r in report.rows if r.kind == "dist"]
+        checks = numeric_relation_suite(2, 2, tolerance=1e-6)
+        dist_rows = [c for c in checks if c.name == "dist"]
         assert dist_rows
         assert all(r.residual < 1e-6 for r in dist_rows)
 
     def test_level_one_distribution_empty(self):
-        report = numeric_relation_suite(1, 2, tolerance=1e-5)
-        assert all(r.kind == "fds" for r in report.rows)
-        assert report.passed
+        checks = numeric_relation_suite(1, 2, tolerance=1e-5)
+        assert all(c.name == "fds" for c in checks)
+        assert all(c.passed for c in checks)
 
     def test_scalar_distribution_instance(self):
         # Li2(1) = 2 (Li2(1) + Li2(-1))

@@ -1,0 +1,61 @@
+"""The library names the benchmark harness reads still exist.
+
+``perfbench/workloads.py`` and ``perfbench/spans.py`` look library functions
+up by name and read fields of their results; a rename would otherwise only
+show when the benchmark runs.  The harness files are imported, not changed.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cyclozeta.dmr import grouplike_check
+from cyclozeta.groups import construct_group
+from cyclozeta.relations import fdtd1_identity_check
+from cyclozeta.rings import RATIONAL
+from cyclozeta.series import Alphabet, TruncatedSeries, series_exp
+from cyclozeta.words import X0
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    pytest.importorskip("mpmath")  # perfbench/refs.py computes references with it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+    return workloads, spans
+
+
+def test_cache_stats_and_traced_checks(harness):
+    workloads, spans = harness
+    stats = workloads.cache_stats()
+    assert set(stats) == {
+        "algebra.shuffle_words_cache.size", "algebra.shuffle_words_cache.hits",
+        "algebra.shuffle_words_cache.misses", "regularization.tilde_cache.size",
+        "regularization.regt_cache.size"}
+    group = construct_group([2])
+    arg = TruncatedSeries.make(RATIONAL, Alphabet.x(group), 3,
+                               {(X0,): Fraction(1), (group.element(1),): Fraction(2)})
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        # call through the modules, whose names the tracer replaced
+        from cyclozeta import dmr, relations
+        report = dmr.grouplike_check(series_exp(arg), "shuffle")
+        cell = relations.fdtd1_identity_check(group, 2, group.identity())
+        stats = tracer.end_pass(lambda t: t)
+    finally:
+        tracer.uninstall()
+    assert report.passed and report.pairs_checked > 0
+    assert cell.passed and not cell.difference.terms
+    assert stats["dmr.grouplike_check.calls"] == 1
+    assert stats["dmr.grouplike_check.pairs"] == report.pairs_checked
+    assert stats["relations.fdtd1_identity_check.calls"] == 1
+    assert stats["series.mul.calls"] > 0
+    # uninstall put the originals back
+    assert dmr.grouplike_check is grouplike_check
+    assert relations.fdtd1_identity_check is fdtd1_identity_check

@@ -3,12 +3,13 @@ and the weight-two regularized distribution verifier."""
 
 import pytest
 
-from conftest import combo
+from conftest import combo, elem
 from cyclozeta.algebra import Membership, membership
 from cyclozeta.errors import InvalidArgumentError
 from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.numeval import NumericZMap
-from cyclozeta.relations import (build_relation, fds_element, fdt1_element,
+from cyclozeta.relations import (build_relation, distribution_sides,
+                                 fds_element, fdt1_element,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
                                  kernel_lemma_eval, rds_element,
                                  regdist_full_check, zhao_case_table,
@@ -143,17 +144,18 @@ class TestKernelLemma:
 class TestZhaoWeightTwo:
     def test_level_two_cells(self):
         Z = NumericZMap(2)
-        hypotheses, cells = zhao_case_table(Z, Z.group, 2)
-        assert hypotheses.all_ok
+        checks = zhao_case_table(Z, Z.group, 2)
+        cells = [c for c in checks if c.name == "zhao-cell"]
+        assert len(checks) == 3 + len(cells)  # three hypotheses, then cells
         assert len(cells) == 4  # subgroup is trivial: choices are x0 and 1
-        assert all(c.passed for c in cells)
+        assert all(c.passed for c in checks)
 
     def test_x0_x0_cell_is_zero(self):
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 2)
-        report = zhao_regdist_check(Z, ps, X0, X0)
-        assert report.passed
-        assert not report.lhs.coeffs and not report.rhs.coeffs
+        assert zhao_regdist_check(Z, ps, X0, X0).passed
+        lhs, rhs = distribution_sides(Z, ps, elem(Z.group, X0, X0, ring=Z.ring))
+        assert not lhs.coeffs and not rhs.coeffs
 
     def test_invalid_cell_argument(self):
         Z = NumericZMap(4)
@@ -165,26 +167,27 @@ class TestZhaoWeightTwo:
 class TestRegDist:
     def test_divisor_one_trivial_for_any_map(self, Z4):
         Z = prime_zmap(Z4, 3)
-        report = regdist_full_check(Z, Z4, 1, 3)
-        assert report.passed
-        assert report.t_level_residual == 0
+        checks = regdist_full_check(Z, Z4, 1, 3)
+        assert all(c.passed for c in checks)
+        assert checks[0].name == "regdist-T-level" and checks[0].residual == 0
 
     def test_numeric_level_two(self):
         Z = NumericZMap(2)
-        report = regdist_full_check(Z, Z.group, 2, 3)
-        assert report.passed
-        assert report.t_level_residual < 1e-5
+        t_level, ev0_level, generators = regdist_full_check(Z, Z.group, 2, 3)
+        assert t_level.passed and generators.passed
+        assert t_level.residual < 1e-5
         # T-level pass forces ev0-level pass on the same words
-        assert report.ev0_level_passed
+        assert ev0_level.passed
 
     def test_divisor_one_identity_cell(self):
         # with trivial torsion both sides of the (1,1) cell are T^2/2
         from fractions import Fraction
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 1)
-        report = zhao_regdist_check(Z, ps, Z.group.identity(), Z.group.identity())
-        assert report.passed
-        assert abs(report.lhs.coeff(2, 0j) - 0.5) < 1e-12
+        one = Z.group.identity()
+        assert zhao_regdist_check(Z, ps, one, one).passed
+        lhs, _ = distribution_sides(Z, ps, elem(Z.group, one, one, ring=Z.ring))
+        assert abs(lhs.coeff(2, 0j) - 0.5) < 1e-12
 
 
 class TestNumericKernelMembership:

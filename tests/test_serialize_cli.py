@@ -125,7 +125,7 @@ class TestCli:
         header = out.splitlines()[0]
         for needed in ("group=Z2", "degree=2", "ring=complex", "tol="):
             assert needed in header
-        assert out.splitlines()[1] == "query\tvalue\tresidual\tbound"
+        assert out.splitlines()[1] == "check\tparams\tstatus\tresidual\tdetail"
 
     def test_dmr_check_save_phi_roundtrip(self, capsys, tmp_path):
         phi_path = tmp_path / "phi.tsv"
@@ -174,10 +174,42 @@ class TestCliNumericCommands:
         code = main(["dmrd-check", "--N", "2", "--degree", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("dmrd\t") == 2  # d = 1 and d = 2
+        assert out.count("dmrd\t") == 1  # d = 2; d = 1 compares phi with itself
+
+
+def _parse_worst(check: str, detail: str, group):
+    """The word a FAIL row's detail names, parsed back: a T power for a zhao
+    cell, an X word pair for the grouplike hypothesis, else one word."""
+    assert detail.startswith("worst=")
+    text = detail[len("worst="):]
+    assert text
+    if check == "zhao-cell":
+        assert text.startswith("T^")
+        return int(text[2:])
+    if check == "zhao-hypothesis-eds":
+        return tuple(parse_x_word(part, group) for part in text.split("|"))
+    if check == "eds-dmr-equality":
+        return parse_y_word(text, group)
+    return parse_x_word(text, group)
 
 
 class TestCliWorstDetail:
+    @pytest.mark.parametrize("argv", [
+        ["eds-dmr-check", "--N", "2", "--degree", "3"],
+        ["regdist", "--N", "2", "--d", "2", "--max-len", "2"],
+        ["zhao-verify", "--N", "4", "--d", "2"],
+    ])
+    def test_fail_rows_name_a_word(self, argv, capsys):
+        code = main(argv + ["--tol", "1e-300"])
+        out = capsys.readouterr().out
+        assert code == 1
+        group = construct_group([int(argv[2])])
+        failed = [line.split("\t") for line in out.splitlines()[2:]
+                  if "\tFAIL\t" in line]
+        assert failed
+        for row in failed:
+            _parse_worst(row[0], row[4], group)
+
     def test_dmrd_detail_names_the_worst_word(self, capsys):
         code = main(["dmrd-check", "--N", "2", "--degree", "2", "--tol", "1e-300"])
         out = capsys.readouterr().out

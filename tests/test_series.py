@@ -160,7 +160,7 @@ class TestGrouplike:
         g = Z3.element(1)
         arg = x_series(Z3, 4, {(X0,): Fraction(2), (g,): Fraction(-1, 3)})
         report = grouplike_check(series_exp(arg), "shuffle")
-        assert report.passed and report.max_residual == 0
+        assert report.passed and report.check.residual == 0
 
     def test_truncated_affine_fails(self, Z3):
         g = Z3.element(1)
@@ -168,7 +168,9 @@ class TestGrouplike:
             x_series(Z3, 2, {(g,): Fraction(1)})
         report = grouplike_check(s, "shuffle")
         assert not report.passed
-        assert report.worst[2] == -1  # (phi|x_g sh x_g) - (phi|x_g)^2 = 0 - 1
+        # (phi|x_g sh x_g) - (phi|x_g)^2 = 0 - 1
+        assert report.check.residual == 1
+        assert report.check.detail == "worst=xg[1]|xg[1]"
 
     def test_unit_coefficient_required(self, Z3):
         s = x_series(Z3, 2, {(X0,): Fraction(1)})
@@ -242,13 +244,13 @@ class TestPhiStar:
 class TestDMR:
     def test_unit_passes(self, Z2):
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z2), 3)
-        assert dmr_check(one).passed
+        assert all(c.passed for c in dmr_check(one))
 
     def test_exp_x1_fails_vanishing(self, Z2):
         one_el = Z2.identity()
         phi = series_exp(x_series(Z2, 3, {(one_el,): Fraction(1)}))
-        report = dmr_check(phi)
-        assert not report.passed and not report.x1_ok
+        *_, vanish = dmr_check(phi)
+        assert not vanish.passed and vanish.detail == "worst=xg[0]"
 
 
 class TestEdsDmrEquality:
@@ -257,7 +259,7 @@ class TestEdsDmrEquality:
         # formal consequence of linearity, so it must hold exactly here
         Z = prime_zmap(Z2, 4)
         report = eds_dmr_equality_check(Z, 4)
-        assert report.passed and report.max_residual == 0
+        assert report.passed and report.residual == 0
 
     def test_exact_over_z3(self, Z3):
         Z = prime_zmap(Z3, 3)
@@ -504,8 +506,8 @@ class TestDualitySuite:
 
     def test_missing_unit_reported_not_raised(self, Z2):
         s = x_series(Z2, 2, {(X0,): Fraction(1)})
-        result = dmr_check(s)
-        assert not result.passed and not result.harmonic_report.unit_ok
+        _, harmonic_row, _ = dmr_check(s)
+        assert not harmonic_row.passed and harmonic_row.detail == "worst=1|1"
 
 
 class TestNumericLevelFour:
@@ -516,8 +518,7 @@ class TestNumericLevelFour:
         from cyclozeta.dmr import dmrd_check_all
         Z = NumericZMap(4)
         phi = phi_from_Z(Z, 3)
-        result = dmr_check(phi)
-        assert result.passed
+        assert all(c.passed for c in dmr_check(phi))
         assert all(r.passed for r in dmrd_check_all(phi))
 
 
