@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .errors import AlphabetMismatchError, NotInH1Error, ParseError
+from .errors import AlphabetMismatchError, ParseError
 from .groups import FiniteAbelianGroup
 from . import words as W
 
@@ -116,9 +116,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.terms.values())
 
-    def max_abs(self) -> float:
-        return max((self.ring.abs(c) for c in self.terms.values()), default=0.0)
-
     def approx_equal(self, other: "AlgebraElement") -> bool:
         self._check(other)
         return (self - other).is_zero()
@@ -128,13 +125,14 @@ class AlgebraElement:
             return max((len(w) for w in self.terms), default=0)
         return max((W.y_weight(w) for w in self.terms), default=0)
 
-    def map_words(self, fn: Callable) -> "AlgebraElement":
-        """Apply a word -> word map linearly (used by the label twists)."""
+    def map_words(self, fn: Callable, kind: str | None = None) -> "AlgebraElement":
+        """Apply a word -> word map linearly; ``kind`` names the alphabet of
+        the image words when ``fn`` changes it."""
         out: dict = {}
         for w, c in self.terms.items():
             nw = fn(w)
             out[nw] = out.get(nw, 0) + c
-        return self._like(out)
+        return self._like(out, kind)
 
     def __str__(self):
         return format_element_combo(self)
@@ -151,16 +149,12 @@ class DiamondProduct:
     quasi-shuffle to the plain shuffle.
     """
 
-    name = "zero"
-
     def mul(self, a, b) -> Iterable[tuple[object, Fraction]]:
         return ()
 
 
 class HarmonicDiamond(DiamondProduct):
     """Y-letter merge ``y_{n1,g1} <> y_{n2,g2} = y_{n1+n2, g1 g2}``."""
-
-    name = "harmonic"
 
     def mul(self, a, b):
         (n1, g1), (n2, g2) = a, b
@@ -174,25 +168,30 @@ HARMONIC_DIAMOND = HarmonicDiamond()
 # -- products ------------------------------------------------------------
 
 
-@lru_cache(maxsize=200_000)
-def shuffle_words(w1: tuple, w2: tuple) -> dict:
-    """Interleaving counts of two words; cached globally (pure data)."""
+def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
+    """One step of Hoffman's recursion ``a u * b v = a (u * b v) + b (a u * v)
+    + (a <> b)(u * v)``, reading the products of shorter pairs from ``sub``;
+    the zero diamond drops the last term and leaves the shuffle."""
     if not w1:
         return {w2: 1}
     if not w2:
         return {w1: 1}
     out: dict = {}
-    for word, count in shuffle_words(w1[1:], w2).items():
+    for word, c in sub(w1[1:], w2).items():
         key = (w1[0],) + word
-        out[key] = out.get(key, 0) + count
-    for word, count in shuffle_words(w1, w2[1:]).items():
+        out[key] = out.get(key, 0) + c
+    for word, c in sub(w1, w2[1:]).items():
         key = (w2[0],) + word
-        out[key] = out.get(key, 0) + count
+        out[key] = out.get(key, 0) + c
+    for letter, lam in diamond.mul(w1[0], w2[0]):
+        for word, c in sub(w1[1:], w2[1:]).items():
+            key = (letter,) + word
+            out[key] = out.get(key, 0) + lam * c
     return out
 
 
-def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The bilinear shuffle product."""
+def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraElement:
+    """Extend a word-level product bilinearly."""
     a._check(b)
     if not a.terms or not b.terms:
         return a._like({})
@@ -200,9 +199,20 @@ def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             c = c1 * c2
-            for word, count in shuffle_words(w1, w2).items():
+            for word, count in words_product(w1, w2).items():
                 out[word] = out.get(word, 0) + count * c
     return a._like(out)
+
+
+@lru_cache(maxsize=200_000)
+def shuffle_words(w1: tuple, w2: tuple) -> dict:
+    """Interleaving counts of two words; cached globally (pure data)."""
+    return _merge_step(w1, w2, ZERO_DIAMOND, shuffle_words)
+
+
+def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The bilinear shuffle product."""
+    return _bilinear(a, b, shuffle_words)
 
 
 def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
@@ -210,43 +220,20 @@ def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
     """The quasi-shuffle product ``*_<>`` for an arbitrary diamond.
 
     The word-level recursion is memoized per call; the suffix pairs it visits
-    recur combinatorially often.
+    recur combinatorially often.  Pairs with an empty word are answered
+    before the memo is consulted, which saves hashing them.
     """
-    a._check(b)
-    if not a.terms or not b.terms:
-        return a._like({})
     memo: dict = {}
 
     def qs(w1: tuple, w2: tuple) -> dict:
-        if not w1:
-            return {w2: 1}
-        if not w2:
-            return {w1: 1}
-        key = (w1, w2)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: dict = {}
-        for word, c in qs(w1[1:], w2).items():
-            key1 = (w1[0],) + word
-            out[key1] = out.get(key1, 0) + c
-        for word, c in qs(w1, w2[1:]).items():
-            key2 = (w2[0],) + word
-            out[key2] = out.get(key2, 0) + c
-        for letter, lam in diamond.mul(w1[0], w2[0]):
-            for word, c in qs(w1[1:], w2[1:]).items():
-                key3 = (letter,) + word
-                out[key3] = out.get(key3, 0) + lam * c
-        memo[key] = out
-        return out
+        if not w1 or not w2:
+            return _merge_step(w1, w2, diamond, qs)
+        hit = memo.get((w1, w2))
+        if hit is None:
+            hit = memo[w1, w2] = _merge_step(w1, w2, diamond, qs)
+        return hit
 
-    out: dict = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            c = c1 * c2
-            for word, count in qs(w1, w2).items():
-                out[word] = out.get(word, 0) + count * c
-    return a._like(out)
+    return _bilinear(a, b, qs)
 
 
 def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -270,23 +257,13 @@ def x_to_y(a: AlgebraElement) -> AlgebraElement:
     """Re-encode a combination of words ending in group letters to Y form."""
     if a.kind != "x":
         raise AlphabetMismatchError("x_to_y needs X-side input")
-    out: dict = {}
-    for w, c in a.terms.items():
-        if not W.x_word_in_h1(w):
-            raise NotInH1Error(f"{W.format_x_word(w)} ends in x0")
-        yw = W.x_to_y_word(w)
-        out[yw] = out.get(yw, 0) + c
-    return a._like(out, "y")
+    return a.map_words(W.x_to_y_word, "y")
 
 
 def y_to_x(a: AlgebraElement) -> AlgebraElement:
     if a.kind != "y":
         raise AlphabetMismatchError("y_to_x needs Y-side input")
-    out: dict = {}
-    for w, c in a.terms.items():
-        xw = W.y_to_x_word(w)
-        out[xw] = out.get(xw, 0) + c
-    return a._like(out, "x")
+    return a.map_words(W.y_to_x_word, "x")
 
 
 class Membership(enum.Enum):
@@ -310,12 +287,8 @@ def project_piY(a: AlgebraElement) -> AlgebraElement:
     """Kill monomials ending in x0 and re-encode the rest to Y form."""
     if a.kind != "x":
         raise AlphabetMismatchError("project_piY applies to X-side input")
-    out: dict = {}
-    for w, c in a.terms.items():
-        if W.x_word_in_h1(w):
-            yw = W.x_to_y_word(w)
-            out[yw] = out.get(yw, 0) + c
-    return a._like(out, "y")
+    kept = a._like({w: c for w, c in a.terms.items() if W.x_word_in_h1(w)})
+    return kept.map_words(W.x_to_y_word, "y")
 
 
 def pairing(obj, word):

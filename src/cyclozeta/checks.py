@@ -5,13 +5,13 @@ library builds its rows with :func:`fold`, which reads a stream of
 ``(word, residual)`` pairs: the check passes exactly when every residual is
 zero in the coefficient ring (literal zero over the rationals, within the
 tolerance over the complex numbers), and it reports the largest residual
-and the word that carries it.
+and the word that carries it, or that it compared no word at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,22 @@ def fold(name: str, params: str, ring, residuals: Iterable[tuple],
     """The check over ``(word, residual)`` pairs: PASS iff every residual is
     zero in ``ring``; the residual is the largest ``ring.abs`` and the detail
     names the word that first reaches it, written by ``fmt`` (no word when
-    every residual is exactly zero)."""
-    passed, worst, largest = True, None, 0.0
-    for word, residual in residuals:
+    every residual is exactly zero, and ``words=0`` over an empty stream,
+    which passes vacuously)."""
+    passed, worst, largest, count = True, None, 0.0, 0
+    for count, (word, residual) in enumerate(residuals, 1):
         size = ring.abs(residual)
         if size > largest:
             worst, largest = word, size
         if passed and not ring.is_zero(residual):
             passed = False
-    detail = "" if worst is None else f"worst={fmt(worst)}"
+    detail = "words=0" if not count else "" if worst is None else f"worst={fmt(worst)}"
     return Check(name, params, passed, largest, detail)
+
+
+def differences(lhs: dict, rhs: dict, zero=0) -> Iterator[tuple]:
+    """``(key, lhs[key] - rhs[key])`` over both supports, the keys of ``lhs``
+    first: the residuals of a comparison of two sparse maps, in which a key
+    whose coefficients cancel exactly was still compared."""
+    for key in {**lhs, **rhs}:
+        yield key, lhs.get(key, zero) - rhs.get(key, zero)

@@ -13,7 +13,7 @@ import sys
 
 from . import serialize
 from .algebra import harmonic, parse_element_combo, shuffle
-from .checks import Check, fold
+from .checks import Check, differences, fold
 from .dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from .duality import duality_suite
 from .errors import CycloZetaError
@@ -126,7 +126,7 @@ def cmd_fdt_verify(args) -> int:
         ps = power_structure(group, args.d)
         results = [fdtd1_identity_check(group, args.d, h) for h in ps.subgroup]
     checks = [fold("fdt1-decomposition", f"d={r.d} h={r.h} branch={r.branch}",
-                   RATIONAL, r.difference.terms.items(), format_x_word)
+                   RATIONAL, differences(r.lhs.terms, r.rhs.terms), format_x_word)
               for r in results]
     meta = _meta_row(group=args.group, degree=2, ring="rational", tol=0)
     return Report(meta, checks).emit()
@@ -237,58 +237,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(fn=cmd_duality_test)
 
-    def numeric_common(p, degree_default=4):
+    def numeric_common(name, fn, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--N", type=int, required=True)
-        p.add_argument("--degree", type=int, default=degree_default)
         p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
         p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("dmr-check", help="double shuffle membership of the numeric series")
-    numeric_common(p)
+    p = numeric_common("dmr-check", cmd_dmr_check,
+                       "double shuffle membership of the numeric series")
+    p.add_argument("--degree", type=int, default=4)
     p.add_argument("--save-phi")
-    p.set_defaults(fn=cmd_dmr_check)
 
-    p = sub.add_parser("dmrd-check", help="distribution condition on the numeric series")
-    numeric_common(p, degree_default=3)
+    p = numeric_common("dmrd-check", cmd_dmrd_check,
+                       "distribution condition on the numeric series")
+    p.add_argument("--degree", type=int, default=3)
     p.add_argument("--d", type=int)
-    p.set_defaults(fn=cmd_dmrd_check)
 
-    p = sub.add_parser("eds-dmr-check",
-                       help="coefficientwise equality of the two corrected series")
-    numeric_common(p)
-    p.set_defaults(fn=cmd_eds_dmr_check)
+    p = numeric_common("eds-dmr-check", cmd_eds_dmr_check,
+                       "coefficientwise equality of the two corrected series")
+    p.add_argument("--degree", type=int, default=4)
 
-    p = sub.add_parser("zhao-verify", help="weight-two regularized distribution cells")
-    p.add_argument("--N", type=int, required=True)
+    p = numeric_common("zhao-verify", cmd_zhao_verify,
+                       "weight-two regularized distribution cells")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--spot-degree", type=int, default=2)
-    p.set_defaults(fn=cmd_zhao_verify)
 
-    p = sub.add_parser("regdist", help="regularized distribution over a word range")
-    p.add_argument("--N", type=int, required=True)
+    p = numeric_common("regdist", cmd_regdist,
+                       "regularized distribution over a word range")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(fn=cmd_regdist)
 
-    p = sub.add_parser("polylog", help="one nested-sum value")
-    p.add_argument("--N", type=int, required=True)
+    p = numeric_common("polylog", cmd_polylog, "one nested-sum value")
     p.add_argument("--k", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(fn=cmd_polylog)
 
-    p = sub.add_parser("relation-suite",
-                       help="finite double shuffle and distribution residuals")
-    p.add_argument("--N", type=int, required=True)
+    p = numeric_common("relation-suite", cmd_relation_suite,
+                       "finite double shuffle and distribution residuals")
     p.add_argument("--weight", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(fn=cmd_relation_suite)
 
     return parser
 

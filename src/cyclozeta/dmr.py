@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                       project_piY, qg_apply, quasi_shuffle)
-from .checks import Check, fold
+from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, divisors_of_order, hom_inclusion, hom_power, power_structure
 from .regularization import ZMap, bar_reg, extend_Z_st
@@ -227,7 +227,7 @@ def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> Check:
         ring, restricted.alphabet, phi.degree_bound, {identity_word: coeff})
     rhs = series_exp(exp_arg) * restricted
     return fold("dmrd", f"N={ps.group.order} d={ps.d}", ring,
-                (lhs - rhs).terms.items(), W.format_x_word)
+                differences(lhs.terms, rhs.terms, ring.zero), W.format_x_word)
 
 
 def dmrd_check_all(phi: TruncatedSeries) -> list[Check]:

@@ -21,14 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraElement, harmonic, qg_apply, shuffle, x_to_y, y_to_x
+from .algebra import AlgebraElement
 from .checks import Check, fold
 from .errors import DivergentSeriesError, InvalidArgumentError, NotInH0Error
-from .groups import construct_group
+from .groups import construct_group, power_structure
 from .regularization import ZMap
+from .relations import fds_sides, sharp_sides
 from .rings import ComplexRing
-from .words import (blocks_to_x_word, format_x_word, qg_x_word, x_word_blocks,
-                    x_word_in_h0, x_words_up_to)
+from .words import format_x_word, qg_y_word, x_word_blocks, x_word_in_h0, x_words_up_to
 
 DEFAULT_CUTOFF = 200_000
 DEFAULT_TOLERANCE = 1e-5
@@ -166,17 +166,9 @@ def word_to_query(word: tuple, level: int, cutoff: int = DEFAULT_CUTOFF,
     blocks, trailing = x_word_blocks(word)
     assert trailing == 0
     indices = tuple(k for k, _ in blocks)
-
-    def residue(g) -> int:
-        return g.exponents[0] % level if g.exponents else 0
-
-    residues = []
-    prev = 0
-    for _, g in blocks:
-        cur = residue(g)
-        residues.append((cur - prev) % level)
-        prev = cur
-    return PolylogQuery(indices, tuple(residues), level, cutoff, tolerance)
+    residues = tuple(g.exponents[0] if g.exponents else 0
+                     for _, g in qg_y_word(blocks))
+    return PolylogQuery(indices, residues, level, cutoff, tolerance)
 
 
 def zc_eval(level: int, word: tuple, cutoff: int = DEFAULT_CUTOFF,
@@ -232,66 +224,36 @@ def numeric_relation_suite(level: int, weight_bound: int,
     group = Z.group
     rows: list[Check] = []
 
-    def row(name: str, params: str, word, residual, bound: float) -> Check:
-        check = fold(name, params, ring, [(word, residual)], str)
-        return replace(check, detail=f"bound={bound:.3e}")
-
     def eval_with_bound(elem: AlgebraElement) -> tuple[complex, float]:
         total, bound = ring.zero, 0.0
         for w, c in elem.terms.items():
-            if not w:
-                total += c
-                continue
             detail = Z.eval_word_detailed(w)
             total += c * detail.value
             bound += abs(c) * detail.tail_bound
         return total, bound
 
-    words = [w for w in x_words_up_to(group.elements(), weight_bound)
-             if w and x_word_in_h0(w)]
+    def row(name: str, params: str, word, sides) -> Check:
+        (left, b1), (right, b2) = map(eval_with_bound, sides)
+        check = fold(name, params, ring, [(word, left - right)], str)
+        return replace(check, detail=f"bound={b1 + b2:.3e}")
+
+    def convergent(letters):
+        return [w for w in x_words_up_to(letters, weight_bound) if w and x_word_in_h0(w)]
+
+    words = convergent(group.elements())
     for u in words:
         for v in words:
-            if len(u) + len(v) > weight_bound:
-                continue
-            eu = AlgebraElement.from_word(ring, "x", group, u)
-            ev = AlgebraElement.from_word(ring, "x", group, v)
-            stuffle_side = qg_apply(y_to_x(harmonic(x_to_y(eu), x_to_y(ev))),
-                                    inverse=True)
-            shuffle_side = shuffle(qg_apply(eu, inverse=True),
-                                   qg_apply(ev, inverse=True))
-            left, b1 = eval_with_bound(stuffle_side)
-            right, b2 = eval_with_bound(shuffle_side)
-            rows.append(row("fds", f"{format_x_word(u)}|{format_x_word(v)}",
-                            (u, v), left - right, b1 + b2))
-
+            if len(u) + len(v) <= weight_bound:
+                rows.append(row("fds", f"{format_x_word(u)}|{format_x_word(v)}",
+                                (u, v), fds_sides(ring, group, u, v)))
     for d in range(2, level + 1):
         if level % d != 0:
             continue
-        for w in words:
-            blocks, _ = x_word_blocks(w)
-            indices = tuple(k for k, _ in blocks)
-            # summation arguments of the word, then keep those at level N/d
-            residues = word_to_query(w, level, cutoff, tolerance).residues
-            if any(a % d != 0 for a in residues):
-                continue
-            lhs = Z.eval_word_detailed(w)
-            total, bound = 0j, 0.0
-            depth = len(indices)
-            choices = [[(a // d + j * (level // d)) % level for j in range(d)]
-                       for a in residues]
-            stack = [()]
-            for options in choices:
-                stack = [t + (o,) for t in stack for o in options]
-            for t in stack:
-                # the word whose summation arguments are t
-                lifted = qg_x_word(blocks_to_x_word(
-                    [(k, group.element(a)) for k, a in zip(indices, t)], 0),
-                    inverse=True)
-                term = Z.eval_word_detailed(lifted)
-                total += term.value
-                bound += term.tail_bound
-            scale = d ** (sum(indices) - depth)
-            rows.append(row("dist", f"d={d} k={indices} a={residues}", w,
-                            lhs.value - scale * total,
-                            lhs.tail_bound + scale * bound))
+        # the words whose summation arguments are all d-th powers
+        ps = power_structure(group, d)
+        for w in convergent(ps.subgroup):
+            query = word_to_query(w, level)
+            params = f"d={d} k={query.indices} a={query.residues}"
+            elem = AlgebraElement.from_word(ring, "x", group, w)
+            rows.append(row("dist", params, w, sharp_sides(ps, elem)))
     return rows

@@ -2,9 +2,10 @@
 
 Everything in this module lives over exact rationals in the convergent
 subalgebra: the distribution tails ``FDT``, the finite double shuffle
-elements ``FDS`` and the regularized ones ``RDS``, the exact decomposition
-of the depth-two distribution tail into those pieces, and the kernel
-reformulations.  The regularized-distribution verifiers (the weight-two
+elements ``FDS`` and the regularized ones ``RDS``, the two sides of each
+finite relation (:func:`fds_sides`, :func:`sharp_sides`), the exact
+decomposition of the depth-two distribution tail into those pieces, and the
+kernel reformulations.  The regularized-distribution verifiers (the weight-two
 case table and the full word range) compare the two sides of
 :func:`distribution_sides` under an evaluation map and return
 :class:`~cyclozeta.checks.Check` rows.
@@ -16,7 +17,7 @@ import operator
 from dataclasses import dataclass, replace
 
 from .algebra import (AlgebraElement, Membership, harmonic, membership,
-                      qg_apply, shuffle, y_to_x)
+                      qg_apply, shuffle, x_to_y, y_to_x)
 from .checks import Check, fold
 from .dmr import functor_sharp, grouplike_check, phi_from_Z
 from .errors import InvalidArgumentError
@@ -97,7 +98,8 @@ def rds_element(g: GroupElement) -> RelationElement:
 def build_relation(kind: str, group: FiniteAbelianGroup, *,
                    d: int | None = None, h=None, h1=None, h2=None,
                    g=None, g1=None, g2=None) -> RelationElement:
-    """String-dispatched constructor (CLI front end for the four families)."""
+    """The element of one of the four families named by ``kind`` (``FDT1``,
+    ``FDT2``, ``FDS`` or ``RDS``, any case) with its keyword parameters."""
     kind = kind.upper()
     if kind in ("FDT1", "FDT2"):
         if d is None:
@@ -111,6 +113,29 @@ def build_relation(kind: str, group: FiniteAbelianGroup, *,
     if kind == "RDS":
         return rds_element(g)
     raise InvalidArgumentError(f"unknown relation kind {kind!r}")
+
+
+# -- the two sides of each finite relation -----------------------------------
+
+
+def fds_sides(ring, group: FiniteAbelianGroup, u: tuple,
+              v: tuple) -> tuple[AlgebraElement, AlgebraElement]:
+    """The two sides the finite double shuffle relation equates on the X
+    words ``u`` and ``v`` ending in group letters: ``q^-1(u * v)``, the
+    harmonic product taken through the Y encoding, and ``q^-1 u sh q^-1 v``."""
+    eu = AlgebraElement.from_word(ring, "x", group, u)
+    ev = AlgebraElement.from_word(ring, "x", group, v)
+    stuffle = qg_apply(y_to_x(harmonic(x_to_y(eu), x_to_y(ev))), inverse=True)
+    return stuffle, shuffle(qg_apply(eu, inverse=True), qg_apply(ev, inverse=True))
+
+
+def sharp_sides(ps: PowerStructure,
+                elem: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
+    """The two sides the finite distribution relation equates on ``elem``:
+    its lower sharp image along the power map ``p^d`` and its upper sharp
+    image along the inclusion ``i_d``."""
+    return (functor_sharp(elem, hom_power(ps), "lower"),
+            functor_sharp(elem, hom_inclusion(ps), "upper"))
 
 
 # -- the depth-two decomposition ---------------------------------------------
@@ -209,24 +234,14 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
         d = relation.params[0]
         if ps is None or ps.d != d:
             ps = power_structure(group, d)
-        if relation.tag == "FDT1":
-            h = relation.params[1]
-            base = AlgebraElement.from_word(ring, "x", group, (X0, h))
-        else:
-            h1, h2 = relation.params[1:]
-            base = AlgebraElement.from_word(ring, "x", group, (h1, h2))
-        p_val = Z.eval_element(functor_sharp(base, hom_power(ps), "lower"))
-        i_val = Z.eval_element(functor_sharp(base, hom_inclusion(ps), "upper"))
-        rhs_value = p_val - i_val
+        # x0 x_h for FDT1, x_{h1} x_{h2} for FDT2
+        word = ((X0,) if relation.tag == "FDT1" else ()) + relation.params[1:]
+        lower, upper = sharp_sides(ps, AlgebraElement.from_word(ring, "x", group, word))
+        rhs_value = Z.eval_element(lower) - Z.eval_element(upper)
         detail = "Z(p_sharp) - Z(i_sharp)"
     elif relation.tag == "FDS":
         g1, g2 = relation.params
-        u = AlgebraElement.from_word(ring, "y", group, ((1, g1),))
-        v = AlgebraElement.from_word(ring, "y", group, ((1, g2),))
-        stuffle = qg_apply(y_to_x(harmonic(u, v)), inverse=True)
-        shuffled = shuffle(
-            AlgebraElement.from_word(ring, "x", group, (g1,)),
-            AlgebraElement.from_word(ring, "x", group, (g2,)))
+        stuffle, shuffled = fds_sides(ring, group, (g1,), (g2,))
         rhs_value = Z.eval_element(stuffle) - Z.eval_element(shuffled)
         detail = "Z(q^-1(u * v)) - Z(u sh v)"
     elif relation.tag == "RDS":
@@ -255,10 +270,8 @@ def distribution_sides(Z: ZMap, ps: PowerStructure,
     """The two T-polynomials the regularized distribution relation equates
     on ``elem``: the shuffle-regularized value of its lower sharp image, and
     ``sigma`` applied to that of its upper sharp image."""
-    lhs = extend_Z_sh(Z, functor_sharp(elem, hom_power(ps), "lower"))
-    rhs = sigma_apply(Z, ps.kernel,
-                      extend_Z_sh(Z, functor_sharp(elem, hom_inclusion(ps), "upper")))
-    return lhs, rhs
+    lower, upper = sharp_sides(ps, elem)
+    return extend_Z_sh(Z, lower), sigma_apply(Z, ps.kernel, extend_Z_sh(Z, upper))
 
 
 def _cell_label(h) -> str:
@@ -267,8 +280,11 @@ def _cell_label(h) -> str:
     return "1" if h.is_identity else "h"
 
 
-def _t_power(l: int) -> str:
-    return f"T^{l}"
+def _t_differences(lhs: TPolynomial, rhs: TPolynomial, zero):
+    """``("T^l", lhs - rhs at T^l)`` through the larger degree: two zero
+    polynomials still compare their constant terms."""
+    for l in range(max(lhs.degree(), rhs.degree()) + 1):
+        yield f"T^{l}", lhs.coeff(l, zero) - rhs.coeff(l, zero)
 
 
 def zhao_hypotheses(Z: ZMap, ps: PowerStructure,
@@ -278,14 +294,13 @@ def zhao_hypotheses(Z: ZMap, ps: PowerStructure,
     ring = Z.ring
     eds = replace(grouplike_check(phi_from_Z(Z, eds_spot_degree), "shuffle").check,
                   name="zhao-hypothesis-eds", params=f"spot_degree={eds_spot_degree}")
-    pd, incl = hom_power(ps), hom_inclusion(ps)
     nontrivial = [h for h in ps.subgroup if not h.is_identity]
 
     def dist_diffs(words):
         for word in words:
-            base = AlgebraElement.from_word(ring, "x", ps.group, word)
-            yield word, (Z.eval_element(functor_sharp(base, pd, "lower"))
-                         - Z.eval_element(functor_sharp(base, incl, "upper")))
+            lower, upper = sharp_sides(
+                ps, AlgebraElement.from_word(ring, "x", ps.group, word))
+            yield word, Z.eval_element(lower) - Z.eval_element(upper)
 
     weight1 = fold("zhao-hypothesis-weight1", f"d={ps.d}", ring,
                    dist_diffs((h,) for h in nontrivial), format_x_word)
@@ -308,7 +323,7 @@ def zhao_regdist_check(Z: ZMap, ps: PowerStructure, h1, h2) -> Check:
     base = AlgebraElement.from_word(Z.ring, "x", ps.group, (h1, h2))
     lhs, rhs = distribution_sides(Z, ps, base)
     return fold("zhao-cell", f"d={ps.d} cell={_cell_label(h1)},{_cell_label(h2)}",
-                Z.ring, (lhs - rhs).coeffs.items(), _t_power)
+                Z.ring, _t_differences(lhs, rhs, Z.ring.zero), str)
 
 
 def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int,
@@ -334,9 +349,8 @@ def regdist_full_check(Z: ZMap, group: FiniteAbelianGroup, d: int,
     for w in x_words_up_to(ps.subgroup, max_len):
         lhs, rhs = distribution_sides(
             Z, ps, AlgebraElement.from_word(ring, "x", group, w))
-        diff = lhs - rhs
-        t_level += [(w, c) for c in diff.coeffs.values()]
-        ev0_level.append((w, diff.coeff(0, ring.zero)))
+        t_level += [(w, c) for _, c in _t_differences(lhs, rhs, ring.zero)]
+        ev0_level.append((w, (lhs - rhs).coeff(0, ring.zero)))
     for m in range(0, max_len + 1):
         x1m = AlgebraElement.from_word(ring, "x", group, (identity,) * m)
         for w in x_words_up_to(ps.subgroup, max_len - m):
@@ -344,7 +358,8 @@ def regdist_full_check(Z: ZMap, group: FiniteAbelianGroup, d: int,
                 continue
             lhs, rhs = distribution_sides(
                 Z, ps, shuffle(x1m, AlgebraElement.from_word(ring, "x", group, w)))
-            generators += [((identity,) * m + w, c) for c in (lhs - rhs).coeffs.values()]
+            generators += [((identity,) * m + w, c)
+                           for _, c in _t_differences(lhs, rhs, ring.zero)]
     params = f"d={d}"
     return [fold("regdist-T-level", params, ring, t_level, format_x_word),
             fold("regdist-ev0-level", params, ring, ev0_level, format_x_word),

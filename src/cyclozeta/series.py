@@ -13,6 +13,7 @@ inverse to each other there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -126,7 +127,7 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
         power = power * a
         if not power.terms:
             break
-        result = result + power.scale(Fraction(1, _factorial(k)))
+        result = result + power.scale(Fraction(1, math.factorial(k)))
     return result
 
 
@@ -143,10 +144,3 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
             break
         result = result + power.scale(Fraction((-1) ** (k + 1), k))
     return result
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

@@ -36,7 +36,7 @@ def x_to_y_word(word: XWord) -> YWord:
     """Re-encode an X word ending in a group letter; raises otherwise."""
     blocks, trailing = x_word_blocks(word)
     if trailing:
-        raise NotInH1Error(f"{word} ends in x0 and has no Y form")
+        raise NotInH1Error(f"{format_x_word(word)} ends in x0 and has no Y form")
     return tuple(blocks)
 
 

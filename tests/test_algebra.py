@@ -216,7 +216,7 @@ class TestConversion:
         assert x_to_y(elem(Z3, g, h)) == elem(Z3, (1, g), (1, h), kind="y")
 
     def test_trailing_x0_rejected(self, Z3):
-        with pytest.raises(NotInH1Error):
+        with pytest.raises(NotInH1Error, match=r"^xg\[1\]x0 ends in x0"):
             x_to_y(elem(Z3, Z3.element(1), X0))
 
     def test_roundtrip(self, Z3):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from cyclozeta.checks import Check, fold
+from cyclozeta.checks import Check, differences, fold
 from cyclozeta.rings import RATIONAL, ComplexRing
 from cyclozeta.words import X0, format_x_word
 
@@ -42,7 +42,16 @@ class TestFold:
 
     def test_empty_input_passes(self):
         check = fold("c", "p", RATIONAL, [], format_x_word)
-        assert check == Check("c", "p", True, 0.0, "")
+        assert check == Check("c", "p", True, 0.0, "words=0")
+
+    def test_cancelled_coefficients_were_compared(self, Z2):
+        g = Z2.element(1)
+        same = fold("c", "p", RATIONAL, differences({(g,): 1}, {(g,): 1}), format_x_word)
+        assert same == Check("c", "p", True, 0.0, "")
+        # the keys of the left side come first, so a tie names a left word
+        tie = fold("c", "p", RATIONAL, differences({(g,): 1}, {(X0, g): 1, (g,): 2}),
+                   format_x_word)
+        assert not tie.passed and tie.detail == "worst=xg[1]"
 
     def test_generator_input(self, Z2):
         g = Z2.element(1)

@@ -59,3 +59,26 @@ def test_cache_stats_and_traced_checks(harness):
     # uninstall put the originals back
     assert dmr.grouplike_check is grouplike_check
     assert relations.fdtd1_identity_check is fdtd1_identity_check
+
+
+def test_traced_product_and_suite_counts(harness):
+    _, spans = harness
+    group = construct_group([3])
+    g, h = group.element(1), group.element(2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        from cyclozeta import algebra, numeval
+        result = algebra.shuffle(
+            algebra.AlgebraElement.from_word(RATIONAL, "x", group, (g, X0)),
+            algebra.AlgebraElement.from_word(RATIONAL, "x", group, (h, g)))
+        assert numeval.numeric_relation_suite(1, 1) == []  # evaluates no word
+        stats = tracer.end_pass(lambda t: t)
+    finally:
+        tracer.uninstall()
+    # the shuffle reaches the word recursion without the public quasi_shuffle
+    assert stats["algebra.shuffle.calls"] == 1
+    assert stats["algebra.quasi_shuffle.calls"] == 0
+    assert stats["algebra.terms_out"] == len(result.terms)
+    assert stats["numeval.numeric_relation_suite.calls"] == 1

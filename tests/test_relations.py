@@ -6,14 +6,15 @@ import pytest
 from conftest import combo, elem
 from cyclozeta.algebra import Membership, membership
 from cyclozeta.errors import InvalidArgumentError
-from cyclozeta.groups import construct_group, power_structure
+from cyclozeta.groups import construct_group, divisors_of_order, power_structure
 from cyclozeta.numeval import NumericZMap
 from cyclozeta.relations import (build_relation, distribution_sides,
-                                 fds_element, fdt1_element,
+                                 fds_element, fds_sides, fdt1_element,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
                                  kernel_lemma_eval, rds_element,
                                  regdist_full_check, zhao_case_table,
-                                 zhao_regdist_check)
+                                 sharp_sides, zhao_regdist_check)
+from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0
 from test_regularization import prime_zmap
 
@@ -69,6 +70,34 @@ class TestBuildRelation:
         assert rel2.tag == "RDS"
         with pytest.raises(InvalidArgumentError):
             build_relation("XYZ", Z4)
+
+
+class TestRelationSides:
+    """The two sides of each finite relation differ exactly by its
+    hand-written element, which stays the independent reference."""
+
+    @pytest.mark.parametrize("order", [4, 6, 12])
+    def test_fds_sides_differ_by_fds_element(self, order):
+        group = construct_group([order])
+        nontrivial = [g for g in group.elements() if not g.is_identity]
+        for g1 in nontrivial:
+            for g2 in nontrivial:
+                stuffle, shuffled = fds_sides(RATIONAL, group, (g1,), (g2,))
+                assert stuffle - shuffled == fds_element(g1, g2).value
+
+    @pytest.mark.parametrize("order", [4, 6, 12])
+    def test_sharp_sides_differ_by_fdt_elements(self, order):
+        group = construct_group([order])
+        for d in divisors_of_order(group):
+            ps = power_structure(group, d)
+            for h in ps.subgroup:
+                lower, upper = sharp_sides(ps, elem(group, X0, h))
+                assert lower - upper == fdt1_element(ps, h).value
+                if h.is_identity:
+                    continue  # FDT2 needs h1 != 1
+                for h2 in ps.subgroup:
+                    lower, upper = sharp_sides(ps, elem(group, h, h2))
+                    assert lower - upper == fdt2_element(ps, h, h2).value
 
 
 class TestFDTd1:

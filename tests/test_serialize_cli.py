@@ -165,6 +165,15 @@ class TestCliNumericCommands:
         assert code == 0
         assert out.count("zhao-cell") == 4
 
+    def test_zhao_rows_over_no_word_say_so(self, capsys):
+        # at N = 2 the only square is 1: the weight-one and depth-two
+        # hypotheses have no word to compare
+        main(["zhao-verify", "--N", "2", "--d", "2", "--cutoff", "2000"])
+        rows = {row[0]: row for row in (line.split("\t") for line in
+                                         capsys.readouterr().out.splitlines()[2:])}
+        for check in ("zhao-hypothesis-weight1", "zhao-hypothesis-depth2"):
+            assert rows[check][2:] == ["PASS", "0.000000e+00", "words=0"]
+
     def test_regdist_smoke(self, capsys):
         code = main(["regdist", "--N", "2", "--d", "2", "--max-len", "2"])
         out = capsys.readouterr().out
