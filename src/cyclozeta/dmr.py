@@ -52,6 +52,22 @@ def _pair_format(kind: str):
     return lambda pair: f"{fmt(pair[0])}|{fmt(pair[1])}"
 
 
+def _pair_residuals(coeff, alphabet: Alphabet, bound: int, diamond):
+    """``((u, v), sum_w c_w coeff(w) - coeff(u) coeff(v))`` over the nonempty
+    word pairs of total degree at most ``bound``, where ``u *_diamond v =
+    sum_w c_w w``: the only pair loop that multiplies words."""
+    words = [(w, alphabet.word_degree(w),
+              AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, w))
+             for w in alphabet.words_up_to(bound - 1) if w]
+    for u, du, eu in words:
+        for v, dv, ev in words:
+            if du + dv > bound:
+                continue
+            prod = quasi_shuffle(eu, ev, diamond)
+            lhs = sum(c * coeff(w) for w, c in prod.terms.items())
+            yield (u, v), lhs - coeff(u) * coeff(v)
+
+
 def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> GrouplikeReport:
     """Verify ``(phi | u * v) = (phi | u)(phi | v)`` for all nonempty word
     pairs within the truncation degree, together with ``(phi | 1) = 1``,
@@ -63,21 +79,11 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
         raise AlphabetMismatchError("the harmonic check needs a Y-side series")
     ring = phi.ring
     alphabet = phi.alphabet
-    bound = phi.degree_bound
+    terms, zero = phi.terms, ring.zero
     residuals = [(((), ()), phi.coeff(()) - ring.one)]
-    words = [w for w in alphabet.words_up_to(bound - 1) if w]
-    for u in words:
-        du = alphabet.word_degree(u)
-        for v in words:
-            if du + alphabet.word_degree(v) > bound:
-                continue
-            eu = AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, u)
-            ev = AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, v)
-            prod = quasi_shuffle(eu, ev, diamond)
-            lhs = ring.zero
-            for w, c in prod.terms.items():
-                lhs = lhs + c * phi.coeff(w)
-            residuals.append(((u, v), lhs - phi.coeff(u) * phi.coeff(v)))
+    # every word of a product of two words in the loop is within the bound
+    residuals += _pair_residuals(lambda w: terms.get(w, zero), alphabet,
+                                 phi.degree_bound, diamond)
     check = fold(f"dmr-{product}-grouplike", f"N={alphabet.group.order}", ring,
                  residuals, _pair_format(alphabet.kind))
     return GrouplikeReport(check, len(residuals) - 1)
@@ -86,13 +92,13 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
 # -- the generating series of an evaluation map -----------------------------
 
 
-def phi_from_Z(Z: ZMap, degree: int, letters=None) -> TruncatedSeries:
+def phi_from_Z(Z: ZMap, degree: int) -> TruncatedSeries:
     """The series whose coefficient at ``w`` is Z of the regularization of
     ``w`` at T = 0; its x0 and x1 coefficients vanish by construction."""
     if Z.degree_bound is not None and Z.degree_bound < degree:
         raise InvalidArgumentError(
             f"Z map working degree {Z.degree_bound} is below {degree}")
-    alphabet = Alphabet.x(Z.group, letters)
+    alphabet = Alphabet.x(Z.group)
     out = {}
     for w in alphabet.words_up_to(degree):
         elem = AlgebraElement.from_word(Z.ring, "x", Z.group, w)

@@ -22,7 +22,8 @@ from .checks import Check, fold
 from .dmr import functor_sharp, grouplike_check, phi_from_Z
 from .errors import InvalidArgumentError
 from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
-                     divisors_of_order, hom_inclusion, hom_power, power_structure)
+                     divisors_of_order, format_element, hom_inclusion, hom_power,
+                     power_structure)
 from .regularization import (TPolynomial, ZMap, extend_Z_sh, extend_Z_st,
                              sigma_apply)
 from .rings import RATIONAL
@@ -207,28 +208,19 @@ def fdtd1_grid(group: FiniteAbelianGroup) -> list[FDTd1Report]:
 # -- kernel reformulations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelLemmaReport:
-    tag: str
-    lhs_value: object
-    rhs_value: object
-    passed: bool
-    detail: str = ""
-
-
 def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
-                      ps: PowerStructure | None = None) -> KernelLemmaReport:
+                      ps: PowerStructure | None = None) -> Check:
     """Evaluate a relation element against its kernel reformulation.
 
-    Returns ``Z(element)`` next to the reformulated difference (always taken
-    reformulation-left minus reformulation-right); the two values agreeing is
-    the content of the reformulation.  The distribution cases compare against
-    the letter-substitution maps (so the FDT1 case matches exactly when the
+    The check, named by the relation's tag, compares ``Z(element)`` with the
+    reformulated difference (always taken reformulation-left minus
+    reformulation-right); the two values agreeing is the content of the
+    reformulation.  The distribution cases compare against the
+    letter-substitution maps (so the FDT1 case matches exactly when the
     d-torsion has order d); the RDS case needs Z to be multiplicative for the
     shuffle, since it goes through the harmonic-side regularized map.
     """
     ring = Z.ring
-    lhs_value = Z.eval_element(relation.value)
     group = Z.group
     if relation.tag in ("FDT1", "FDT2"):
         d = relation.params[0]
@@ -258,8 +250,11 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
         detail = f"Zst(x1 * xg) - Zst(x1) Zst(xg); higher-T residue {higher:.2e}"
     else:
         raise InvalidArgumentError(f"no kernel reformulation for {relation.tag!r}")
-    return KernelLemmaReport(relation.tag, lhs_value, rhs_value,
-                             ring.eq(lhs_value, rhs_value), detail)
+    residual = Z.eval_element(relation.value) - rhs_value
+    params = ",".join(format_element(p) if isinstance(p, GroupElement) else str(p)
+                      for p in relation.params)
+    return Check(relation.tag, params, ring.is_zero(residual), ring.abs(residual),
+                 detail)
 
 
 # -- regularized distribution -------------------------------------------------

@@ -11,6 +11,7 @@ that end in a group letter.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator, Optional
 
 from .errors import NotInH1Error, ParseError
@@ -149,36 +150,36 @@ def format_y_word(word: YWord) -> str:
     return "".join(f"y[{n},g{format_element(g)}]" for n, g in word)
 
 
-def parse_x_word(text: str, group: FiniteAbelianGroup) -> XWord:
+#: one letter of each alphabet; the bracketed body is parsed separately
+_X_LETTER = re.compile(r"x0|xg\[([^\]]*)\]")
+_Y_LETTER = re.compile(r"y\[([^\]]*)\]")
+
+
+def _letter_bodies(text: str, letter: re.Pattern, kind: str) -> Iterator:
+    """The bracketed body of each letter of ``text`` (``None`` for x0), left
+    to right; a letter that does not parse, an unclosed ``[`` included, is
+    named by its offset."""
     text = text.strip()
     if text == "1":
-        return ()
-    out: list[XLetter] = []
+        return
     i = 0
     while i < len(text):
-        if text.startswith("x0", i):
-            out.append(X0)
-            i += 2
-        elif text.startswith("xg[", i):
-            j = text.index("]", i)
-            out.append(parse_element(text[i + 3:j], group))
-            i = j + 1
-        else:
-            raise ParseError(f"bad X word {text!r} at offset {i}")
-    return tuple(out)
+        m = letter.match(text, i)
+        if m is None:
+            raise ParseError(f"bad {kind} word {text!r} at offset {i}")
+        yield m[1]
+        i = m.end()
+
+
+def parse_x_word(text: str, group: FiniteAbelianGroup) -> XWord:
+    return tuple(X0 if body is None else parse_element(body, group)
+                 for body in _letter_bodies(text, _X_LETTER, "X"))
 
 
 def parse_y_word(text: str, group: FiniteAbelianGroup) -> YWord:
     text = text.strip()
-    if text == "1":
-        return ()
     out: list[YLetter] = []
-    i = 0
-    while i < len(text):
-        if not text.startswith("y[", i):
-            raise ParseError(f"bad Y word {text!r} at offset {i}")
-        j = text.index("]", i)
-        body = text[i + 2:j]
+    for body in _letter_bodies(text, _Y_LETTER, "Y"):
         n_part, _, g_part = body.partition(",")
         if not g_part.startswith("g"):
             raise ParseError(f"bad Y letter in {text!r}")
@@ -189,5 +190,4 @@ def parse_y_word(text: str, group: FiniteAbelianGroup) -> YWord:
         if n < 1:
             raise ParseError(f"bad Y letter weight in {text!r}")
         out.append((n, parse_element(g_part[1:], group)))
-        i = j + 1
     return tuple(out)

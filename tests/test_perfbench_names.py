@@ -82,3 +82,13 @@ def test_traced_product_and_suite_counts(harness):
     assert stats["algebra.quasi_shuffle.calls"] == 0
     assert stats["algebra.terms_out"] == len(result.terms)
     assert stats["numeval.numeric_relation_suite.calls"] == 1
+
+
+def test_exact_series_duality_ops(harness):
+    # each map op compares the direct test and the grouplike check with the
+    # map's construction, so a verdict that reads the pair loop wrongly fails
+    workloads, _ = harness
+    ops = {op.name(): op for op in workloads.exact_series(501).ops}
+    for name in ("duality map 0 (constructed)", "duality map 1 (broken)"):
+        op = ops[name]
+        assert op.check(op.call(), {}) == workloads.OK

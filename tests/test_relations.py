@@ -165,9 +165,11 @@ class TestKernelLemma:
         # at level two the depth-two tail is itself a vanishing combination
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 2)
-        report = kernel_lemma_eval(Z, fdt1_element(ps, Z.group.identity()), ps)
-        assert report.passed
-        assert abs(report.lhs_value) < 1e-6  # finite distribution relation
+        relation = fdt1_element(ps, Z.group.identity())
+        check = kernel_lemma_eval(Z, relation, ps)
+        assert check.passed and check.residual < 1e-6
+        assert (check.name, check.params) == ("FDT1", "2,0")
+        assert abs(Z.eval_element(relation.value)) < 1e-6  # finite distribution relation
 
 
 class TestZhaoWeightTwo:

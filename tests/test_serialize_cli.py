@@ -10,6 +10,7 @@ from conftest import combo, elem
 from cyclozeta import serialize
 from cyclozeta.algebra import shuffle
 from cyclozeta.cli import main
+from cyclozeta.errors import ParseError
 from cyclozeta.groups import construct_group
 from cyclozeta.regularization import TPolynomial, bar_reg_T
 from cyclozeta.rings import COMPLEX, RATIONAL
@@ -69,6 +70,14 @@ class TestSerializeRoundTrips:
         text = serialize.format_tpoly(tp, RATIONAL)
         back = serialize.parse_tpoly(text, RATIONAL, kind="x", group=Z2)
         assert back.coeffs == tp.coeffs
+
+
+class TestWordSyntax:
+    def test_unclosed_letters_are_parse_errors(self, Z3):
+        with pytest.raises(ParseError, match="offset 2"):
+            parse_x_word("x0xg[1", Z3)
+        with pytest.raises(ParseError, match="offset 7"):
+            parse_y_word("y[1,g1]y[2,g2", Z3)
 
 
 class TestCli:
@@ -143,6 +152,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["unknown-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["product", "--group", "Z3", "--shuffle", "xg[1", "x0"],
+        ["reg", "--group", "Z3", "xg[1"],
+        ["product", "--group", "Z3", "--harmonic", "y[1,g1", "y[1,g2]"],
+    ])
+    def test_unclosed_letter_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        assert "at offset 0" in capsys.readouterr().err
 
     def test_check_failure_exit_one(self, capsys):
         # an impossibly tight tolerance forces FAIL rows and exit 1

@@ -8,10 +8,14 @@ import pytest
 from conftest import combo, elem
 from cyclozeta.algebra import (AlgebraElement, harmonic, project_piY, qg_apply,
                               shuffle, x_to_y, y_to_x)
-from cyclozeta.dmr import (dmr_check, dmrd_check, dmrd_check_all,
+from cyclozeta import duality
+from cyclozeta.checks import Check
+from cyclozeta.dmr import (GrouplikeReport, dmr_check, dmrd_check, dmrd_check_all,
                            eds_dmr_equality_check, functor_sharp, functor_star,
                            grouplike_check, phi_corr, phi_from_Z, phi_star)
-from cyclozeta.duality import duality_suite
+from cyclozeta.duality import (broken_functional, duality_suite,
+                               functional_is_multiplicative, functional_series,
+                               nested_sum_functional)
 from cyclozeta.errors import (AlphabetMismatchError, DegreeBoundError,
                               InvalidArgumentError)
 from cyclozeta.groups import (GroupHom, construct_group, hom_inclusion, hom_power,
@@ -499,10 +503,33 @@ class TestDMRD:
 
 class TestDualitySuite:
     def test_small_population(self, Z3):
-        report = duality_suite(Z3, weight_bound=3, n_maps=20, seed=5)
-        assert report.passed
-        kinds = {r.kind for r in report.rows}
-        assert kinds == {"multiplicative", "broken"}
+        check = duality_suite(Z3, weight_bound=3, n_maps=20, seed=5)
+        assert check.passed and check.residual == 0
+        assert (check.name, check.params) == ("duality", "maps=20 weight<=3")
+        assert check.detail == "multiplicative_iff_grouplike on 20 maps"
+
+    def test_direct_test_and_grouplike_check_agree_with_construction(self, Z3):
+        rng = random.Random(5)
+        for i in range(20):
+            table = nested_sum_functional(Z3, 3, rng)
+            if i % 2:
+                table = broken_functional(table, rng)
+            direct = functional_is_multiplicative(Z3, table, 3)
+            assert direct == (i % 2 == 0)
+            report = grouplike_check(functional_series(Z3, table, 3), "harmonic")
+            assert report.passed == direct
+
+    def test_pairs_checked(self, Z3):
+        one = TruncatedSeries.one(RATIONAL, Alphabet.y(Z3), 4)
+        assert grouplike_check(one, "harmonic").pairs_checked == 513
+
+    def test_verdict_is_compared_with_construction(self, Z3, monkeypatch):
+        # a grouplike check that passes every map contradicts the broken ones
+        passing = GrouplikeReport(Check("stub", "", True, 0.0), 0)
+        monkeypatch.setattr(duality, "grouplike_check", lambda *args: passing)
+        check = duality_suite(Z3, 3, 8, 5)
+        assert not check.passed and check.residual == 4
+        assert check.detail.endswith("first contradicting map 1")
 
     def test_missing_unit_reported_not_raised(self, Z2):
         s = x_series(Z2, 2, {(X0,): Fraction(1)})
