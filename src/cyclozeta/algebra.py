@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .errors import AlphabetMismatchError, ParseError
 from .groups import FiniteAbelianGroup
@@ -205,9 +206,10 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraEle
 
 
 @lru_cache(maxsize=200_000)
-def shuffle_words(w1: tuple, w2: tuple) -> dict:
-    """Interleaving counts of two words; cached globally (pure data)."""
-    return _merge_step(w1, w2, ZERO_DIAMOND, shuffle_words)
+def shuffle_words(w1: tuple, w2: tuple) -> Mapping:
+    """Interleaving counts of two words; cached globally, so the result is
+    a read-only view."""
+    return MappingProxyType(_merge_step(w1, w2, ZERO_DIAMOND, shuffle_words))
 
 
 def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -18,8 +18,8 @@ from .dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from .duality import duality_suite
 from .errors import CycloZetaError
 from .groups import divisors_of_order, parse_group, power_structure
-from .numeval import (DEFAULT_CUTOFF, DEFAULT_TOLERANCE, NumericZMap,
-                      PolylogQuery, numeric_relation_suite, polylog_numeric)
+from .numeval import (DEFAULT_TOLERANCE, NumericZMap, PolylogQuery,
+                      numeric_relation_suite, polylog_numeric)
 from .regularization import bar_reg_T
 from .relations import fdtd1_grid, fdtd1_identity_check, regdist_full_check, zhao_case_table
 from .rings import RATIONAL, ring_from_name
@@ -140,7 +140,7 @@ def cmd_duality_test(args) -> int:
 
 
 def cmd_dmr_check(args) -> int:
-    Z = NumericZMap(args.N, args.cutoff, args.tol)
+    Z = NumericZMap(args.N, args.tol)
     phi = phi_from_Z(Z, args.degree)
     checks = dmr_check(phi)
     if args.save_phi:
@@ -149,7 +149,7 @@ def cmd_dmr_check(args) -> int:
 
 
 def cmd_dmrd_check(args) -> int:
-    Z = NumericZMap(args.N, args.cutoff, args.tol)
+    Z = NumericZMap(args.N, args.tol)
     phi = phi_from_Z(Z, args.degree)
     # at d = 1 both arrows are identities; dmr-check's vanish row covers it
     divisors = [args.d] if args.d else [d for d in divisors_of_order(Z.group) if d >= 2]
@@ -158,17 +158,17 @@ def cmd_dmrd_check(args) -> int:
 
 
 def cmd_eds_dmr_check(args) -> int:
-    Z = NumericZMap(args.N, args.cutoff, args.tol)
+    Z = NumericZMap(args.N, args.tol)
     return _numeric_report(args, args.degree, [eds_dmr_equality_check(Z, args.degree)])
 
 
 def cmd_zhao_verify(args) -> int:
-    Z = NumericZMap(args.N, args.cutoff, args.tol)
+    Z = NumericZMap(args.N, args.tol)
     return _numeric_report(args, 2, zhao_case_table(Z, Z.group, args.d, args.spot_degree))
 
 
 def cmd_regdist(args) -> int:
-    Z = NumericZMap(args.N, args.cutoff, args.tol)
+    Z = NumericZMap(args.N, args.tol)
     return _numeric_report(args, args.max_len,
                            regdist_full_check(Z, Z.group, args.d, args.max_len))
 
@@ -176,7 +176,7 @@ def cmd_regdist(args) -> int:
 def cmd_polylog(args) -> int:
     ks = tuple(int(p) for p in args.k.split(","))
     zs = tuple(int(p) for p in args.z.split(","))
-    query = PolylogQuery(ks, zs, args.N, args.cutoff, args.tol)
+    query = PolylogQuery(ks, zs, args.N, args.tol)
     result = polylog_numeric(query)
     print(_meta_row(group=f"Z{args.N}", ring="complex", tol=args.tol))
     print("query\tvalue\tresidual\tbound")
@@ -188,7 +188,7 @@ def cmd_polylog(args) -> int:
 
 def cmd_relation_suite(args) -> int:
     return _numeric_report(args, args.weight, numeric_relation_suite(
-        args.N, args.weight, args.tol, args.cutoff))
+        args.N, args.weight, args.tol))
 
 
 # -- parser -------------------------------------------------------------------
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     def numeric_common(name, fn, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--N", type=int, required=True)
-        p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
         p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
         p.set_defaults(fn=fn)
         return p

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .algebra import HARMONIC_DIAMOND
 from .checks import Check
+from .errors import InvalidArgumentError
 from .groups import FiniteAbelianGroup
 from .rings import RATIONAL
 from .series import Alphabet, TruncatedSeries
@@ -93,6 +94,11 @@ def duality_suite(group: FiniteAbelianGroup, weight_bound: int = 4,
     harmonic grouplike verdict of each map must match how it was built (even
     maps are nested sums, odd maps are broken); the residual counts the maps
     that contradict their construction."""
+    if n_maps < 1:
+        raise InvalidArgumentError("the population needs at least one map")
+    if weight_bound < 2:
+        # a broken map differs from a multiplicative one on a weight-two pair
+        raise InvalidArgumentError("weight bound must be >= 2")
     rng = random.Random(seed)
     contradictions = []
     for i in range(n_maps):

@@ -1,14 +1,36 @@
 """Numerical evaluation of multiple polylogarithms at roots of unity.
 
-The nested sum is computed by one vectorized forward sweep: level j keeps
-the partial sums of the depth-(r-j+1) tail, so the cost is linear in the
-cutoff times the depth.  Conditionally convergent outer indices are handled
-by averaging the partial sums over a full period of the root of unity (twice,
-which kills every nontrivial oscillatory mode to second order), and the
-remaining smooth tail is removed by a least-squares fit of the averaged sums
-against ``log^a(n)/n^b`` through the cutoff window, extrapolated to the
-limit.  Depth-one sums with trivial argument instead get an exact
-Euler-Maclaurin tail.
+A query is the nested sum
+
+    Li_{k1..kr}(z1..zr) = sum_{n1 > ... > nr >= 1} prod_i z_i^(n_i) / n_i^(k_i)
+
+at N-th roots of unity ``z_i``.  It is evaluated by Hoelder convolution
+(Borwein, Bradley, Broadhurst and Lisonek, *Special values of multiple
+polylogarithms*, Trans. AMS 353 (2001); the scheme GiNaC uses, Vollinga and
+Weinzierl, Comput. Phys. Commun. 167 (2005)):
+
+* The sum is the iterated integral ``(-1)^r G(0^(k1-1), 1/z1, 0^(k2-1),
+  1/(z1 z2), ...; 1)``.  Each letter is kept as a residue mod N (or zero),
+  so ``1 - a`` is exactly zero when ``a = 1``.
+* The integral is split at a point ``q`` of (0, 1)::
+
+      G(a1..aw; 1) = sum_j (-1)^j G(1-aj, ..., 1-a1; 1-q) G(a_{j+1}, ..., aw; q)
+
+  with ``q = 1/(1+s)``, ``s`` the smallest ``|1-a|`` over the letters
+  ``a != 1`` (1 when there is none).
+* Each factor ``G(b; y)`` has a nonzero last letter and is again a nested
+  sum, ``(-1)^k Li_m(y/c1, c1/c2, ..., c_{k-1}/ck)`` over its nonzero
+  letters ``c``.  Its terms of outer index n add up to at most
+  ``T(n) = r^n H_{n-1}^(k-1) / ((k-1)! n^m1)`` in absolute value, where
+  ``r = y / min |c| <= 1/(1+s)``: 1/2 or less at N <= 6.  One forward sweep
+  sums it until the geometric tail of ``T`` is below 1e-17, about 60 terms
+  at N <= 6.
+
+``tail_bound`` bounds the distance to the true value: each factor's
+truncation tail plus a rounding term (a few machine epsilons per operation on
+each path, times ``sum T(n)``), carried through the products as
+``|A| bB + |B| bA + bA bB``, plus the rounding of the final sum.  The number
+of terms follows from the bound.  The arithmetic is plain Python ``complex``.
 
 Queries are pure and independently parallelizable; the word cache of
 :class:`NumericZMap` tolerates duplicate concurrent computation (identical
@@ -17,9 +39,12 @@ results, last write wins).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import mul
 
 from .algebra import AlgebraElement
 from .checks import Check, fold
@@ -30,8 +55,10 @@ from .relations import fds_sides, sharp_sides
 from .rings import ComplexRing
 from .words import format_x_word, qg_y_word, x_word_blocks, x_word_in_h0, x_words_up_to
 
-DEFAULT_CUTOFF = 200_000
 DEFAULT_TOLERANCE = 1e-5
+#: each factor is summed until its geometric tail bound is below this
+TAIL_TARGET = 1e-17
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -42,7 +69,6 @@ class PolylogQuery:
     indices: tuple[int, ...]
     residues: tuple[int, ...]
     level: int
-    cutoff: int = DEFAULT_CUTOFF
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
@@ -52,9 +78,6 @@ class PolylogQuery:
             raise InvalidArgumentError("indices must be positive")
         if self.level < 1:
             raise InvalidArgumentError("level must be >= 1")
-        if self.cutoff < max(1000, 20 * self.level):
-            raise InvalidArgumentError(
-                "cutoff must be at least max(1000, 20 * level)")
         object.__setattr__(self, "residues",
                            tuple(a % self.level for a in self.residues))
         if self.indices[0] == 1 and self.residues[0] == 0:
@@ -69,90 +92,104 @@ class PolylogValue:
     low_precision: bool
 
 
-def _root_powers(residue: int, level: int, cutoff: int) -> np.ndarray:
-    """``z^n`` for n = 1..cutoff, tiled from one exact period."""
-    pattern = np.exp(2j * np.pi * (residue * np.arange(1, level + 1) % level) / level)
-    reps = -(-cutoff // level)
-    return np.tile(pattern, reps)[:cutoff]
+@lru_cache(maxsize=4096)
+def _truncation(r: float, depth: int, m1: int) -> tuple[int, float]:
+    """How many terms a factor of rate ``r``, depth and first index ``m1``
+    needs, and the bound on its error.
+
+    ``T(n) = r^n H_{n-1}^(depth-1) / ((depth-1)! n^m1)`` bounds the terms of
+    outer index n; from n + 1 on, each ``T`` is at most ``rho`` times the
+    one before, so the tail is at most ``T(n+1) / (1 - rho)``.  A term
+    summed at index n passes through at most ``depth (n + 2)`` roundings of
+    a few machine epsilons each.  The bound is the tail bound plus that
+    rounding term.
+    """
+    fact = math.factorial(depth - 1)
+    harmonic, r_n, rounding, n = 0.0, 1.0, 0.0, 0
+    while True:
+        n += 1
+        r_n *= r
+        rounding += (n + 2) * r_n * harmonic ** (depth - 1) / (fact * n ** m1)
+        harmonic += 1.0 / n
+        t_next = r_n * r * harmonic ** (depth - 1) / (fact * (n + 1) ** m1)
+        rho = r * (1.0 + 1.0 / ((n + 1) * harmonic)) ** (depth - 1)
+        if rho < 1.0 and t_next < TAIL_TARGET * (1.0 - rho):
+            return n, t_next / (1.0 - rho) + 8 * _EPS * depth * rounding
 
 
-def _box_smooth(values: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return values
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    return (csum[window:] - csum[:-window]) / window
+@lru_cache(maxsize=256)
+def _inverse_powers(m: int, terms: int) -> tuple[float, ...]:
+    return tuple(1.0 / n ** m for n in range(1, terms + 1))
 
 
-def _em_tail(k: int, cutoff: int) -> float:
-    """``sum_{n > cutoff} n^-k`` by Euler-Maclaurin, k >= 2."""
-    m = float(cutoff)
-    return (m ** (1 - k) / (k - 1) - 0.5 * m ** (-k)
-            + k / 12.0 * m ** (-k - 1)
-            - k * (k + 1) * (k + 2) / 720.0 * m ** (-k - 3))
+def _g_factor(letters: tuple, y: float) -> tuple[complex, float]:
+    """``G(letters; y)`` for a nonzero last letter, with an error bound.
+
+    The nested sum over the nonzero letters is swept from the innermost
+    level out; each level's partial sums, shifted by one index, weight the
+    next level's terms.
+    """
+    xs, ms = [], []
+    prev, m = y, 1
+    for b in letters:
+        if b == 0:
+            m += 1
+        else:
+            xs.append(prev / b)
+            ms.append(m)
+            prev, m = b, 1
+    depth = len(xs)
+    r = y / min(abs(b) for b in letters if b != 0)
+    terms, bound = _truncation(r, depth, ms[0])
+    below = repeat(1.0)  # the empty innermost product
+    for x, m in zip(reversed(xs), reversed(ms)):
+        steps = map(mul, accumulate(repeat(x, terms), mul),
+                    map(mul, _inverse_powers(m, terms), below))
+        partial = list(accumulate(steps))
+        below = chain((0.0,), partial)
+    return (-partial[-1] if depth % 2 else partial[-1]), bound
 
 
-def _fit_limit(smoothed: np.ndarray, weight: int) -> tuple[complex, float]:
-    """Extrapolate the double-averaged partial sums to their limit."""
-    length = len(smoothed)
-    lo = max(length // 8, 256)
-    checkpoints = np.unique(np.geomspace(lo, length - 1, 48).astype(int))
-    y = smoothed[checkpoints]
-    n = checkpoints.astype(np.float64) + 1.0
-    tau = np.log(n / float(length))
-    log_max = min(max(weight - 1, 1), 5)
-    columns = [np.ones_like(n)]
-    for a in range(log_max + 1):
-        columns.append(tau ** a / n)
-    second_block = min(max(weight - 2, 0), 3)
-    for a in range(second_block + 1):
-        columns.append(tau ** a / n ** 2)
-    design = np.stack(columns, axis=1)
-    scale = np.max(np.abs(design), axis=0)
-    design = design / scale
-    sol, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    value = sol[0] / scale[0]
-    first_block = 2 + log_max
-    sol_reduced, _, _, _ = np.linalg.lstsq(design[:, :first_block], y, rcond=None)
-    reduced = sol_reduced[0] / scale[0]
-    residual = float(np.max(np.abs(design @ sol - y)))
-    bound = 5.0 * abs(value - reduced) + 50.0 * residual + 3e-8
-    return complex(value), bound
+def _one_minus_root(c: int, level: int) -> complex:
+    """``1 - zeta_N^c`` without the cancellation of ``1 - exp(...)``."""
+    half = math.pi * c / level
+    return complex(2.0 * math.sin(half) ** 2, -math.sin(2.0 * half))
 
 
 def polylog_numeric(query: PolylogQuery) -> PolylogValue:
-    """Evaluate the nested sum with a tail estimate."""
-    r = len(query.indices)
-    cutoff, level = query.cutoff, query.level
-    n = np.arange(1, cutoff + 1, dtype=np.float64)
-    partial = None
-    for j in range(r - 1, -1, -1):
-        coeff = _root_powers(query.residues[j], level, cutoff) * n ** (-float(query.indices[j]))
-        if partial is None:
-            term = coeff
-        else:
-            shifted = np.empty_like(partial)
-            shifted[0] = 0.0
-            shifted[1:] = partial[:-1]
-            term = coeff * shifted
-        partial = np.cumsum(term)
-    if r == 1:
-        if query.residues[0] == 0:
-            value = complex(partial[-1]) + _em_tail(query.indices[0], cutoff)
-            bound = 1e-12
-        else:
-            smoothed = _box_smooth(_box_smooth(partial, level), level)
-            value = complex(smoothed[-1])
-            bound = 5.0 * abs(smoothed[-1] - smoothed[-1 - level]) + 1e-12
-    else:
-        smoothed = _box_smooth(_box_smooth(partial, level), level)
-        value, bound = _fit_limit(smoothed, sum(query.indices))
+    """Evaluate the nested sum by Hoelder convolution, with an error bound."""
+    level = query.level
+    codes: list = []  # G letters: None for zero, else the residue of the root
+    c = 0
+    for k, a in zip(query.indices, query.residues):
+        c = (c - a) % level
+        codes += [None] * (k - 1) + [c]
+    roots = [0j if c is None else complex(math.cos(2 * math.pi * c / level),
+                                          math.sin(2 * math.pi * c / level))
+             for c in codes]
+    flipped = [1 + 0j if c is None else 0j if c == 0 else _one_minus_root(c, level)
+               for c in codes]
+    s = min((abs(b) for b, c in zip(flipped, codes) if c != 0), default=1.0)
+    q = 1.0 / (1.0 + s)
+    w = len(codes)
+    value, bound, size = 0j, 0.0, 0.0
+    for j in range(w + 1):
+        left, b_left = _g_factor(tuple(flipped[j - 1::-1]), 1.0 - q) if j else (1.0, 0.0)
+        right, b_right = _g_factor(tuple(roots[j:]), q) if j < w else (1.0, 0.0)
+        term = left * right
+        value += -term if j % 2 else term
+        bound += abs(left) * b_right + abs(right) * b_left + b_left * b_right
+        size += abs(term)
+    bound += _EPS * (w + 2) * size
+    if len(query.indices) % 2:
+        value = -value
     return PolylogValue(value, bound, bound > query.tolerance)
 
 
 # -- the numeric evaluation map on convergent words --------------------------
 
 
-def word_to_query(word: tuple, level: int, cutoff: int = DEFAULT_CUTOFF,
+def word_to_query(word: tuple, level: int,
                   tolerance: float = DEFAULT_TOLERANCE) -> PolylogQuery:
     """Translate a convergent word into its nested-sum query.
 
@@ -168,13 +205,13 @@ def word_to_query(word: tuple, level: int, cutoff: int = DEFAULT_CUTOFF,
     indices = tuple(k for k, _ in blocks)
     residues = tuple(g.exponents[0] if g.exponents else 0
                      for _, g in qg_y_word(blocks))
-    return PolylogQuery(indices, residues, level, cutoff, tolerance)
+    return PolylogQuery(indices, residues, level, tolerance)
 
 
-def zc_eval(level: int, word: tuple, cutoff: int = DEFAULT_CUTOFF,
+def zc_eval(level: int, word: tuple,
             tolerance: float = DEFAULT_TOLERANCE) -> complex:
     """Evaluate the level-N iterated-integral map on one convergent word."""
-    return polylog_numeric(word_to_query(word, level, cutoff, tolerance)).value
+    return polylog_numeric(word_to_query(word, level, tolerance)).value
 
 
 class NumericZMap(ZMap):
@@ -184,8 +221,7 @@ class NumericZMap(ZMap):
     the table is read-mostly and duplicate concurrent inserts are harmless.
     """
 
-    def __init__(self, level: int, cutoff: int = DEFAULT_CUTOFF,
-                 tolerance: float = DEFAULT_TOLERANCE,
+    def __init__(self, level: int, tolerance: float = DEFAULT_TOLERANCE,
                  degree_bound: int | None = None):
         if level < 1:
             raise InvalidArgumentError("level must be >= 1")
@@ -193,7 +229,6 @@ class NumericZMap(ZMap):
                          construct_group([level] if level > 1 else []),
                          degree_bound)
         self.level = level
-        self.cutoff = cutoff
         self.tolerance = tolerance
         self._cache: dict[tuple, PolylogValue] = {}
 
@@ -201,7 +236,7 @@ class NumericZMap(ZMap):
         hit = self._cache.get(word)
         if hit is None:
             hit = polylog_numeric(
-                word_to_query(word, self.level, self.cutoff, self.tolerance))
+                word_to_query(word, self.level, self.tolerance))
             self._cache[word] = hit
         return hit
 
@@ -213,13 +248,12 @@ class NumericZMap(ZMap):
 
 
 def numeric_relation_suite(level: int, weight_bound: int,
-                           tolerance: float = DEFAULT_TOLERANCE,
-                           cutoff: int = DEFAULT_CUTOFF) -> list[Check]:
+                           tolerance: float = DEFAULT_TOLERANCE) -> list[Check]:
     """Residuals of the finite double shuffle identities and of the
     distribution identities among the numeric values up to a weight bound,
     one row each; the detail holds the summed tail bound of the values the
     row used."""
-    Z = NumericZMap(level, cutoff, tolerance)
+    Z = NumericZMap(level, tolerance)
     ring = Z.ring
     group = Z.group
     rows: list[Check] = []

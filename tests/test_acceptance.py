@@ -246,3 +246,18 @@ def test_criterion_10_numeric_anchors():
            f"depth-one anchors within 1e-6 of pi^2/6 and -pi^2/12 (and of "
            f"independent partial-sum oracles); weight-two double shuffle at "
            f"N=3 residual {worst:.2e} <= 1e-5")
+
+
+def test_criterion_11_dmr_membership_weight_five_and_six():
+    worst_residual, worst_bound = 0.0, 0.0
+    ok = True
+    for level, degree in ((2, 5), (3, 5), (2, 6)):
+        Z = NumericZMap(level, tolerance=1e-5)
+        checks = dmr_check(phi_from_Z(Z, degree))
+        ok = ok and all(c.passed for c in checks)
+        worst_residual = max(worst_residual, *(c.residual for c in checks))
+        worst_bound = max(worst_bound, *(v.tail_bound for v in Z._cache.values()))
+    report(11, ok and worst_residual <= 1e-5 and worst_bound <= 1e-10,
+           f"numeric series is double-shuffle grouplike at N=2,3 through degree 5 "
+           f"and at N=2 through degree 6; worst residual {worst_residual:.2e} "
+           f"<= 1e-5, every value's tail bound <= {worst_bound:.2e} <= 1e-10")

@@ -11,7 +11,7 @@ from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership,
                                ZERO_DIAMOND, format_element_combo, harmonic,
                                membership, pairing, parse_element_combo,
                                project_piY, qg_apply, quasi_shuffle, shuffle,
-                               x_to_y, y_to_x)
+                               shuffle_words, x_to_y, y_to_x)
 from cyclozeta.errors import AlphabetMismatchError, NotInH1Error
 from cyclozeta.rings import COMPLEX, RATIONAL, ComplexRing
 from cyclozeta.words import X0, x_word_in_h0, x_word_in_h1, x_words_up_to, y_words_up_to
@@ -59,6 +59,13 @@ class TestShuffle:
         g = Z3.element(1)
         result = shuffle(elem(Z3, X0), elem(Z3, X0, g))
         assert result == combo(Z3, (2, (X0, X0, g)), (1, (X0, g, X0)))
+
+    def test_cached_words_are_read_only(self, Z3):
+        g = Z3.element(1)
+        counts = shuffle_words((X0,), (X0, g))
+        with pytest.raises(TypeError):
+            counts[(X0, X0, g)] = 0
+        assert shuffle_words((X0,), (X0, g)) == {(X0, X0, g): 2, (X0, g, X0): 1}
 
     def test_against_position_oracle(self, Z4):
         letters = [X0, Z4.element(1), Z4.element(2)]

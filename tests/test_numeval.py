@@ -1,9 +1,15 @@
 """Nested-sum engine: anchors, self-consistency, identity suites."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cyclozeta
 
 from conftest import em_tail_oracle, oracle_nested_sum
 from cyclozeta.errors import DivergentSeriesError, NotInH0Error
@@ -12,9 +18,13 @@ from cyclozeta.numeval import (NumericZMap, PolylogQuery, numeric_relation_suite
 from cyclozeta.words import X0
 
 
-def li(ks, residues, level, cutoff=200_000):
-    return polylog_numeric(PolylogQuery(tuple(ks), tuple(residues), level,
-                                        cutoff))
+def li(ks, residues, level):
+    return polylog_numeric(PolylogQuery(tuple(ks), tuple(residues), level))
+
+
+ZETA_2 = math.pi ** 2 / 6
+ZETA_3 = 1.2020569031595942854
+ZETA_5 = 1.0369277551433699263
 
 
 class TestAnchors:
@@ -60,13 +70,6 @@ class TestEngineContracts:
         with pytest.raises(DivergentSeriesError):
             PolylogQuery((1,), (0,), 3)
 
-    def test_cutoff_doubling_stability(self):
-        for ks, rs, level in [((2, 1), (0, 0), 1), ((1, 1), (1, 0), 2),
-                              ((2, 1, 1), (0, 0, 0), 1), ((1, 2), (2, 1), 3)]:
-            first = li(ks, rs, level, cutoff=200_000)
-            second = li(ks, rs, level, cutoff=400_000)
-            assert abs(first.value - second.value) <= first.tail_bound + second.tail_bound
-
     def test_symmetric_expression_invariance(self):
         # stuffle-symmetric combination is symmetric under swapping arguments
         level = 3
@@ -78,8 +81,7 @@ class TestEngineContracts:
             assert abs(symmetric(a1, a2) - symmetric(a2, a1)) < 1e-12
 
     def test_low_precision_flag(self):
-        result = polylog_numeric(PolylogQuery((2,), (0,), 1, 200_000,
-                                              tolerance=1e-30))
+        result = polylog_numeric(PolylogQuery((2,), (0,), 1, tolerance=1e-30))
         assert result.low_precision
 
 
@@ -115,7 +117,7 @@ class TestZcEval:
         assert q.indices == (2,) and q.residues == (0,)
 
     def test_zmap_caches(self):
-        Z = NumericZMap(2, cutoff=50_000)
+        Z = NumericZMap(2)
         w = (X0, Z.group.element(1))
         first = Z.eval_word(w)
         assert Z._cache[w].value == first
@@ -171,10 +173,37 @@ class TestHigherWeightAnchor:
         rhs = li((5,), (0,), 1).value
         assert abs(lhs - rhs) < 1e-7
 
-    def test_cutoff_floor_scales_with_level(self):
-        from cyclozeta.errors import InvalidArgumentError
-        with pytest.raises(InvalidArgumentError):
-            PolylogQuery((2,), (0,), 500, cutoff=2000)
+
+class TestCalibration:
+    """The stated tail bound holds: error <= bound, and every bound <= 1e-12."""
+
+    @staticmethod
+    def assert_within_bound(ks, rs, level, reference):
+        result = li(ks, rs, level)
+        assert abs(result.value - reference) <= result.tail_bound, (ks, rs, level)
+        assert result.tail_bound <= 1e-12 and not result.low_precision
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 6, 7, 12])
+    def test_depth_one_against_mpmath(self, level):
+        mpmath = pytest.importorskip("mpmath")
+        for a in range(level):
+            for k in range(1 if a else 2, 6):
+                with mpmath.workdps(30):
+                    z = mpmath.exp(2j * mpmath.pi * a / level)
+                    reference = complex(mpmath.polylog(k, z))
+                self.assert_within_bound((k,), (a,), level, reference)
+
+    def test_zeta_2_1_is_zeta_3(self):
+        self.assert_within_bound((2, 1), (0, 0), 1, ZETA_3)
+
+    def test_alternating_double_sum(self):
+        # Li_{1,1}(-1,-1) = (log^2 2 - zeta(2)) / 2
+        self.assert_within_bound((1, 1), (1, 1), 2,
+                                 (math.log(2) ** 2 - ZETA_2) / 2)
+
+    def test_zeta_2_1_1_1_is_zeta_5(self):
+        assert abs(li((2, 1, 1, 1), (0, 0, 0, 0), 1).value - ZETA_5) <= 1e-13
+        self.assert_within_bound((2, 1, 1, 1), (0, 0, 0, 0), 1, ZETA_5)
 
 
 class TestExternalCrossCheck:
@@ -186,3 +215,18 @@ class TestExternalCrossCheck:
             reference = complex(mpmath.polylog(k, z))
             engine = li((k,), (a,), level).value
             assert abs(engine - reference) < 1e-9
+
+
+class TestWithoutNumpy:
+    def test_polylog_query_runs_without_numpy(self):
+        # numpy set to None in sys.modules makes every import of it fail
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from cyclozeta.cli import main\n"
+                "sys.exit(main(['polylog', '--N', '2', '--k', '2', '--z', '1']))")
+        src = str(Path(cyclozeta.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        value = complex(result.stdout.splitlines()[2].split("\t")[1])
+        assert abs(value + math.pi ** 2 / 12) < 1e-12

@@ -127,6 +127,16 @@ class TestCli:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["duality-test", "--group", "Z3", "--maps", "-1"],
+        # at weight one no word pair can show that a broken map is broken
+        ["duality-test", "--group", "Z3", "--degree", "1", "--maps", "2"],
+    ])
+    def test_duality_rejects_populations_it_cannot_judge(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_relation_suite_header(self, capsys):
         code = main(["relation-suite", "--N", "2", "--weight", "2"])
         out, err = capsys.readouterr()
@@ -185,8 +195,9 @@ class TestCliNumericCommands:
 
     def test_zhao_rows_over_no_word_say_so(self, capsys):
         # at N = 2 the only square is 1: the weight-one and depth-two
-        # hypotheses have no word to compare
-        main(["zhao-verify", "--N", "2", "--d", "2", "--cutoff", "2000"])
+        # hypotheses have no word to compare, so even a zero tolerance
+        # passes them
+        main(["zhao-verify", "--N", "2", "--d", "2", "--tol", "1e-300"])
         rows = {row[0]: row for row in (line.split("\t") for line in
                                          capsys.readouterr().out.splitlines()[2:])}
         for check in ("zhao-hypothesis-weight1", "zhao-hypothesis-depth2"):
@@ -264,12 +275,12 @@ class TestCliWorstDetail:
 class TestCommandConfig:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("subcommand = polylog\ncutoff = 50000\ntol = 1e-4\n")
-        code = main(["polylog", "--N", "1", "--k", "2", "--z", "0",
-                     "--config", str(cfg)])
+        cfg.write_text("subcommand = dmr-check\ndegree = 2\ntol = 1e-4\n")
+        code = main(["dmr-check", "--N", "1", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "tol=0.0001" in out  # config value reached the meta row
+        # both config values reached the meta row
+        assert "degree=2" in out and "tol=0.0001" in out
 
     def test_flags_beat_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
