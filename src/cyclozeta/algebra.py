@@ -117,10 +117,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.terms.values())
 
-    def approx_equal(self, other: "AlgebraElement") -> bool:
-        self._check(other)
-        return (self - other).is_zero()
-
     def degree(self) -> int:
         if self.kind == "x":
             return max((len(w) for w in self.terms), default=0)

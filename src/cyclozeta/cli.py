@@ -9,6 +9,7 @@ Parse or precondition errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import serialize
@@ -275,9 +276,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """Make config values defaults on every subcommand that knows the key, so
+    explicit flags still win; a key no subcommand knows is an error."""
+    subparsers = list(parser.cz_subparsers.choices.values())
+    known = [{a.dest for a in p._actions if a.dest != "help"} for p in subparsers]
+    unknown = sorted(set(defaults).difference(*known))
+    if unknown:
+        raise CycloZetaError(f"unknown config key {', '.join(unknown)}")
+    for subparser, keys in zip(subparsers, known):
+        subparser.set_defaults(**{k: v for k, v in defaults.items() if k in keys})
+
+
+# parsing leaves a parser as it was, so one serves every call without --config
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     if "--config" in argv:
         at = argv.index("--config")
         try:
@@ -288,15 +305,12 @@ def main(argv=None) -> int:
         del argv[at:at + 2]
         try:
             defaults = load_config_defaults(path)
+            # set_defaults changes the parser, so a config run gets its own
+            parser = build_parser()
+            _apply_config(parser, defaults)
         except (OSError, CycloZetaError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # config values become defaults on every subcommand that knows the
-        # key, so explicit flags still win
-        for subparser in parser.cz_subparsers.choices.values():
-            known = {a.dest for a in subparser._actions}
-            subparser.set_defaults(
-                **{k: v for k, v in defaults.items() if k in known})
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

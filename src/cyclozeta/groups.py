@@ -3,13 +3,18 @@
 Groups are written multiplicatively in the mathematics but realized
 additively on exponent vectors: an element of ``Z/n1 x ... x Z/nk`` is the
 tuple of its exponents reduced mod ``n_i``, and the identity is the zero
-vector.  Everything here is an immutable value type, safe to share.
+vector.  A group is an immutable value.  Each group owns one
+:class:`GroupElement` instance per element: ``element()``, ``identity()``,
+``elements()``, parsing, ``*``, ``inverse()`` and ``**`` all return that
+instance, so letters compare by identity and hash by a stored value.  The
+instances are made on first use, never as a table of the whole group.
+Elements of two equal groups built separately still compare equal.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from math import prod
 
@@ -34,6 +39,15 @@ class FiniteAbelianGroup:
                     f"{self.invariant_factors} is not a divisibility chain")
         if any(n < 2 for n in self.invariant_factors):
             raise InvalidArgumentError("invariant factors must be >= 2")
+        # mixed-radix place values, so that index order is elements() order
+        strides = [1]
+        for n in reversed(self.invariant_factors[1:]):
+            strides.insert(0, n * strides[0])
+        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_interned", {})
+
+    def __reduce__(self):
+        return FiniteAbelianGroup, (self.invariant_factors,)
 
     @property
     def order(self) -> int:
@@ -46,15 +60,29 @@ class FiniteAbelianGroup:
     def element(self, exponents) -> "GroupElement":
         if isinstance(exponents, int):
             exponents = (exponents,)
-        return GroupElement(self, tuple(exponents))
+        exponents = tuple(exponents)
+        factors = self.invariant_factors
+        if len(exponents) != len(factors):
+            raise InvalidArgumentError(
+                f"exponent vector {exponents} has wrong rank for {self}")
+        return self._intern(tuple(e % n for e, n in zip(exponents, factors)))
+
+    def _intern(self, reduced: tuple[int, ...]) -> "GroupElement":
+        """The one instance with these reduced exponents, made on first use."""
+        index = sum(e * s for e, s in zip(reduced, self._strides))
+        g = self._interned.get(index)
+        if g is None:
+            # setdefault keeps one instance when two threads race here
+            g = self._interned.setdefault(index, GroupElement._make(self, reduced, index))
+        return g
 
     def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.invariant_factors))
+        return self._intern((0,) * len(self.invariant_factors))
 
     @cached_property
     def _elements(self) -> tuple["GroupElement", ...]:
         ranges = [range(n) for n in self.invariant_factors]
-        return tuple(GroupElement(self, exps) for exps in itertools.product(*ranges))
+        return tuple(self._intern(exps) for exps in itertools.product(*ranges))
 
     def elements(self) -> tuple["GroupElement", ...]:
         return self._elements
@@ -63,20 +91,52 @@ class FiniteAbelianGroup:
         return format_group(self)
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """An element as a canonically reduced exponent vector."""
+    """An element as a canonically reduced exponent vector.
 
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...] = field()
+    There is one instance per element of a group; ``GroupElement(group,
+    exponents)`` returns ``group.element(exponents)``.  ``index`` is the
+    element's position in ``group.elements()``, and the hash is that of
+    ``(group, exponents)``, computed once.  Products are looked up in a
+    table of the products this element has formed so far.
+    """
 
-    def __post_init__(self):
-        factors = self.group.invariant_factors
-        if len(self.exponents) != len(factors):
-            raise InvalidArgumentError(
-                f"exponent vector {self.exponents} has wrong rank for {self.group}")
-        object.__setattr__(
-            self, "exponents", tuple(e % n for e, n in zip(self.exponents, factors)))
+    __slots__ = ("group", "exponents", "index", "_hash", "_products")
+
+    def __new__(cls, group: FiniteAbelianGroup, exponents) -> "GroupElement":
+        return group.element(exponents)
+
+    @classmethod
+    def _make(cls, group: FiniteAbelianGroup, reduced: tuple[int, ...],
+              index: int) -> "GroupElement":
+        g = object.__new__(cls)
+        for name, value in (("group", group), ("exponents", reduced), ("index", index),
+                            ("_hash", hash((group, reduced))), ("_products", {})):
+            object.__setattr__(g, name, value)
+        return g
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GroupElement, (self.group, self.exponents)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return (self.exponents == other.exponents
+                and self.group.invariant_factors == other.group.invariant_factors)
+
+    def __repr__(self):
+        return f"GroupElement(group={self.group!r}, exponents={self.exponents!r})"
 
     def _check(self, other: "GroupElement"):
         if self.group != other.group:
@@ -84,19 +144,23 @@ class GroupElement:
                 f"elements of {self.group} and {other.group} cannot be combined")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        if other.group is not self.group:
+            self._check(other)
+        product = self._products.get(other.index)
+        if product is None:
+            product = self._products[other.index] = self.group.element(
+                tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return product
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-e for e in self.exponents))
+        return self.group.element(tuple(-e for e in self.exponents))
 
     def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(k * e for e in self.exponents))
+        return self.group.element(tuple(k * e for e in self.exponents))
 
     @property
     def is_identity(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return self.index == 0
 
     def __str__(self):
         return format_element(self)

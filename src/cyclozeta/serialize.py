@@ -131,8 +131,3 @@ def parse_tpoly(text: str, ring, kind: str | None = None, group=None) -> TPolyno
 def write_text(path, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()

@@ -1,6 +1,9 @@
 """Group core: construction, normalization, power structures, homs."""
 
+import copy
+import pickle
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -84,6 +87,59 @@ class TestArithmetic:
     def test_mismatched_groups(self, Z6, Z4):
         with pytest.raises(GroupMismatchError):
             Z6.element(1) * Z4.element(1)
+
+
+class TestElementContract:
+    """One instance per element, a stored hash, and equality across groups."""
+
+    def test_reduction_returns_the_same_instance(self, Z3):
+        assert Z3.element(4) is Z3.element(1)
+        assert Z3.element((1,)) is Z3.elements()[1]
+        assert parse_element("7", Z3) is Z3.element(1)
+
+    def test_operations_return_enumerated_instances(self):
+        G = construct_group([2, 4])
+        els = G.elements()
+        ids = {id(g) for g in els}
+        assert G.identity() is els[0]
+        assert [g.index for g in els] == list(range(G.order))
+        assert [g.is_identity for g in els] == [True] + [False] * 7
+        for g in els:
+            assert G.element(g.exponents) is els[g.index]
+            assert id(g.inverse()) in ids
+            for k in (-3, 0, 2, 5):
+                assert id(g ** k) in ids
+            for h in els:
+                assert id(g * h) in ids
+
+    def test_equal_groups_built_apart(self):
+        a, b = construct_group([6]).element(1), construct_group([2, 3]).element(1)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a * b == construct_group([6]).element(2)
+
+    def test_hash_is_the_value_type_hash(self):
+        for G in (construct_group([6]), construct_group([2, 4]), construct_group([])):
+            for g in G.elements():
+                assert hash(g) == hash((G, g.exponents))
+
+    def test_attributes_are_read_only(self, Z3):
+        g = Z3.element(1)
+        for name, value in (("exponents", (2,)), ("index", 2), ("group", Z3)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, value)
+        assert g.exponents == (1,) and g.index == 1
+
+    def test_copies_are_equal(self, Z6):
+        g = Z6.element(5)
+        assert copy.deepcopy(g) == g
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_large_group_stays_lazy(self):
+        G = parse_group("Z1000000")
+        g = parse_element("999999", G)
+        assert (g * g).exponents == (999998,) and g.inverse().exponents == (1,)
+        assert len(G._interned) == 3
 
 
 class TestPowerStructure:

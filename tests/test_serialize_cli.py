@@ -289,3 +289,22 @@ class TestCommandConfig:
                      "--tol", "1e-7", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == 0 and "tol=1e-07" in out
+
+    def test_config_defaults_do_not_outlive_their_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-4\n")
+        argv = ["polylog", "--N", "1", "--k", "2", "--z", "0"]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert "tol=0.0001" in capsys.readouterr().out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "tol=0.0001" not in out and "tol=1e-05" in out
+
+    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-4\ncutoff = 2000\n")
+        code = main(["polylog", "--N", "1", "--k", "2", "--z", "0",
+                     "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "cutoff" in captured.err
