@@ -15,6 +15,13 @@ one.  Products:
 
 Elements are immutable in practice (no method mutates ``terms``) and all
 products are pure functions, so values can be shared freely across threads.
+
+Arithmetic convention: word-level products (:func:`shuffle_words`,
+:func:`_quasi_shuffle_words`) yield integer counts, and every loop over
+coefficients puts the ring value on the left (``c * count``) and starts no
+sum from an int ``0`` (``out[w] = out[w] + term if w in out else term``).
+A ``Fraction`` then stays on its forward operator path, and each output
+term touches the ring once.
 """
 
 from __future__ import annotations
@@ -51,7 +58,11 @@ class AlgebraElement:
 
     @staticmethod
     def make(ring, kind, group, mapping: dict) -> "AlgebraElement":
-        cleaned = {w: c for w, c in mapping.items() if not ring.is_stored_zero(c)}
+        """Drop the exact zeros of ``mapping``.  Pruning tests the value's
+        truthiness, which is ``== 0`` for every coefficient type; it never
+        uses a complex ring's tolerance, which is for user-facing
+        comparisons, where repeated pruning must not compound."""
+        cleaned = {w: c for w, c in mapping.items() if c}
         return AlgebraElement(ring, kind, group, cleaned)
 
     @classmethod
@@ -85,7 +96,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
+            out[w] = out[w] + c if w in out else c
         return self._like(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -97,7 +108,7 @@ class AlgebraElement:
     def scale(self, c) -> "AlgebraElement":
         if c == 0:
             return self._like({})
-        return self._like({w: c * v for w, v in self.terms.items()})
+        return self._like({w: v * c for w, v in self.terms.items()})
 
     def concat(self, other: "AlgebraElement") -> "AlgebraElement":
         """The noncommutative concatenation product."""
@@ -106,7 +117,8 @@ class AlgebraElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
+                term = c1 * c2
+                out[w] = out[w] + term if w in out else term
         return self._like(out)
 
     # -- queries ---------------------------------------------------------
@@ -128,7 +140,7 @@ class AlgebraElement:
         out: dict = {}
         for w, c in self.terms.items():
             nw = fn(w)
-            out[nw] = out.get(nw, 0) + c
+            out[nw] = out[nw] + c if nw in out else c
         return self._like(out, kind)
 
     def __str__(self):
@@ -197,7 +209,8 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraEle
         for w2, c2 in b.terms.items():
             c = c1 * c2
             for word, count in words_product(w1, w2).items():
-                out[word] = out.get(word, 0) + count * c
+                term = c * count
+                out[word] = out[word] + term if word in out else term
     return a._like(out)
 
 
@@ -213,14 +226,12 @@ def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return _bilinear(a, b, shuffle_words)
 
 
-def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
-                  diamond: DiamondProduct) -> AlgebraElement:
-    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond.
-
-    The word-level recursion is memoized per call; the suffix pairs it visits
-    recur combinatorially often.  Pairs with an empty word are answered
-    before the memo is consulted, which saves hashing them.
-    """
+def _quasi_shuffle_words(diamond: DiamondProduct) -> Callable[[tuple, tuple], dict]:
+    """The word-level quasi-shuffle ``(w1, w2) -> {word: count}`` for
+    ``diamond``, with a memo of its own that lives as long as the returned
+    function; the suffix pairs the recursion visits recur combinatorially
+    often.  Pairs with an empty word are answered before the memo is
+    consulted, which saves hashing them."""
     memo: dict = {}
 
     def qs(w1: tuple, w2: tuple) -> dict:
@@ -231,7 +242,14 @@ def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
             hit = memo[w1, w2] = _merge_step(w1, w2, diamond, qs)
         return hit
 
-    return _bilinear(a, b, qs)
+    return qs
+
+
+def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
+                  diamond: DiamondProduct) -> AlgebraElement:
+    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond; the
+    word-level memo lasts for this one call."""
+    return _bilinear(a, b, _quasi_shuffle_words(diamond))
 
 
 def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -360,5 +378,5 @@ def parse_element_combo(text: str, ring, kind: str,
             coeff = ring.parse(coeff_text)
         word = (W.parse_x_word(word_text, group) if kind == "x"
                 else W.parse_y_word(word_text, group))
-        out[word] = out.get(word, 0) + coeff
+        out[word] = out[word] + coeff if word in out else coeff
     return AlgebraElement.make(ring, kind, group, out)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
-                      project_piY, qg_apply, quasi_shuffle)
+                      _quasi_shuffle_words, project_piY, qg_apply)
 from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, divisors_of_order, hom_inclusion, hom_power, power_structure
 from .regularization import ZMap, bar_reg, extend_Z_st
-from .rings import RATIONAL
 from .series import Alphabet, TruncatedSeries, series_exp
 from . import words as W
 
@@ -53,18 +52,18 @@ def _pair_format(kind: str):
 
 
 def _pair_residuals(coeff, alphabet: Alphabet, bound: int, diamond):
-    """``((u, v), sum_w c_w coeff(w) - coeff(u) coeff(v))`` over the nonempty
+    """``((u, v), sum_w coeff(w) n_w - coeff(u) coeff(v))`` over the nonempty
     word pairs of total degree at most ``bound``, where ``u *_diamond v =
-    sum_w c_w w``: the only pair loop that multiplies words."""
-    words = [(w, alphabet.word_degree(w),
-              AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, w))
+    sum_w n_w w``: the only pair loop that multiplies words.  It reads the
+    word-level counts directly, with a fresh memo for each pair."""
+    words = [(w, alphabet.word_degree(w))
              for w in alphabet.words_up_to(bound - 1) if w]
-    for u, du, eu in words:
-        for v, dv, ev in words:
+    for u, du in words:
+        for v, dv in words:
             if du + dv > bound:
                 continue
-            prod = quasi_shuffle(eu, ev, diamond)
-            lhs = sum(c * coeff(w) for w, c in prod.terms.items())
+            counts = _quasi_shuffle_words(diamond)(u, v)
+            lhs = sum(coeff(w) * n for w, n in counts.items())
             yield (u, v), lhs - coeff(u) * coeff(v)
 
 
@@ -171,8 +170,9 @@ def _substitute(terms: dict, images, x0_factor: int) -> dict:
                 expansions = [w + (W.X0,) for w in expansions]
             else:
                 expansions = [w + (g,) for w in expansions for g in images(letter)]
+        term = c * factor
         for key in expansions:
-            out[key] = out.get(key, 0) + factor * c
+            out[key] = out[key] + term if key in out else term
     return out
 
 

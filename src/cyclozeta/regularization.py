@@ -64,7 +64,7 @@ class TPolynomial:
 
     def scale(self, c) -> "TPolynomial":
         def mul(v):
-            return v.scale(c) if isinstance(v, AlgebraElement) else c * v
+            return v.scale(c) if isinstance(v, AlgebraElement) else v * c
         return TPolynomial.make({l: mul(v) for l, v in self.coeffs.items()})
 
     def mul(self, other: "TPolynomial", multiply) -> "TPolynomial":
@@ -102,7 +102,8 @@ def _tilde_word(word: tuple) -> tuple:
         if other == word:
             continue
         for w, c in _tilde_word(other):
-            out[w] = out.get(w, 0) - count * c
+            term = c * count
+            out[w] = out[w] - term if w in out else -term
     return tuple(_prune(out).items())
 
 
@@ -122,7 +123,8 @@ def _regt_word(word: tuple) -> tuple:
             continue
         for l, w, c in _regt_word(other):
             key = (l, w)
-            out[key] = out.get(key, 0) - count * c
+            term = c * count
+            out[key] = out[key] - term if key in out else -term
     return tuple((l, w, c) for (l, w), c in _prune(out).items())
 
 
@@ -134,7 +136,8 @@ def tilde_reg(a: AlgebraElement) -> AlgebraElement:
     out: dict = {}
     for word, coeff in a.terms.items():
         for w, c in _tilde_word(word):
-            out[w] = out.get(w, 0) + coeff * c
+            term = coeff * c
+            out[w] = out[w] + term if w in out else term
     return AlgebraElement.make(a.ring, "x", a.group, out)
 
 
@@ -148,7 +151,8 @@ def bar_reg_T(a: AlgebraElement) -> TPolynomial:
         for w1, c1 in _tilde_word(word):
             for l, w2, c2 in _regt_word(w1):
                 level = acc.setdefault(l, {})
-                level[w2] = level.get(w2, 0) + coeff * c1 * c2
+                term = coeff * c1 * c2
+                level[w2] = level[w2] + term if w2 in level else term
     return TPolynomial.make({
         l: AlgebraElement.make(a.ring, "x", a.group, level)
         for l, level in acc.items()})

@@ -39,9 +39,6 @@ class RationalRing:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rational ring")
 
-    def is_stored_zero(self, value) -> bool:
-        return value == 0
-
     def is_zero(self, value) -> bool:
         return value == 0
 
@@ -80,11 +77,6 @@ class ComplexRing:
     def coerce(self, value) -> complex:
         return complex(value)
 
-    def is_stored_zero(self, value) -> bool:
-        # only exact zeros are pruned from sparse supports; tolerance is for
-        # user-facing comparisons, where repeated pruning must not compound
-        return value == 0
-
     def is_zero(self, value) -> bool:
         return abs(value) <= self.tolerance
 
@@ -95,7 +87,9 @@ class ComplexRing:
         return abs(value)
 
     def format(self, value) -> str:
-        return repr(complex(value))
+        # adding 0 turns a negative-zero part into +0: the sign of a zero
+        # depends on the order of the operations that made the value
+        return repr(complex(value) + 0)
 
     def parse(self, text: str) -> complex:
         try:

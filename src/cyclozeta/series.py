@@ -72,7 +72,7 @@ class TruncatedSeries(AlgebraElement):
         for w, c in mapping.items():
             if alphabet.word_degree(w) > degree_bound:
                 continue
-            if not ring.is_stored_zero(c):
+            if c:
                 cleaned[w] = c
         return TruncatedSeries(ring, alphabet.kind, alphabet.group, cleaned,
                                alphabet, degree_bound)
@@ -113,13 +113,14 @@ class TruncatedSeries(AlgebraElement):
                 for w1, c1 in level1.items():
                     for w2, c2 in level2.items():
                         w = w1 + w2
-                        out[w] = out.get(w, 0) + c1 * c2
+                        term = c1 * c2
+                        out[w] = out[w] + term if w in out else term
         return self._like(out)
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """Formal exponential; requires zero constant term."""
-    if not a.ring.is_stored_zero(a.terms.get((), a.ring.zero)):
+    if a.terms.get(()):
         raise InvalidArgumentError("series_exp needs a zero constant term")
     result = TruncatedSeries.one(a.ring, a.alphabet, a.degree_bound)
     power = result

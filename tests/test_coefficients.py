@@ -1,0 +1,79 @@
+"""The coefficient contract of the exact and numeric layers.
+
+Over the rational ring every stored coefficient is a ``Fraction`` (word
+products count in ints, and the ring value stays on the left of each
+product), over the complex ring a ``complex``; a stored zero is pruned
+exactly, by the value's truthiness, never within the ring's tolerance.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from cyclozeta.algebra import AlgebraElement, harmonic, shuffle
+from cyclozeta.dmr import functor_star
+from cyclozeta.groups import construct_group, hom_inclusion, hom_power, power_structure
+from cyclozeta.regularization import bar_reg_T, tilde_reg
+from cyclozeta.rings import COMPLEX, RATIONAL
+from cyclozeta.series import Alphabet, TruncatedSeries
+from cyclozeta.words import X0
+
+G = construct_group([4])
+g0, g1, g2, g3 = G.elements()
+
+
+def x_elem(ring, *terms):
+    """``terms`` are ``(coefficient, word)`` pairs, coerced into ``ring``."""
+    return AlgebraElement.make(ring, "x", G, {w: ring.coerce(c) for c, w in terms})
+
+
+def products(ring):
+    """Every operation of the contract, on inputs holding unit coefficients
+    (so a product of coefficients is one, the case a shortcut would store
+    as a bare count)."""
+    a = x_elem(ring, (1, (g1, X0)), (3, (g2,)), (1, (X0,)))
+    b = x_elem(ring, (1, (g1,)), (-2, (g3, g1)), (1, (g2, X0)))
+    ya = AlgebraElement.make(ring, "y", G, {((1, g1),): ring.one,
+                                            ((2, g2), (1, g1)): ring.coerce(5)})
+    yb = AlgebraElement.make(ring, "y", G, {((1, g1),): ring.one,
+                                            ((1, g3),): ring.coerce(-1)})
+    divergent = x_elem(ring, (1, (g0, g1, X0)), (2, (g0, g0, g2)), (1, (g1, X0, X0)))
+    s = TruncatedSeries.make(ring, Alphabet.x(G), 3,
+                             {(): ring.one, (g1,): ring.one, (X0,): ring.coerce(2),
+                              (g2, g1): ring.one, (g3,): ring.coerce(-1)})
+    ps = power_structure(G, 2)
+    yield "shuffle", shuffle(a, b)
+    yield "harmonic", harmonic(ya, yb)
+    yield "concat", a.concat(b)
+    yield "+", a + b
+    yield "-", a - b
+    yield "map_words", a.map_words(lambda w: w[:1])
+    yield "tilde_reg", tilde_reg(divergent)
+    for level, c in bar_reg_T(divergent).coeffs.items():
+        yield f"bar_reg_T T^{level}", c
+    yield "series *", s * s
+    yield "functor_star lower", functor_star(s, hom_power(ps), "lower")
+    yield "functor_star upper", functor_star(s, hom_inclusion(ps), "upper")
+
+
+@pytest.mark.parametrize("ring, kind", [(RATIONAL, Fraction), (COMPLEX, complex)],
+                         ids=["rational", "complex"])
+def test_every_coefficient_has_the_ring_type(ring, kind):
+    for name, result in products(ring):
+        assert result.terms, name
+        wrong = {type(c).__name__ for c in result.terms.values() if type(c) is not kind}
+        assert not wrong, f"{name} stores coefficients of type {wrong}"
+
+
+def test_stored_zeros_are_pruned_exactly():
+    tiny = AlgebraElement.make(COMPLEX, "x", G,
+                               {(g1,): 1e-12, (g2,): 0j, (g3,): -0.0, (X0,): complex(-0.0, 0.0)})
+    # kept, though the ring's tolerance calls it zero
+    assert tiny.terms == {(g1,): 1e-12} and tiny.is_zero()
+    exact = AlgebraElement.make(RATIONAL, "x", G, {(g1,): Fraction(0), (g2,): Fraction(1, 3)})
+    assert exact.terms == {(g2,): Fraction(1, 3)}
+    series = TruncatedSeries.make(COMPLEX, Alphabet.x(G), 2,
+                                  {(g1,): 1e-12, (g2,): 0j, (g3,): -0.0})
+    assert series.terms == {(g1,): 1e-12}

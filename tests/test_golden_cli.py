@@ -1,0 +1,65 @@
+"""Byte-for-byte stdout of exact CLI commands.
+
+Each ``tests/golden/NAME.out`` holds what one command below printed before
+a change to the product, regularization or series kernels, so a kernel
+change that claims identical output is checked, not diffed by hand.  Every
+command is exact: rational coefficients, or a complex product, which needs
+only IEEE ``+`` and ``*`` and no libm, so the bytes are the same on every
+platform.  After a change that is meant to alter the output, re-record with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from cyclozeta.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "product-shuffle": [
+        "product", "--group", "Z3", "--shuffle",
+        "3/2*xg[1]x0 + -1/7*xg[2]xg[2]", "xg[1]xg[2] + 5/3*x0xg[0]"],
+    "product-harmonic": [
+        "product", "--group", "Z3", "--harmonic",
+        "2/5*y[1,g1]y[2,g2] + 3*y[1,g0]", "-4/3*y[2,g1] + y[1,g2]y[1,g1]"],
+    "product-concat": [
+        "product", "--group", "Z3", "--concat",
+        "3/2*xg[1]x0 + -1/7*xg[2]", "xg[1]xg[2] + 5/3*x0 + 2*xg[1]"],
+    "product-complex-shuffle": [
+        "product", "--group", "Z3", "--ring", "complex", "--shuffle",
+        "(1.5+0.25j)*xg[1]x0 + -2*xg[2] + -xg[0]", "(0.1-3j)*xg[2]xg[1] + 2*xg[0]"],
+    "reg": [
+        "reg", "--group", "Z3",
+        "2/3*xg[0]xg[1]x0x0 + -5*xg[0]xg[0]xg[2]x0 + xg[0]x0"],
+    "fdt-verify-Z12": ["fdt-verify", "--group", "Z12"],
+    "duality-test-Z3": ["duality-test", "--group", "Z3", "--degree", "4",
+                        "--maps", "50"],
+}
+
+
+def run(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name):
+    code, out = run(COMMANDS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    for name, argv in COMMANDS.items():
+        code, out = run(argv)
+        assert code == 0, name
+        (GOLDEN / f"{name}.out").write_bytes(out)

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import combo, elem
-from cyclozeta.algebra import (AlgebraElement, harmonic, project_piY, qg_apply,
+from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
+                              harmonic, project_piY, qg_apply, quasi_shuffle,
                               shuffle, x_to_y, y_to_x)
 from cyclozeta import duality
 from cyclozeta.checks import Check
-from cyclozeta.dmr import (GrouplikeReport, dmr_check, dmrd_check, dmrd_check_all,
+from cyclozeta.dmr import (GrouplikeReport, _pair_residuals, dmr_check, dmrd_check,
+                           dmrd_check_all,
                            eds_dmr_equality_check, functor_sharp, functor_star,
                            grouplike_check, phi_corr, phi_from_Z, phi_star)
 from cyclozeta.duality import (broken_functional, duality_suite,
@@ -20,7 +22,7 @@ from cyclozeta.errors import (AlphabetMismatchError, DegreeBoundError,
                               InvalidArgumentError)
 from cyclozeta.groups import (GroupHom, construct_group, hom_inclusion, hom_power,
                               power_structure)
-from cyclozeta.rings import RATIONAL
+from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries, series_exp, series_log
 from cyclozeta.words import X0
 from test_regularization import prime_zmap
@@ -179,6 +181,41 @@ class TestGrouplike:
     def test_unit_coefficient_required(self, Z3):
         s = x_series(Z3, 2, {(X0,): Fraction(1)})
         assert not grouplike_check(s, "shuffle").passed
+
+    @pytest.mark.parametrize("ring, kind, diamond", [
+        (RATIONAL, "x", ZERO_DIAMOND),
+        (RATIONAL, "y", ZERO_DIAMOND),
+        (RATIONAL, "y", HARMONIC_DIAMOND),
+        (COMPLEX, "y", HARMONIC_DIAMOND),
+    ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic"])
+    def test_pair_loop_matches_element_products(self, Z3, ring, kind, diamond):
+        """The pair loop reads word-level counts; the formula it replaces
+        multiplies the two words as elements and pairs the product."""
+        rng = random.Random(8)
+        alphabet = Alphabet(kind, Z3, tuple(Z3.elements()))
+        if ring is COMPLEX:
+            terms = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                     for w in alphabet.words_up_to(4)}
+            series = TruncatedSeries.make(ring, alphabet, 4, terms)
+        else:
+            series = random_series(alphabet, 4, rng)
+        coeff = lambda w: series.terms.get(w, ring.zero)
+
+        def oracle():
+            words = [w for w in alphabet.words_up_to(3) if w]
+            for u in words:
+                for v in words:
+                    if alphabet.word_degree(u) + alphabet.word_degree(v) > 4:
+                        continue
+                    prod = quasi_shuffle(
+                        AlgebraElement.from_word(RATIONAL, kind, Z3, u),
+                        AlgebraElement.from_word(RATIONAL, kind, Z3, v), diamond)
+                    lhs = sum(c * coeff(w) for w, c in prod.terms.items())
+                    yield (u, v), lhs - coeff(u) * coeff(v)
+
+        got = list(_pair_residuals(coeff, alphabet, 4, diamond))
+        assert len(got) > 100
+        assert got == list(oracle())
 
 
 class TestQgHat:
