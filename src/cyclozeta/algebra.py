@@ -129,6 +129,11 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.terms.values())
 
+    def __bool__(self) -> bool:
+        """False exactly when no term is stored: the exact zero, which
+        pruning drops like a zero scalar."""
+        return bool(self.terms)
+
     def degree(self) -> int:
         if self.kind == "x":
             return max((len(w) for w in self.terms), default=0)

@@ -251,7 +251,9 @@ def dmrd_check_all(phi: TruncatedSeries) -> list[Check]:
 def eds_dmr_equality_check(Z: ZMap, degree: int) -> Check:
     """Compare the corrected series of ``phi_from_Z`` with the series whose
     coefficients come from the harmonic-side regularized map, word by word
-    on the Y basis through the degree."""
+    on the Y basis through the degree.  That map is ``rho^-1`` of the
+    shuffle-side one (:func:`extend_Z_st`), so both sides share the
+    correction path and the row can only fail by rounding."""
     lhs = phi_star(phi_from_Z(Z, degree))
     ring = Z.ring
 

@@ -6,16 +6,22 @@ multiplicative specimens here are truncated nested sums: evaluating
 ``y_{k1,g1}...y_{kr,gr}`` to ``sum_{m >= n1 > ... > nr >= 1} prod x_{n_i}^{k_i}``
 with finitely many variables is multiplicative at every truncation (the
 product of two nested sums expands index-by-index into exactly the
-quasi-shuffle terms), and a weight-graded rescaling keeps it so.  Broken
-specimens perturb one value, which the grouplike check must flag.  The suite
-compares each map's grouplike verdict with how the map was built, so the
-construction, not a second pair loop, is the other side of the check.
+quasi-shuffle terms), and a weight-graded rescaling keeps it so.  The value
+depends only on the index tuple ``(k1, ..., kr)``, so a specimen computes it
+once per distinct tuple, straight from the definition: a sum over the
+``r``-element subsets of the summation variables.  Broken specimens perturb
+one value, which the grouplike check must flag.  The suite compares each
+map's grouplike verdict with how the map was built, so the construction, not
+a second pair loop, is the other side of the check.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import prod
 
 from .algebra import HARMONIC_DIAMOND
 from .checks import Check
@@ -33,29 +39,22 @@ MAX_SLOTS = 5
 
 def nested_sum_functional(group: FiniteAbelianGroup, weight_bound: int,
                           rng: random.Random) -> dict:
-    """A harmonic-multiplicative functional on the Y-word basis."""
+    """A harmonic-multiplicative functional on the Y-word basis, as the table
+    of its values on every Y word up to ``weight_bound``."""
     slots = rng.randint(1, MAX_SLOTS)
     xs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(slots)]
     lam = Fraction(rng.randint(1, 4), rng.randint(1, 4))
 
-    def nested(indices: tuple[int, ...]) -> Fraction:
-        # sum over slots >= n1 > n2 > ... > nr >= 1 of prod xs[n_i - 1]^k_i
-        total = Fraction(0)
-        def rec(pos: int, upper: int, acc: Fraction):
-            nonlocal total
-            if pos == len(indices):
-                total += acc
-                return
-            for n in range(upper, 0, -1):
-                rec(pos + 1, n - 1, acc * xs[n - 1] ** indices[pos])
-        rec(0, slots, Fraction(1))
-        return total
+    @cache
+    def value(ks: tuple[int, ...]) -> Fraction:
+        # combinations are increasing, so n_1 > ... > n_r reads them backwards
+        terms = (prod((xs[n] ** k for n, k in zip(reversed(ns), ks)),
+                      start=Fraction(1))
+                 for ns in combinations(range(slots), len(ks)))
+        return lam ** sum(ks) * sum(terms, Fraction(0))
 
-    table = {}
-    for w in y_words_up_to(group.elements(), weight_bound):
-        table[w] = lam ** y_weight(w) * nested(tuple(n for n, _ in w))
-    table[()] = Fraction(1)
-    return table
+    return {w: value(tuple(k for k, _ in w))
+            for w in y_words_up_to(group.elements(), weight_bound)}
 
 
 def broken_functional(table: dict, rng: random.Random) -> dict:

@@ -221,13 +221,11 @@ class NumericZMap(ZMap):
     the table is read-mostly and duplicate concurrent inserts are harmless.
     """
 
-    def __init__(self, level: int, tolerance: float = DEFAULT_TOLERANCE,
-                 degree_bound: int | None = None):
+    def __init__(self, level: int, tolerance: float = DEFAULT_TOLERANCE):
         if level < 1:
             raise InvalidArgumentError("level must be >= 1")
         super().__init__(ComplexRing(tolerance),
-                         construct_group([level] if level > 1 else []),
-                         degree_bound)
+                         construct_group([level] if level > 1 else []))
         self.level = level
         self.tolerance = tolerance
         self._cache: dict[tuple, PolylogValue] = {}

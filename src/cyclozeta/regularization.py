@@ -25,12 +25,6 @@ from .words import X0, x_word_in_h0, x_word_in_h1, format_x_word
 # -- T-polynomials ---------------------------------------------------------
 
 
-def _stored_zero(value) -> bool:
-    if isinstance(value, AlgebraElement):
-        return not value.terms
-    return value == 0
-
-
 @dataclass(frozen=True)
 class TPolynomial:
     """A polynomial in one commuting variable T with coefficients in any
@@ -41,7 +35,8 @@ class TPolynomial:
 
     @staticmethod
     def make(mapping: dict) -> "TPolynomial":
-        return TPolynomial({l: c for l, c in mapping.items() if not _stored_zero(c)})
+        """Drop the exact zeros: the falsy coefficients, scalar or element."""
+        return TPolynomial({l: c for l, c in mapping.items() if c})
 
     @staticmethod
     def constant(value) -> "TPolynomial":
@@ -60,12 +55,7 @@ class TPolynomial:
         return TPolynomial.make(out)
 
     def __sub__(self, other: "TPolynomial") -> "TPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TPolynomial":
-        def mul(v):
-            return v.scale(c) if isinstance(v, AlgebraElement) else v * c
-        return TPolynomial.make({l: mul(v) for l, v in self.coeffs.items()})
+        return self + TPolynomial({l: -c for l, c in other.coeffs.items()})
 
     def mul(self, other: "TPolynomial", multiply) -> "TPolynomial":
         """Convolution in T; ``multiply`` combines coefficients (e.g. shuffle)."""
@@ -79,10 +69,6 @@ class TPolynomial:
 
 
 # -- word-level regularization tables -------------------------------------
-
-
-def _prune(mapping: dict) -> dict:
-    return {k: v for k, v in mapping.items() if v != 0}
 
 
 @lru_cache(maxsize=200_000)
@@ -104,7 +90,7 @@ def _tilde_word(word: tuple) -> tuple:
         for w, c in _tilde_word(other):
             term = c * count
             out[w] = out[w] - term if w in out else -term
-    return tuple(_prune(out).items())
+    return tuple((w, c) for w, c in out.items() if c)
 
 
 @lru_cache(maxsize=200_000)
@@ -125,7 +111,7 @@ def _regt_word(word: tuple) -> tuple:
             key = (l, w)
             term = c * count
             out[key] = out[key] - term if key in out else -term
-    return tuple((l, w, c) for (l, w), c in _prune(out).items())
+    return tuple((l, w, c) for (l, w), c in out.items() if c)
 
 
 def tilde_reg(a: AlgebraElement) -> AlgebraElement:

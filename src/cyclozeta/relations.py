@@ -253,8 +253,8 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
     residual = Z.eval_element(relation.value) - rhs_value
     params = ",".join(format_element(p) if isinstance(p, GroupElement) else str(p)
                       for p in relation.params)
-    return Check(relation.tag, params, ring.is_zero(residual), ring.abs(residual),
-                 detail)
+    return replace(fold(relation.tag, params, ring, [(relation.tag, residual)], str),
+                   detail=detail)
 
 
 # -- regularized distribution -------------------------------------------------

@@ -20,7 +20,6 @@ class RationalRing:
     """Exact arbitrary-precision rationals."""
 
     name: str = "rational"
-    exact: bool = True
 
     @property
     def zero(self) -> Fraction:
@@ -64,7 +63,6 @@ class ComplexRing:
 
     tolerance: float = 1e-9
     name: str = "complex"
-    exact: bool = False
 
     @property
     def zero(self) -> complex:

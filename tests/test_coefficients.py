@@ -3,7 +3,9 @@
 Over the rational ring every stored coefficient is a ``Fraction`` (word
 products count in ints, and the ring value stays on the left of each
 product), over the complex ring a ``complex``; a stored zero is pruned
-exactly, by the value's truthiness, never within the ring's tolerance.
+exactly, by the value's truthiness, never within the ring's tolerance.  An
+element is falsy exactly when it stores no term, so a T-polynomial prunes
+its word-combination coefficients by the same rule.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from cyclozeta.algebra import AlgebraElement, harmonic, shuffle
 from cyclozeta.dmr import functor_star
 from cyclozeta.groups import construct_group, hom_inclusion, hom_power, power_structure
-from cyclozeta.regularization import bar_reg_T, tilde_reg
+from cyclozeta.regularization import TPolynomial, bar_reg_T, tilde_reg
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries
 from cyclozeta.words import X0
@@ -77,3 +79,36 @@ def test_stored_zeros_are_pruned_exactly():
     series = TruncatedSeries.make(COMPLEX, Alphabet.x(G), 2,
                                   {(g1,): 1e-12, (g2,): 0j, (g3,): -0.0})
     assert series.terms == {(g1,): 1e-12}
+
+
+def test_element_is_false_exactly_when_no_term_is_stored():
+    assert not AlgebraElement.zero(RATIONAL, "x", G)
+    assert not TruncatedSeries.zero(RATIONAL, Alphabet.x(G), 2)
+    assert x_elem(RATIONAL, (Fraction(1, 3), (g1,)))
+    assert TruncatedSeries.one(COMPLEX, Alphabet.x(G), 2)
+    # truthiness is exact: a tiny complex term is still stored
+    assert x_elem(COMPLEX, (1e-12, (g1,)))
+
+
+def test_tpolynomial_prunes_exact_zeros():
+    zero = AlgebraElement.zero(RATIONAL, "x", G)
+    a = x_elem(RATIONAL, (2, (g1, X0)))
+    assert TPolynomial.make({0: zero, 1: a}).coeffs == {1: a}
+    assert TPolynomial.make({0: Fraction(0), 2: Fraction(1, 2)}).coeffs == {2: Fraction(1, 2)}
+    assert TPolynomial.make({0: 0j, 1: 1e-12 + 0j}).coeffs == {1: 1e-12 + 0j}
+
+
+@pytest.mark.parametrize("values", [
+    [x_elem(RATIONAL, (1, (g1,)), (2, (g2, X0))), x_elem(RATIONAL, (-3, (g3,))),
+     x_elem(RATIONAL, (5, (g1, g1)))],
+    [Fraction(3, 2), Fraction(-1), Fraction(1, 7)],
+    [1.5 + 2j, -0.25 + 0j, 3j],
+], ids=["element", "rational", "complex"])
+def test_tpolynomial_difference_is_coefficientwise(values):
+    a0, a1, b2 = values
+    p = TPolynomial.make({0: a0, 1: a1})
+    q = TPolynomial.make({0: a0, 2: b2})
+    # the T^0 coefficients cancel and are pruned
+    assert (p - q).coeffs == {1: a1, 2: -b2}
+    assert (q - p).coeffs == {1: -a1, 2: b2}
+    assert (p - p).coeffs == {}

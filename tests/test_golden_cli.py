@@ -3,9 +3,9 @@
 Each ``tests/golden/NAME.out`` holds what one command below printed before
 a change to the product, regularization or series kernels, so a kernel
 change that claims identical output is checked, not diffed by hand.  Every
-command is exact: rational coefficients, or a complex product, which needs
-only IEEE ``+`` and ``*`` and no libm, so the bytes are the same on every
-platform.  After a change that is meant to alter the output, re-record with
+command is exact: rational coefficients, or a complex product or
+regularization, which needs only IEEE ``+`` and ``*`` and no libm, so the
+bytes are the same on every platform.  After a change that is meant to alter the output, re-record with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -38,6 +38,11 @@ COMMANDS = {
     "reg": [
         "reg", "--group", "Z3",
         "2/3*xg[0]xg[1]x0x0 + -5*xg[0]xg[0]xg[2]x0 + xg[0]x0"],
+    # the T^0 coefficient cancels to an empty element, which must be pruned
+    "reg-cancelled-constant": ["reg", "--group", "Z3", "xg[0]xg[1] + xg[1]xg[0]"],
+    "reg-complex": [
+        "reg", "--group", "Z3", "--ring", "complex",
+        "(0.5+2j)*xg[0]xg[1]x0 + -1.25*xg[0]xg[0]xg[2]"],
     "fdt-verify-Z12": ["fdt-verify", "--group", "Z12"],
     "duality-test-Z3": ["duality-test", "--group", "Z3", "--degree", "4",
                         "--maps", "50"],

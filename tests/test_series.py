@@ -1,5 +1,6 @@
 """Truncated series, coproduct duality, the corrected series, functors."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from cyclozeta.groups import (GroupHom, construct_group, hom_inclusion, hom_powe
                               power_structure)
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries, series_exp, series_log
-from cyclozeta.words import X0
+from cyclozeta.words import X0, y_words_up_to
 from test_regularization import prime_zmap
 
 
@@ -572,6 +573,54 @@ class TestDualitySuite:
         s = x_series(Z2, 2, {(X0,): Fraction(1)})
         _, harmonic_row, _ = dmr_check(s)
         assert not harmonic_row.passed and harmonic_row.detail == "worst=1|1"
+
+
+def oracle_nested_sum_table(group, weight_bound, rng):
+    """The table of a nested-sum specimen from its definition, drawing what
+    :func:`nested_sum_functional` draws from ``rng``: every index tuple in
+    ``{1..slots}^r`` is enumerated and the strictly decreasing ones kept."""
+    slots = rng.randint(1, duality.MAX_SLOTS)
+    xs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(slots)]
+    lam = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+
+    def nested(ks):
+        total = Fraction(0)
+        for ns in itertools.product(range(1, slots + 1), repeat=len(ks)):
+            if all(a > b for a, b in zip(ns, ns[1:])):
+                term = Fraction(1)
+                for n, k in zip(ns, ks):
+                    term *= xs[n - 1] ** k
+                total += term
+        return lam ** sum(ks) * total
+
+    sums, table = {}, {}
+    for w in y_words_up_to(group.elements(), weight_bound):
+        ks = tuple(k for k, _ in w)
+        if ks not in sums:
+            sums[ks] = nested(ks)
+        table[w] = sums[ks]
+    return table
+
+
+class TestNestedSumSpecimen:
+    @pytest.mark.parametrize("orders, weight_bound", [
+        ([2], 5), ([3], 5), ([4], 3), ([2, 2], 4)], ids=["Z2", "Z3", "Z4", "2x2"])
+    def test_table_matches_definition(self, orders, weight_bound):
+        group = construct_group(orders)
+        words = list(y_words_up_to(group.elements(), weight_bound))
+        assert words[0] == ()
+        for seed in (0, 7, 2024):
+            rng = random.Random(seed)
+            for _ in range(4):
+                replay = random.Random()
+                replay.setstate(rng.getstate())
+                table = nested_sum_functional(group, weight_bound, rng)
+                expected = oracle_nested_sum_table(group, weight_bound, replay)
+                assert list(table) == words
+                assert table == expected
+                assert all(type(v) is Fraction for v in table.values())
+                # the same draws, and no others
+                assert rng.getstate() == replay.getstate()
 
 
 class TestNumericLevelFour:
