@@ -15,8 +15,8 @@ from .groups import (FiniteAbelianGroup, GroupElement, GroupHom, PowerStructure,
 from .numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
                       polylog_numeric, zc_eval)
 from .regularization import (TableZMap, TPolynomial, ZMap, bar_reg, bar_reg_T,
-                             extend_Z_sh, extend_Z_st, gamma_series, reg_T,
-                             rho_apply, sigma_apply, tilde_reg)
+                             extend_Z_sh, extend_Z_st, reg_T, rho_apply,
+                             sigma_apply, tilde_reg)
 from .relations import (build_relation, fds_element, fdt1_element, fdt2_element,
                         fdtd1_grid, fdtd1_identity_check, kernel_lemma_eval,
                         rds_element, regdist_full_check, zhao_case_table,

@@ -17,7 +17,7 @@ from .algebra import harmonic, parse_element_combo, shuffle
 from .checks import differences, fold
 from .dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from .duality import duality_suite
-from .errors import CycloZetaError
+from .errors import CycloZetaError, ParseError
 from .groups import divisors_of_order, parse_group, power_structure
 from .numeval import (DEFAULT_TOLERANCE, NumericZMap, PolylogQuery,
                       numeric_relation_suite, polylog_numeric)
@@ -151,11 +151,12 @@ def cmd_dmr_check(args) -> int:
 
 def cmd_dmrd_check(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    phi = phi_from_Z(Z, args.degree)
     # at d = 1 both arrows are identities; dmr-check's vanish row covers it
-    divisors = [args.d] if args.d else [d for d in divisors_of_order(Z.group) if d >= 2]
-    return _numeric_report(args, args.degree, [
-        dmrd_check(phi, power_structure(Z.group, d)) for d in divisors])
+    divisors = ([args.d] if args.d is not None
+                else [d for d in divisors_of_order(Z.group) if d >= 2])
+    structures = [power_structure(Z.group, d) for d in divisors]
+    phi = phi_from_Z(Z, args.degree)
+    return _numeric_report(args, args.degree, [dmrd_check(phi, ps) for ps in structures])
 
 
 def cmd_eds_dmr_check(args) -> int:
@@ -165,7 +166,7 @@ def cmd_eds_dmr_check(args) -> int:
 
 def cmd_zhao_verify(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    return _numeric_report(args, 2, zhao_case_table(Z, Z.group, args.d, args.spot_degree))
+    return _numeric_report(args, 2, zhao_case_table(Z, Z.group, args.d))
 
 
 def cmd_regdist(args) -> int:
@@ -175,8 +176,10 @@ def cmd_regdist(args) -> int:
 
 
 def cmd_polylog(args) -> int:
-    ks = tuple(int(p) for p in args.k.split(","))
-    zs = tuple(int(p) for p in args.z.split(","))
+    try:
+        ks, zs = (tuple(int(p) for p in text.split(",")) for text in (args.k, args.z))
+    except ValueError as exc:
+        raise ParseError(f"--k and --z take comma-separated integers: {exc}") from None
     query = PolylogQuery(ks, zs, args.N, args.tol)
     result = polylog_numeric(query)
     print(_meta_row(group=f"Z{args.N}", ring="complex", tol=args.tol))
@@ -258,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = numeric_common("zhao-verify", cmd_zhao_verify,
                        "weight-two regularized distribution cells")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--spot-degree", type=int, default=2)
 
     p = numeric_common("regdist", cmd_regdist,
                        "regularized distribution over a word range")

@@ -51,20 +51,22 @@ def _pair_format(kind: str):
     return lambda pair: f"{fmt(pair[0])}|{fmt(pair[1])}"
 
 
-def _pair_residuals(coeff, alphabet: Alphabet, bound: int, diamond):
-    """``((u, v), sum_w coeff(w) n_w - coeff(u) coeff(v))`` over the nonempty
-    word pairs of total degree at most ``bound``, where ``u *_diamond v =
-    sum_w n_w w``: the only pair loop that multiplies words.  It reads the
-    word-level counts directly, with a fresh memo for each pair."""
+def _pair_residuals(phi: TruncatedSeries, diamond):
+    """``((u, v), sum_w (phi|w) n_w - (phi|u)(phi|v))`` over the nonempty
+    word pairs of total degree at most the bound of ``phi``, where ``u
+    *_diamond v = sum_w n_w w``: the only pair loop that multiplies words.
+    It reads the word-level counts directly, with a fresh memo for each
+    pair, and sums from the ring's zero."""
+    alphabet, terms, zero = phi.alphabet, phi.terms, phi.ring.zero
     words = [(w, alphabet.word_degree(w))
-             for w in alphabet.words_up_to(bound - 1) if w]
+             for w in alphabet.words_up_to(phi.degree_bound - 1) if w]
     for u, du in words:
         for v, dv in words:
-            if du + dv > bound:
+            if du + dv > phi.degree_bound:
                 continue
             counts = _quasi_shuffle_words(diamond)(u, v)
-            lhs = sum(coeff(w) * n for w, n in counts.items())
-            yield (u, v), lhs - coeff(u) * coeff(v)
+            lhs = sum((terms.get(w, zero) * n for w, n in counts.items()), zero)
+            yield (u, v), lhs - terms.get(u, zero) * terms.get(v, zero)
 
 
 def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> GrouplikeReport:
@@ -78,11 +80,9 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
         raise AlphabetMismatchError("the harmonic check needs a Y-side series")
     ring = phi.ring
     alphabet = phi.alphabet
-    terms, zero = phi.terms, ring.zero
     residuals = [(((), ()), phi.coeff(()) - ring.one)]
     # every word of a product of two words in the loop is within the bound
-    residuals += _pair_residuals(lambda w: terms.get(w, zero), alphabet,
-                                 phi.degree_bound, diamond)
+    residuals += _pair_residuals(phi, diamond)
     check = fold(f"dmr-{product}-grouplike", f"N={alphabet.group.order}", ring,
                  residuals, _pair_format(alphabet.kind))
     return GrouplikeReport(check, len(residuals) - 1)

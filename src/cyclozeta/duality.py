@@ -79,7 +79,7 @@ def functional_is_multiplicative(group: FiniteAbelianGroup, table: dict,
                                  weight_bound: int) -> bool:
     """Direct pairwise test of ``phi(u * v) = phi(u) phi(v)``."""
     return not any(r for _, r in _pair_residuals(
-        table.__getitem__, Alphabet.y(group), weight_bound, HARMONIC_DIAMOND))
+        functional_series(group, table, weight_bound), HARMONIC_DIAMOND))
 
 
 def functional_series(group: FiniteAbelianGroup, table: dict,

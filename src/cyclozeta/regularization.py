@@ -8,6 +8,11 @@ shuffle of its divergent run with the rest, where the target word occurs
 exactly once and every other interleaving is strictly closer to the
 convergent subalgebra.  The composition is the unique shuffle-algebra map
 that fixes convergent words and sends ``x0 -> 0``, ``x1 -> T``.
+
+The correction automorphisms of A[T], :func:`rho_apply` and
+:func:`sigma_apply`, are one action of an exponential ``exp(sum_n c_n u^n)
+= sum_j e_j u^j``, sending ``T^l/l!`` to ``sum_j e_j T^(l-j)/(l-j)!``;
+they differ only in the ``c_n``.
 """
 
 from __future__ import annotations
@@ -213,91 +218,45 @@ class TableZMap(ZMap):
                 f"{format_x_word(word)} is outside this map's table") from None
 
 
-# -- correction series -----------------------------------------------------
+# -- correction automorphisms ----------------------------------------------
 
 
-def _formal_exp(series: list, degree: int) -> list:
-    """exp of a power series with zero constant term, through u^degree."""
-    out = [series[0] * 0 + 1]
-    for m in range(1, degree + 1):
-        acc = 0
-        for j in range(1, m + 1):
-            if j < len(series):
-                acc = acc + j * series[j] * out[m - j]
-        out.append(acc * Fraction(1, m))
-    return out
-
-
-@dataclass(frozen=True)
-class GammaSeries:
-    """Coefficients of the comparison series between the two regularizations:
-    ``inverse_coeffs[l]`` is the u^l coefficient of the reciprocal series
-    (gamma_l), ``forward_coeffs[l]`` the one of the series itself."""
-
-    degree: int
-    inverse_coeffs: tuple
-    forward_coeffs: tuple
-
-
-def gamma_series(Z: ZMap, degree: int) -> GammaSeries:
-    """Expand ``exp(sum_{n>=2} ((-1)^n / n) Z(x0^{n-1} x1) u^n)`` and its
-    reciprocal through u^degree."""
-    identity = Z.group.identity()
-    log_terms = [Z.ring.zero] * (degree + 1)
-    for n in range(2, degree + 1):
-        word = (X0,) * (n - 1) + (identity,)
-        log_terms[n] = Fraction((-1) ** n, n) * Z._eval_checked(word)
-    fwd = _formal_exp(log_terms, degree)
-    inv = _formal_exp([-t for t in log_terms], degree)
-    return GammaSeries(degree, tuple(inv), tuple(fwd))
+def _exp_action(ring, p: TPolynomial, log: dict) -> TPolynomial:
+    """The action of ``exp(sum_n c_n u^n)``, ``log = {n: c_n}`` in increasing
+    n >= 1, through ``m e_m = sum_n c_n e_(m-n) n``."""
+    e = [ring.one]
+    for m in range(1, p.degree() + 1):
+        acc = ring.zero
+        for n, c in log.items():
+            if n <= m:
+                acc = acc + c * n * e[m - n]
+        e.append(acc * Fraction(1, m))
+    out: dict = {}
+    for l, c in p.coeffs.items():
+        for j in range(l + 1):  # T^l -> l! sum_j e_j T^(l-j)/(l-j)!
+            term = c * e[j] * Fraction(math.factorial(l), math.factorial(l - j))
+            out[l - j] = out[l - j] + term if (l - j) in out else term
+    return TPolynomial.make(out)
 
 
 def rho_apply(Z: ZMap, p: TPolynomial, inverse: bool = False) -> TPolynomial:
-    """The module automorphism comparing shuffle and harmonic regularization,
-    acting through its table on the monomials T^l / l!."""
-    degree = p.degree()
-    gs = gamma_series(Z, degree)
-    coefs = gs.inverse_coeffs if inverse else gs.forward_coeffs
-    return _lower_triangular_apply(p, coefs)
+    """The automorphism comparing shuffle and harmonic regularization: the
+    action of ``exp(sum_{n>=2} (-1)^n Z(x0^(n-1) x1) u^n / n)`` or its inverse."""
+    identity = Z.group.identity()
+    sign = -1 if inverse else 1
+    return _exp_action(Z.ring, p, {
+        n: Z._eval_checked((X0,) * (n - 1) + (identity,)) * Fraction(sign * (-1) ** n, n)
+        for n in range(2, p.degree() + 1)})
 
 
-@dataclass(frozen=True)
-class DeltaSeries:
-    """Coefficients of ``exp(delta_1 u)`` where delta_1 sums the weight-one
-    values over the nontrivial d-torsion."""
-
-    degree: int
-    delta1: object
-    coeffs: tuple
-
-
-def delta_series(Z: ZMap, kernel, degree: int) -> DeltaSeries:
+def sigma_apply(Z: ZMap, kernel, p: TPolynomial) -> TPolynomial:
+    """The distribution-side correction for the d-torsion ``kernel``: the
+    action of ``exp(delta_1 u)``, delta_1 summing Z over its nontrivial letters."""
     delta1 = Z.ring.zero
     for g in kernel:
         if not g.is_identity:
             delta1 = delta1 + Z._eval_checked((g,))
-    coeffs = tuple(delta1 ** l * Fraction(1, math.factorial(l))
-                   for l in range(degree + 1))
-    return DeltaSeries(degree, delta1, coeffs)
-
-
-def sigma_apply(Z: ZMap, kernel, p: TPolynomial) -> TPolynomial:
-    """The distribution-side correction automorphism of A[T] for the given
-    d-torsion subgroup ``kernel``."""
-    ds = delta_series(Z, kernel, p.degree())
-    return _lower_triangular_apply(p, ds.coeffs)
-
-
-def _lower_triangular_apply(p: TPolynomial, coefs) -> TPolynomial:
-    # image of T^l is  l! * sum_j coefs[j] T^(l-j) / (l-j)!
-    out: dict = {}
-    for l, c in p.coeffs.items():
-        for j in range(0, l + 1):
-            if j < len(coefs):
-                factor = Fraction(math.factorial(l), math.factorial(l - j))
-                term = c * coefs[j] * factor
-                out[l - j] = out[l - j] + term if (l - j) in out else term
-    return TPolynomial.make(out)
+    return _exp_action(Z.ring, p, {1: delta1})
 
 
 # -- extension of an algebra map to the whole word algebra ------------------

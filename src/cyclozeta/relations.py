@@ -282,13 +282,12 @@ def _t_differences(lhs: TPolynomial, rhs: TPolynomial, zero):
         yield f"T^{l}", lhs.coeff(l, zero) - rhs.coeff(l, zero)
 
 
-def zhao_hypotheses(Z: ZMap, ps: PowerStructure,
-                    eds_spot_degree: int = 2) -> list[Check]:
+def zhao_hypotheses(Z: ZMap, ps: PowerStructure) -> list[Check]:
     """Spot-check the three hypotheses: multiplicativity of the generating
-    series through a small degree, and the two finite distribution families."""
+    series through weight two, and the two finite distribution families."""
     ring = Z.ring
-    eds = replace(grouplike_check(phi_from_Z(Z, eds_spot_degree), "shuffle").check,
-                  name="zhao-hypothesis-eds", params=f"spot_degree={eds_spot_degree}")
+    eds = replace(grouplike_check(phi_from_Z(Z, 2), "shuffle").check,
+                  name="zhao-hypothesis-eds", params="spot_degree=2")
     nontrivial = [h for h in ps.subgroup if not h.is_identity]
 
     def dist_diffs(words):
@@ -321,13 +320,12 @@ def zhao_regdist_check(Z: ZMap, ps: PowerStructure, h1, h2) -> Check:
                 Z.ring, _t_differences(lhs, rhs, Z.ring.zero), str)
 
 
-def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int,
-                    eds_spot_degree: int = 2) -> list[Check]:
+def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int) -> list[Check]:
     """The hypothesis spot checks, then every case-table cell (x0, identity
     and each nontrivial d-th power in both slots)."""
     ps = power_structure(group, d)
     choices = [X0] + list(ps.subgroup)
-    return zhao_hypotheses(Z, ps, eds_spot_degree) + [
+    return zhao_hypotheses(Z, ps) + [
         zhao_regdist_check(Z, ps, h1, h2) for h1 in choices for h2 in choices]
 
 

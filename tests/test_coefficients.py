@@ -5,11 +5,14 @@ products count in ints, and the ring value stays on the left of each
 product), over the complex ring a ``complex``; a stored zero is pruned
 exactly, by the value's truthiness, never within the ring's tolerance.  An
 element is falsy exactly when it stores no term, so a T-polynomial prunes
-its word-combination coefficients by the same rule.
+its word-combination coefficients by the same rule.  The correction
+automorphisms rho and sigma need nothing of a value type but its own
+operators, so they also run on values that define no reflected operator.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from cyclozeta.algebra import AlgebraElement, harmonic, shuffle
 from cyclozeta.dmr import functor_star
 from cyclozeta.groups import construct_group, hom_inclusion, hom_power, power_structure
-from cyclozeta.regularization import TPolynomial, bar_reg_T, tilde_reg
+from cyclozeta.regularization import (TPolynomial, TableZMap, bar_reg_T, rho_apply,
+                                      sigma_apply, tilde_reg)
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries
 from cyclozeta.words import X0
@@ -58,15 +62,90 @@ def products(ring):
     yield "series *", s * s
     yield "functor_star lower", functor_star(s, hom_power(ps), "lower")
     yield "functor_star upper", functor_star(s, hom_inclusion(ps), "upper")
+    Z = correction_zmap(ring)
+    p = TPolynomial.make({3: ring.one, 1: ring.one})
+    yield "rho", rho_apply(Z, p)
+    yield "rho inverse", rho_apply(Z, p, inverse=True)
+    yield "sigma", sigma_apply(Z, ps.kernel, p)
+
+
+def correction_zmap(ring):
+    """The values rho and sigma read up to T^3: Z(x0^(n-1) x1) for n <= 3 and
+    the weight-one values."""
+    return TableZMap(ring, G, {
+        (X0, g0): Fraction(3, 2), (X0, X0, g0): Fraction(-2, 5),
+        (g1,): 1, (g2,): Fraction(7, 3), (g3,): -1})
 
 
 @pytest.mark.parametrize("ring, kind", [(RATIONAL, Fraction), (COMPLEX, complex)],
                          ids=["rational", "complex"])
 def test_every_coefficient_has_the_ring_type(ring, kind):
     for name, result in products(ring):
-        assert result.terms, name
-        wrong = {type(c).__name__ for c in result.terms.values() if type(c) is not kind}
+        coeffs = result.coeffs if isinstance(result, TPolynomial) else result.terms
+        assert coeffs, name
+        wrong = {type(c).__name__ for c in coeffs.values() if type(c) is not kind}
         assert not wrong, f"{name} stores coefficients of type {wrong}"
+
+
+class LeftOnly:
+    """A value with ``+ -`` against its own kind and ``*`` by its own kind,
+    an int or a ``Fraction`` on the right, and no reflected operator: the
+    shape of a formal value type, whose symbols no number knows how to
+    multiply."""
+
+    __slots__ = ("value",)
+    __hash__ = None
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def __add__(self, other):
+        return LeftOnly(self.value + other.value) if type(other) is LeftOnly else NotImplemented
+
+    def __sub__(self, other):
+        return LeftOnly(self.value - other.value) if type(other) is LeftOnly else NotImplemented
+
+    def __neg__(self):
+        return LeftOnly(-self.value)
+
+    def __mul__(self, other):
+        if type(other) is LeftOnly:
+            return LeftOnly(self.value * other.value)
+        if isinstance(other, (int, Fraction)):
+            return LeftOnly(self.value * other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        return type(other) is LeftOnly and self.value == other.value
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+@dataclass(frozen=True)
+class LeftOnlyRing:
+    zero = LeftOnly(0)
+    one = LeftOnly(1)
+
+    def coerce(self, value):
+        return LeftOnly(value)
+
+
+def test_corrections_need_no_reflected_operators():
+    ring = LeftOnlyRing()
+    with pytest.raises(TypeError):
+        2 * ring.one
+    Z, exact = correction_zmap(ring), correction_zmap(RATIONAL)
+    kernel = power_structure(G, 2).kernel
+    p = {3: 1, 2: Fraction(-1, 2), 0: 4}
+    formal = TPolynomial.make({l: LeftOnly(c) for l, c in p.items()})
+    rational = TPolynomial.make({l: Fraction(c) for l, c in p.items()})
+    for got, want in [(rho_apply(Z, formal), rho_apply(exact, rational)),
+                      (rho_apply(Z, formal, inverse=True),
+                       rho_apply(exact, rational, inverse=True)),
+                      (sigma_apply(Z, kernel, formal), sigma_apply(exact, kernel, rational))]:
+        assert {l: c.value for l, c in got.coeffs.items()} == want.coeffs
+        assert len(want.coeffs) == 4
 
 
 def test_stored_zeros_are_pruned_exactly():

@@ -150,12 +150,13 @@ class TestIdentitySuites:
 
 class TestNumericCorrectionSeries:
     def test_gamma_coefficient_is_half_zeta_two(self):
-        # at level one the u^2 coefficient of the comparison series is zeta(2)/2
-        from cyclozeta.regularization import gamma_series
+        # at level one the u^2 coefficient of the comparison series is
+        # zeta(2)/2: the T^0 coefficient of rho at T^2/2
+        from cyclozeta.regularization import TPolynomial, rho_apply
         Z = NumericZMap(1)
-        gs = gamma_series(Z, 2)
-        assert abs(gs.forward_coeffs[2] - 0.8224670) < 1e-6
-        assert abs(gs.inverse_coeffs[2] + 0.8224670) < 1e-6
+        half_t2 = TPolynomial.make({2: 0.5 + 0j})
+        assert abs(rho_apply(Z, half_t2).coeff(0) - 0.8224670) < 1e-6
+        assert abs(rho_apply(Z, half_t2, inverse=True).coeff(0) + 0.8224670) < 1e-6
 
     def test_phi_star_weight_two_coefficient(self):
         from cyclozeta.dmr import phi_from_Z, phi_star

@@ -5,6 +5,8 @@ up by name and read fields of their results; a rename would otherwise only
 show when the benchmark runs.  The harness files are imported, not changed.
 """
 
+import importlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,9 @@ from cyclozeta.rings import RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries, series_exp
 from cyclozeta.words import X0
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SPAN_METRICS = ("calls", "self_s", "p50_ms")
 
 
 @pytest.fixture
@@ -92,3 +96,22 @@ def test_exact_series_duality_ops(harness):
     for name in ("duality map 0 (constructed)", "duality map 1 (broken)"):
         op = ops[name]
         assert op.check(op.call(), {}) == workloads.OK
+
+
+def test_benchmark_spans_name_public_functions():
+    # the tracer labels a public function of cyclozeta.<layer> as
+    # <layer>.<function>; a metric naming no such function only fails when
+    # the traced benchmark reports it
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spans = [m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+             if m["name"].rsplit(".", 1)[-1] in SPAN_METRICS]
+    assert "regularization.rho_apply" in spans and "series.mul" in spans
+    for span in spans:
+        if span == "series.mul":
+            assert "__mul__" in vars(TruncatedSeries)
+            continue
+        layer, name = span.split(".")
+        module = importlib.import_module(f"cyclozeta.{layer}")
+        obj = getattr(module, name, None)
+        assert not name.startswith("_") and callable(obj) and not isinstance(obj, type), span
+        assert obj.__module__ == module.__name__, span

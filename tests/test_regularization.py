@@ -11,9 +11,8 @@ from conftest import combo, elem, oracle_shuffle_words
 from cyclozeta.algebra import AlgebraElement, shuffle
 from cyclozeta.errors import DegreeBoundError, NotInH0Error, NotInH1Error
 from cyclozeta.regularization import (TPolynomial, TableZMap, _regt_word,
-                                      _tilde_word, bar_reg, bar_reg_T, delta_series, extend_Z_sh, extend_Z_st,
-                                      gamma_series, reg_T, rho_apply, sigma_apply,
-                                      tilde_reg)
+                                      _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
+                                      reg_T, rho_apply, sigma_apply, tilde_reg)
 from cyclozeta.groups import power_structure
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
@@ -142,23 +141,32 @@ class TestBarRegT:
         assert bar_reg(elem(Z3, Z3.identity())).terms == {}
 
 
+def divided_power(l: int) -> TPolynomial:
+    return TPolynomial.make({l: Fraction(1, math.factorial(l))})
+
+
+def gamma(Z, l: int, inverse: bool = False):
+    """The u^l coefficient of the comparison series (of its reciprocal when
+    ``inverse``), read as the T^0 coefficient of rho (rho^-1) at T^l/l!."""
+    return rho_apply(Z, divided_power(l), inverse).coeff(0)
+
+
 class TestGamma:
     def test_low_coefficients(self, Z2):
         Z = prime_zmap(Z2, 4)
-        gs = gamma_series(Z, 4)
-        assert gs.inverse_coeffs[0] == 1
-        assert gs.inverse_coeffs[1] == 0
+        assert gamma(Z, 0, inverse=True) == 1
+        assert gamma(Z, 1, inverse=True) == 0
         z2_value = Z.eval_word((X0, Z2.identity()))
-        assert gs.inverse_coeffs[2] == -z2_value / 2
-        assert gs.forward_coeffs[2] == z2_value / 2
+        assert gamma(Z, 2, inverse=True) == -z2_value / 2
+        assert gamma(Z, 2) == z2_value / 2
 
     def test_gamma_times_inverse_is_one(self, Z2):
         Z = prime_zmap(Z2, 8)
-        gs = gamma_series(Z, 8)
+        forward = [gamma(Z, l) for l in range(9)]
+        inverse = [gamma(Z, l, inverse=True) for l in range(9)]
         # convolution of forward and inverse coefficients telescopes to 1
         for n in range(9):
-            total = sum(gs.forward_coeffs[j] * gs.inverse_coeffs[n - j]
-                        for j in range(n + 1))
+            total = sum(forward[j] * inverse[n - j] for j in range(n + 1))
             assert total == (1 if n == 0 else 0)
 
 
@@ -213,12 +221,14 @@ class TestSigma:
         assert lhs.coeffs == rhs.coeffs
 
     def test_delta_series_factorials(self, Z6):
+        # the T^0 coefficient of sigma at T^l/l! is delta_1^l / l!
         Z = prime_zmap(Z6, 2)
         ps = power_structure(Z6, 6)
-        ds = delta_series(Z, ps.kernel, 5)
-        assert ds.coeffs[0] == 1
-        for l in range(1, 6):
-            assert ds.coeffs[l] * math.factorial(l) == ds.delta1 ** l
+        delta1 = sum(Z.eval_word((g,)) for g in ps.kernel if not g.is_identity)
+        assert delta1
+        for l in range(6):
+            coeff = sigma_apply(Z, ps.kernel, divided_power(l)).coeff(0)
+            assert coeff * math.factorial(l) == delta1 ** l
 
 
 class TestExtend:

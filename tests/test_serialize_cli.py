@@ -172,6 +172,22 @@ class TestCli:
         assert main(argv) == 2
         assert "at offset 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["polylog", "--N", "2", "--k", "a", "--z", "1"], "--k and --z take"),
+        (["polylog", "--N", "2", "--k", "2", "--z", "0.5"], "--k and --z take"),
+        (["polylog", "--N", "2", "--k", "", "--z", "1"], "--k and --z take"),
+        (["dmrd-check", "--N", "4", "--d", "0"], "d=0 does not divide"),
+    ], ids=["k-letter", "z-float", "k-empty", "d-zero"])
+    def test_bad_numeric_input_exits_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_spot_degree_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zhao-verify", "--N", "2", "--d", "2", "--spot-degree", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --spot-degree" in capsys.readouterr().err
+
     def test_check_failure_exit_one(self, capsys):
         # an impossibly tight tolerance forces FAIL rows and exit 1
         code = main(["dmrd-check", "--N", "2", "--degree", "2", "--d", "2",
