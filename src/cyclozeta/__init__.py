@@ -2,25 +2,22 @@
 distribution relations of cyclotomic multiple zeta values."""
 
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership, ZERO_DIAMOND,
-                      harmonic, membership, pairing, project_piY, qg_apply,
+                      harmonic, membership, project_piY, qg_apply,
                       quasi_shuffle, shuffle, x_to_y, y_to_x)
 from .checks import Check, fold
-from .dmr import (dmr_check, dmrd_check, dmrd_check_all, eds_dmr_equality_check,
-                  functor_sharp, functor_star, grouplike_check, phi_from_Z,
-                  phi_star)
+from .dmr import (dmr_check, dmrd_check, eds_dmr_equality_check, functor_sharp,
+                  functor_star, grouplike_check, phi_from_Z, phi_star)
 from .duality import duality_suite
 from .groups import (FiniteAbelianGroup, GroupElement, GroupHom, PowerStructure,
                      construct_group, divisors_of_order, hom_inclusion, hom_power,
                      parse_group, power_structure)
 from .numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
-                      polylog_numeric, zc_eval)
+                      polylog_numeric)
 from .regularization import (TableZMap, TPolynomial, ZMap, bar_reg, bar_reg_T,
-                             extend_Z_sh, extend_Z_st, reg_T, rho_apply,
-                             sigma_apply, tilde_reg)
-from .relations import (build_relation, fds_element, fdt1_element, fdt2_element,
-                        fdtd1_grid, fdtd1_identity_check, kernel_lemma_eval,
-                        rds_element, regdist_full_check, zhao_case_table,
-                        zhao_regdist_check)
+                             extend_Z_sh, extend_Z_st, rho_apply, sigma_apply)
+from .relations import (fds_element, fdt1_element, fdt2_element, fdtd1_grid,
+                        fdtd1_identity_check, kernel_lemma_eval, rds_element,
+                        regdist_full_check, zhao_case_table, zhao_regdist_check)
 from .rings import COMPLEX, RATIONAL, ComplexRing, RationalRing
 from .series import Alphabet, TruncatedSeries, series_exp, series_log
 

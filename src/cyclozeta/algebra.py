@@ -126,9 +126,6 @@ class AlgebraElement:
     def coeff(self, word):
         return self.terms.get(tuple(word), self.ring.zero)
 
-    def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.terms.values())
-
     def __bool__(self) -> bool:
         """False exactly when no term is stored: the exact zero, which
         pruning drops like a zero scalar."""
@@ -310,11 +307,6 @@ def project_piY(a: AlgebraElement) -> AlgebraElement:
         raise AlphabetMismatchError("project_piY applies to X-side input")
     kept = a._like({w: c for w, c in a.terms.items() if W.x_word_in_h1(w)})
     return kept.map_words(W.x_to_y_word, "y")
-
-
-def pairing(obj, word):
-    """Coefficient extraction ``(obj | word)`` for elements and series."""
-    return obj.coeff(tuple(word))
 
 
 # -- textual form -------------------------------------------------------------

@@ -76,6 +76,14 @@ class Report:
         return 0 if all(c.passed for c in self.checks) else 1
 
 
+def _bound(args, name: str) -> int:
+    """A bound flag's value; below 1 a suite would have no word to check."""
+    value = getattr(args, name)
+    if value < 1:
+        raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    return value
+
+
 def _numeric_report(args, degree, checks) -> int:
     meta = _meta_row(group=f"Z{args.N}", degree=degree, ring="complex", tol=args.tol)
     return Report(meta, checks).emit()
@@ -142,7 +150,7 @@ def cmd_duality_test(args) -> int:
 
 def cmd_dmr_check(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    phi = phi_from_Z(Z, args.degree)
+    phi = phi_from_Z(Z, _bound(args, "degree"))
     checks = dmr_check(phi)
     if args.save_phi:
         serialize.write_text(args.save_phi, serialize.format_series(phi))
@@ -155,13 +163,14 @@ def cmd_dmrd_check(args) -> int:
     divisors = ([args.d] if args.d is not None
                 else [d for d in divisors_of_order(Z.group) if d >= 2])
     structures = [power_structure(Z.group, d) for d in divisors]
-    phi = phi_from_Z(Z, args.degree)
+    phi = phi_from_Z(Z, _bound(args, "degree"))
     return _numeric_report(args, args.degree, [dmrd_check(phi, ps) for ps in structures])
 
 
 def cmd_eds_dmr_check(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    return _numeric_report(args, args.degree, [eds_dmr_equality_check(Z, args.degree)])
+    return _numeric_report(args, args.degree,
+                           [eds_dmr_equality_check(Z, _bound(args, "degree"))])
 
 
 def cmd_zhao_verify(args) -> int:
@@ -171,8 +180,8 @@ def cmd_zhao_verify(args) -> int:
 
 def cmd_regdist(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    return _numeric_report(args, args.max_len,
-                           regdist_full_check(Z, Z.group, args.d, args.max_len))
+    return _numeric_report(args, args.max_len, regdist_full_check(
+        Z, Z.group, args.d, _bound(args, "max_len")))
 
 
 def cmd_polylog(args) -> int:
@@ -192,7 +201,7 @@ def cmd_polylog(args) -> int:
 
 def cmd_relation_suite(args) -> int:
     return _numeric_report(args, args.weight, numeric_relation_suite(
-        args.N, args.weight, args.tol))
+        args.N, _bound(args, "weight"), args.tol))
 
 
 # -- parser -------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                       _quasi_shuffle_words, project_piY, qg_apply)
 from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
-from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, divisors_of_order, hom_inclusion, hom_power, power_structure
+from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, hom_inclusion, hom_power
 from .regularization import ZMap, bar_reg, extend_Z_st
 from .series import Alphabet, TruncatedSeries, series_exp
 from . import words as W
@@ -94,9 +94,6 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
 def phi_from_Z(Z: ZMap, degree: int) -> TruncatedSeries:
     """The series whose coefficient at ``w`` is Z of the regularization of
     ``w`` at T = 0; its x0 and x1 coefficients vanish by construction."""
-    if Z.degree_bound is not None and Z.degree_bound < degree:
-        raise InvalidArgumentError(
-            f"Z map working degree {Z.degree_bound} is below {degree}")
     alphabet = Alphabet.x(Z.group)
     out = {}
     for w in alphabet.words_up_to(degree):
@@ -115,7 +112,7 @@ def phi_corr(phi: TruncatedSeries) -> TruncatedSeries:
     arg = {}
     for n in range(2, phi.degree_bound + 1):
         word = (W.X0,) * (n - 1) + (identity,)
-        c = Fraction((-1) ** (n - 1), n) * phi.coeff(word)
+        c = phi.coeff(word) * Fraction((-1) ** (n - 1), n)
         arg[((1, identity),) * n] = c
     return series_exp(TruncatedSeries.make(ring, y_alphabet, phi.degree_bound, arg))
 
@@ -234,15 +231,6 @@ def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> Check:
     rhs = series_exp(exp_arg) * restricted
     return fold("dmrd", f"N={ps.group.order} d={ps.d}", ring,
                 differences(lhs.terms, rhs.terms, ring.zero), W.format_x_word)
-
-
-def dmrd_check_all(phi: TruncatedSeries) -> list[Check]:
-    """The full distribution condition: every divisor of the group order.
-    At d = 1 both arrows are identities, so the row only tests
-    ``(phi | x1) = 0``."""
-    group = phi.alphabet.group
-    return [dmrd_check(phi, power_structure(group, d))
-            for d in divisors_of_order(group)]
 
 
 # -- the coefficientwise comparison behind the scheme equivalence -----------

@@ -26,7 +26,8 @@ class NotInH0Error(InvalidArgumentError):
 
 
 class DegreeBoundError(InvalidArgumentError):
-    """A coefficient beyond a series' truncation degree was requested."""
+    """A coefficient beyond a series' truncation degree, or a value outside
+    a table map's words, was requested."""
 
 
 class DivergentSeriesError(InvalidArgumentError):

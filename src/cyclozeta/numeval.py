@@ -208,12 +208,6 @@ def word_to_query(word: tuple, level: int,
     return PolylogQuery(indices, residues, level, tolerance)
 
 
-def zc_eval(level: int, word: tuple,
-            tolerance: float = DEFAULT_TOLERANCE) -> complex:
-    """Evaluate the level-N iterated-integral map on one convergent word."""
-    return polylog_numeric(word_to_query(word, level, tolerance)).value
-
-
 class NumericZMap(ZMap):
     """The complex evaluation map on the level-N convergent word basis.
 

@@ -1,12 +1,12 @@
 """Shuffle regularization into T-polynomials and the scalar correction maps.
 
 The regularization of a word is computed by two-phase shuffle division:
-trailing x0 letters are eliminated first (phase handled by
-:func:`tilde_reg`, sending x0 to 0), then leading identity letters are
-divided out with ``x_1 -> T``.  Both phases rewrite a word against the
-shuffle of its divergent run with the rest, where the target word occurs
-exactly once and every other interleaving is strictly closer to the
-convergent subalgebra.  The composition is the unique shuffle-algebra map
+trailing x0 letters are eliminated first (the word table ``_tilde_word``,
+sending x0 to 0), then leading identity letters are divided out with
+``x_1 -> T`` (the word table ``_regt_word``).  Both phases rewrite a word
+against the shuffle of its divergent run with the rest, where the target
+word occurs exactly once and every other interleaving is strictly closer to
+the convergent subalgebra.  The composition is the unique shuffle-algebra map
 that fixes convergent words and sends ``x0 -> 0``, ``x1 -> T``.
 
 The correction automorphisms of A[T], :func:`rho_apply` and
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlgebraElement, Membership, membership, qg_apply, shuffle_words, y_to_x
-from .errors import AlphabetMismatchError, DegreeBoundError, NotInH0Error, NotInH1Error
+from .algebra import AlgebraElement, qg_apply, shuffle_words, y_to_x
+from .errors import AlphabetMismatchError, DegreeBoundError, NotInH0Error
 from .words import X0, x_word_in_h0, x_word_in_h1, format_x_word
 
 
@@ -78,7 +78,8 @@ class TPolynomial:
 
 @lru_cache(maxsize=200_000)
 def _tilde_word(word: tuple) -> tuple:
-    """``tilde_reg`` of one word as ``((word, Fraction), ...)``."""
+    """The shuffle-algebra retraction killing x0, identity on words that end
+    in a group letter, of one word as ``((word, Fraction), ...)``."""
     if x_word_in_h1(word):
         return ((word, Fraction(1)),)
     k = len(word)
@@ -119,19 +120,6 @@ def _regt_word(word: tuple) -> tuple:
     return tuple((l, w, c) for (l, w), c in out.items() if c)
 
 
-def tilde_reg(a: AlgebraElement) -> AlgebraElement:
-    """The shuffle-algebra retraction killing x0, identity on words that end
-    in a group letter."""
-    if a.kind != "x":
-        raise AlphabetMismatchError("tilde_reg applies to X-side input")
-    out: dict = {}
-    for word, coeff in a.terms.items():
-        for w, c in _tilde_word(word):
-            term = coeff * c
-            out[w] = out[w] + term if w in out else term
-    return AlgebraElement.make(a.ring, "x", a.group, out)
-
-
 def bar_reg_T(a: AlgebraElement) -> TPolynomial:
     """Regularize into T-polynomials with convergent-word coefficients:
     the unique shuffle map fixing those words, with x0 -> 0 and x1 -> T."""
@@ -149,14 +137,6 @@ def bar_reg_T(a: AlgebraElement) -> TPolynomial:
         for l, level in acc.items()})
 
 
-def reg_T(a: AlgebraElement) -> TPolynomial:
-    """The restriction of :func:`bar_reg_T` to combinations of words ending
-    in a group letter."""
-    if membership(a) is Membership.NEITHER:
-        raise NotInH1Error("reg_T input must have all monomials ending in a group letter")
-    return bar_reg_T(a)
-
-
 def bar_reg(a: AlgebraElement) -> AlgebraElement:
     """Evaluation of :func:`bar_reg_T` at T = 0 (x0 -> 0 and x1 -> 0)."""
     tp = bar_reg_T(a)
@@ -170,14 +150,14 @@ class ZMap:
     """A linear functional on the convergent word basis.
 
     Subclasses provide :meth:`eval_word`; evaluation of combinations and of
-    algebra-valued T-polynomials extends it linearly.  ``degree_bound`` is the
-    working truncation degree (None means unbounded / lazy).
+    algebra-valued T-polynomials extends it linearly.  A map that cannot
+    evaluate a word raises from :meth:`eval_word`, as :class:`TableZMap` does
+    with :class:`~cyclozeta.errors.DegreeBoundError` outside its table.
     """
 
-    def __init__(self, ring, group, degree_bound: int | None = None):
+    def __init__(self, ring, group):
         self.ring = ring
         self.group = group
-        self.degree_bound = degree_bound
 
     def eval_word(self, word: tuple):
         raise NotImplementedError
@@ -185,9 +165,6 @@ class ZMap:
     def _eval_checked(self, word: tuple):
         if not x_word_in_h0(word):
             raise NotInH0Error(f"{format_x_word(word)} is not a convergent word")
-        if self.degree_bound is not None and len(word) > self.degree_bound:
-            raise DegreeBoundError(
-                f"word of length {len(word)} exceeds working degree {self.degree_bound}")
         if not word:
             return self.ring.one
         return self.eval_word(word)
@@ -206,8 +183,8 @@ class ZMap:
 class TableZMap(ZMap):
     """A Z map backed by an explicit word table (exact or engineered values)."""
 
-    def __init__(self, ring, group, table: dict, degree_bound: int | None = None):
-        super().__init__(ring, group, degree_bound)
+    def __init__(self, ring, group, table: dict):
+        super().__init__(ring, group)
         self.table = {tuple(w): ring.coerce(c) for w, c in table.items()}
 
     def eval_word(self, word: tuple):

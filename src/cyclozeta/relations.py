@@ -96,26 +96,6 @@ def rds_element(g: GroupElement) -> RelationElement:
     return RelationElement("RDS", (g,), acc)
 
 
-def build_relation(kind: str, group: FiniteAbelianGroup, *,
-                   d: int | None = None, h=None, h1=None, h2=None,
-                   g=None, g1=None, g2=None) -> RelationElement:
-    """The element of one of the four families named by ``kind`` (``FDT1``,
-    ``FDT2``, ``FDS`` or ``RDS``, any case) with its keyword parameters."""
-    kind = kind.upper()
-    if kind in ("FDT1", "FDT2"):
-        if d is None:
-            raise InvalidArgumentError(f"{kind} needs the divisor d")
-        ps = power_structure(group, d)
-        if kind == "FDT1":
-            return fdt1_element(ps, h)
-        return fdt2_element(ps, h1, h2)
-    if kind == "FDS":
-        return fds_element(g1, g2)
-    if kind == "RDS":
-        return rds_element(g)
-    raise InvalidArgumentError(f"unknown relation kind {kind!r}")
-
-
 # -- the two sides of each finite relation -----------------------------------
 
 

@@ -105,29 +105,6 @@ def format_tpoly(tpoly: TPolynomial, ring) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def parse_tpoly(text: str, ring, kind: str | None = None, group=None) -> TPolynomial:
-    """Parse the bracket form; scalar entries unless ``kind``/``group`` given."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"bad T-polynomial {text!r}")
-    body = text[1:-1].strip()
-    out = {}
-    if body:
-        from .algebra import _split_top_level
-        for chunk in _split_top_level(body, ","):
-            exp_text, _, coeff_text = chunk.partition(":")
-            try:
-                l = int(exp_text.strip())
-            except ValueError as exc:
-                raise ParseError(f"bad exponent in {chunk!r}") from exc
-            coeff_text = coeff_text.strip()
-            if kind is None:
-                out[l] = ring.parse(coeff_text)
-            else:
-                out[l] = parse_element_combo(coeff_text, ring, kind, group)
-    return TPolynomial.make(out)
-
-
 def write_text(path, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

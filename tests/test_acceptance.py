@@ -128,7 +128,7 @@ def test_criterion_5_rho_sigma_generating_identities():
         table[(X0,) * (n - 1) + (one,)] = Fraction(primes[n - 2])
     for i, g in enumerate(k for k in ps.kernel if not k.is_identity):
         table[(g,)] = Fraction(primes[7 + i])
-    Z = TableZMap(RATIONAL, group, table, degree_bound=9)
+    Z = TableZMap(RATIONAL, group, table)
 
     # independent expansion of the comparison series: naive exp via powers
     log_series = [Fraction(0)] * 9

@@ -1,0 +1,70 @@
+"""Repository hygiene: the README's library sketch runs, and no module of
+the package imports a name it never uses.
+
+Both checks read the source text with the standard library only, so a
+deleted public name or a dead import shows here rather than in a reader's
+session.
+"""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cyclozeta"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def test_readme_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert blocks, "README.md holds no python sketch"
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, "README.md", "exec"), {})
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Name bound by each import statement -> its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set:
+    """Every name the module reads, including those inside quoted
+    annotations such as ``-> "TPolynomial"``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -14,7 +14,7 @@ import cyclozeta
 from conftest import em_tail_oracle, oracle_nested_sum
 from cyclozeta.errors import DivergentSeriesError, NotInH0Error
 from cyclozeta.numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
-                               polylog_numeric, word_to_query, zc_eval)
+                               polylog_numeric, word_to_query)
 from cyclozeta.words import X0
 
 
@@ -89,12 +89,12 @@ class TestZcEval:
     def test_zeta_two(self):
         G1 = NumericZMap(1).group
         word = (X0, G1.identity())
-        assert abs(zc_eval(1, word) - math.pi ** 2 / 6) < 1e-6
+        assert abs(NumericZMap(1).eval_word(word) - math.pi ** 2 / 6) < 1e-6
 
     def test_level_two_letter(self):
         G = NumericZMap(2).group
         word = (X0, G.element(1))
-        assert abs(zc_eval(2, word) - (-math.pi ** 2 / 12)) < 1e-6
+        assert abs(NumericZMap(2).eval_word(word) - (-math.pi ** 2 / 12)) < 1e-6
 
     def test_depth_two_argument_twist(self):
         # x_{e1} x_{e2} evaluates with second argument e2 - e1
@@ -102,14 +102,15 @@ class TestZcEval:
         G = NumericZMap(4).group
         e1, e2 = G.element(1), G.element(3)
         direct = li((1, 1), (1, 2), level).value  # (e1, e2 - e1)
-        assert abs(zc_eval(level, (e1, e2)) - direct) < 1e-9
+        assert abs(NumericZMap(level).eval_word((e1, e2)) - direct) < 1e-9
 
     def test_rejects_divergent_word(self):
-        G = NumericZMap(2).group
+        Z = NumericZMap(2)
+        G = Z.group
         with pytest.raises(NotInH0Error):
-            zc_eval(2, (G.identity(),))
+            Z.eval_word((G.identity(),))
         with pytest.raises(NotInH0Error):
-            zc_eval(2, (G.element(1), X0))
+            Z.eval_word((G.element(1), X0))
 
     def test_word_to_query_convergence_matches_membership(self):
         G = NumericZMap(2).group

@@ -9,10 +9,11 @@ import pytest
 
 from conftest import combo, elem, oracle_shuffle_words
 from cyclozeta.algebra import AlgebraElement, shuffle
-from cyclozeta.errors import DegreeBoundError, NotInH0Error, NotInH1Error
+from cyclozeta.dmr import phi_from_Z
+from cyclozeta.errors import DegreeBoundError, NotInH0Error
 from cyclozeta.regularization import (TPolynomial, TableZMap, _regt_word,
                                       _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
-                                      reg_T, rho_apply, sigma_apply, tilde_reg)
+                                      rho_apply, sigma_apply)
 from cyclozeta.groups import power_structure
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
@@ -35,7 +36,7 @@ def prime_zmap(group, max_len):
     table = {w: Fraction(next(gen))
              for w in x_words_up_to(group.elements(), max_len)
              if w and x_word_in_h0(w)}
-    return TableZMap(RATIONAL, group, table, max_len)
+    return TableZMap(RATIONAL, group, table)
 
 
 def tpoly_from(group, entries):
@@ -47,25 +48,25 @@ def tpoly_from(group, entries):
 class TestTildeReg:
     def test_identity_on_group_letter(self, Z3):
         g = Z3.element(1)
-        assert tilde_reg(elem(Z3, g)) == elem(Z3, g)
+        assert bar_reg_T(elem(Z3, g)).coeffs == {0: elem(Z3, g)}
 
     def test_kills_x0(self, Z3):
-        assert tilde_reg(elem(Z3, X0)).terms == {}
+        assert bar_reg_T(elem(Z3, X0)).coeffs == {}
 
     def test_one_step_division(self, Z3):
         g = Z3.element(1)
-        assert tilde_reg(elem(Z3, g, X0)) == elem(Z3, X0, g).scale(-1)
+        assert bar_reg_T(elem(Z3, g, X0)).coeffs == {0: elem(Z3, X0, g).scale(-1)}
 
     def test_algebra_hom(self, Z2):
-        # tilde(u sh v) = tilde(u) sh tilde(v) on all pairs, total length <= 5
+        # reg(u sh v) = reg(u) sh reg(v) in A[T] on all pairs of the pool
         letters = [X0] + list(Z2.elements())
-        words = [w for w in x_words_up_to(Z2.elements(), 3)]
         rng = random.Random(3)
         pool = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
                 for _ in range(40)]
         for w1, w2 in itertools.product(pool, repeat=2):
             a, b = elem(Z2, *w1), elem(Z2, *w2)
-            assert tilde_reg(shuffle(a, b)) == shuffle(tilde_reg(a), tilde_reg(b))
+            lhs = bar_reg_T(shuffle(a, b))
+            assert lhs.coeffs == bar_reg_T(a).mul(bar_reg_T(b), shuffle).coeffs
 
 
 class TestWordCaches:
@@ -128,12 +129,6 @@ class TestBarRegT:
             lhs = bar_reg_T(shuffle(a, b))
             rhs = bar_reg_T(a).mul(bar_reg_T(b), shuffle)
             assert lhs.coeffs == rhs.coeffs
-
-    def test_reg_T_restriction(self, Z3):
-        g = Z3.element(1)
-        with pytest.raises(NotInH1Error):
-            reg_T(elem(Z3, g, X0))
-        assert reg_T(elem(Z3, X0, g)).coeffs == bar_reg_T(elem(Z3, X0, g)).coeffs
 
     def test_bar_reg_at_zero(self, Z3):
         g = Z3.element(1)
@@ -276,6 +271,8 @@ class TestZMapContracts:
         Z = prime_zmap(Z2, 2)
         with pytest.raises(DegreeBoundError):
             Z.eval_element(elem(Z2, X0, X0, Z2.element(1)))
+        with pytest.raises(DegreeBoundError):
+            phi_from_Z(Z, 3)
 
     def test_unit_value(self, Z2):
         Z = prime_zmap(Z2, 2)

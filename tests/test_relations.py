@@ -8,7 +8,7 @@ from cyclozeta.algebra import Membership, membership
 from cyclozeta.errors import InvalidArgumentError
 from cyclozeta.groups import construct_group, divisors_of_order, power_structure
 from cyclozeta.numeval import NumericZMap
-from cyclozeta.relations import (build_relation, distribution_sides,
+from cyclozeta.relations import (distribution_sides,
                                  fds_element, fds_sides, fdt1_element,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
                                  kernel_lemma_eval, rds_element,
@@ -62,14 +62,6 @@ class TestBuildRelation:
             fdt2_element(ps, one, Z4.element(2))
         with pytest.raises(InvalidArgumentError):
             fdt1_element(ps, Z4.element(1))  # not a square
-
-    def test_string_dispatch(self, Z4):
-        rel = build_relation("FDT1", Z4, d=2, h=Z4.element(2))
-        assert rel.tag == "FDT1"
-        rel2 = build_relation("RDS", Z4, g=Z4.element(1))
-        assert rel2.tag == "RDS"
-        with pytest.raises(InvalidArgumentError):
-            build_relation("XYZ", Z4)
 
 
 class TestRelationSides:

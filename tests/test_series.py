@@ -13,7 +13,6 @@ from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
 from cyclozeta import duality
 from cyclozeta.checks import Check
 from cyclozeta.dmr import (GrouplikeReport, _pair_residuals, dmr_check, dmrd_check,
-                           dmrd_check_all,
                            eds_dmr_equality_check, functor_sharp, functor_star,
                            grouplike_check, phi_corr, phi_from_Z, phi_star)
 from cyclozeta.duality import (broken_functional, duality_suite,
@@ -21,8 +20,8 @@ from cyclozeta.duality import (broken_functional, duality_suite,
                                nested_sum_functional)
 from cyclozeta.errors import (AlphabetMismatchError, DegreeBoundError,
                               InvalidArgumentError)
-from cyclozeta.groups import (GroupHom, construct_group, hom_inclusion, hom_power,
-                              power_structure)
+from cyclozeta.groups import (GroupHom, construct_group, divisors_of_order,
+                              hom_inclusion, hom_power, power_structure)
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries, series_exp, series_log
 from cyclozeta.words import X0, y_words_up_to
@@ -526,7 +525,8 @@ class TestAppendixLemmas:
 class TestDMRD:
     def test_unit_passes_all_divisors(self, Z6):
         one = TruncatedSeries.one(RATIONAL, Alphabet.x(Z6), 2)
-        assert all(r.passed for r in dmrd_check_all(one))
+        assert all(dmrd_check(one, power_structure(Z6, d)).passed
+                   for d in divisors_of_order(Z6))
 
     def test_divisor_one_degeneracy(self, Z4):
         # with (phi|x1) = 0 the d = 1 condition is the identity map equality
@@ -628,11 +628,11 @@ class TestNumericLevelFour:
         # the label twist is genuinely noncommutative bookkeeping here, so
         # this exercises the direction conventions end to end
         from cyclozeta.numeval import NumericZMap
-        from cyclozeta.dmr import dmrd_check_all
         Z = NumericZMap(4)
         phi = phi_from_Z(Z, 3)
         assert all(c.passed for c in dmr_check(phi))
-        assert all(r.passed for r in dmrd_check_all(phi))
+        assert all(dmrd_check(phi, power_structure(Z.group, d)).passed
+                   for d in divisors_of_order(Z.group))
 
 
 class TestExpLogReverse:
