@@ -21,7 +21,9 @@ Arithmetic convention: word-level products (:func:`shuffle_words`,
 coefficients puts the ring value on the left (``c * count``) and starts no
 sum from an int ``0`` (``out[w] = out[w] + term if w in out else term``).
 A ``Fraction`` then stays on its forward operator path, and each output
-term touches the ring once.
+term touches the ring once.  Where most counts are 1, as in the grouplike
+pair loop, a term at count 1 is the value itself (``c if n == 1 else
+c * n``), which builds no new ``Fraction``.
 """
 
 from __future__ import annotations
@@ -228,23 +230,26 @@ def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return _bilinear(a, b, shuffle_words)
 
 
-def _quasi_shuffle_words(diamond: DiamondProduct) -> Callable[[tuple, tuple], dict]:
+class _quasi_shuffle_words:
     """The word-level quasi-shuffle ``(w1, w2) -> {word: count}`` for
-    ``diamond``, with a memo of its own that lives as long as the returned
-    function; the suffix pairs the recursion visits recur combinatorially
-    often.  Pairs with an empty word are answered before the memo is
-    consulted, which saves hashing them."""
-    memo: dict = {}
+    ``diamond``, with a memo of its own that lives as long as this callable;
+    the suffix pairs the recursion visits recur combinatorially often.  Pairs
+    with an empty word are answered before the memo is consulted, which saves
+    hashing them.  The recursion receives the callable as an argument, so
+    nothing refers back to it and the memo is freed as soon as the last
+    reference to the callable goes, without the cycle collector."""
 
-    def qs(w1: tuple, w2: tuple) -> dict:
+    def __init__(self, diamond: DiamondProduct):
+        self.diamond = diamond
+        self.memo: dict = {}
+
+    def __call__(self, w1: tuple, w2: tuple) -> dict:
         if not w1 or not w2:
-            return _merge_step(w1, w2, diamond, qs)
-        hit = memo.get((w1, w2))
+            return _merge_step(w1, w2, self.diamond, self)
+        hit = self.memo.get((w1, w2))
         if hit is None:
-            hit = memo[w1, w2] = _merge_step(w1, w2, diamond, qs)
+            hit = self.memo[w1, w2] = _merge_step(w1, w2, self.diamond, self)
         return hit
-
-    return qs
 
 
 def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,

@@ -76,11 +76,12 @@ class Report:
         return 0 if all(c.passed for c in self.checks) else 1
 
 
-def _bound(args, name: str) -> int:
-    """A bound flag's value; below 1 a suite would have no word to check."""
+def _bound(args, name: str, least: int = 1) -> int:
+    """A bound flag's value; below ``least`` a suite would check nothing."""
     value = getattr(args, name)
-    if value < 1:
-        raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if value < least:
+        raise ParseError(
+            f"--{name.replace('_', '-')} must be at least {least}, got {value}")
     return value
 
 
@@ -150,7 +151,9 @@ def cmd_duality_test(args) -> int:
 
 def cmd_dmr_check(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    phi = phi_from_Z(Z, _bound(args, "degree"))
+    # at degree 1 no word pair is inside the bound, and phi_from_Z sets the
+    # unit, x0 and x1 coefficients by construction
+    phi = phi_from_Z(Z, _bound(args, "degree", least=2))
     checks = dmr_check(phi)
     if args.save_phi:
         serialize.write_text(args.save_phi, serialize.format_series(phi))
@@ -200,8 +203,9 @@ def cmd_polylog(args) -> int:
 
 
 def cmd_relation_suite(args) -> int:
+    # no finite double shuffle or distribution identity has weight one
     return _numeric_report(args, args.weight, numeric_relation_suite(
-        args.N, _bound(args, "weight"), args.tol))
+        args.N, _bound(args, "weight", least=2), args.tol))
 
 
 # -- parser -------------------------------------------------------------------

@@ -2,10 +2,13 @@
 the four letter-substitution functors, and the membership predicates for the
 double-shuffle and distribution conditions on series.
 
-Coproducts are never materialized: a series is grouplike for the coproduct
-dual to a product exactly when its coefficient functional is multiplicative,
-so the checks run over word pairs through the truncation degree.  Every
-check returns :class:`~cyclozeta.checks.Check` rows, one per CLI report line.
+A series is grouplike for the coproduct dual to a product exactly when its
+coefficient functional is multiplicative, so the checks run over word pairs
+through the truncation degree.  The word-level products of those pairs do not
+depend on the series: they are tabulated once per alphabet, bound and
+product, as integer positions and counts, and the table stays cached until a
+pair loop with another alphabet, bound or product replaces it.  Every check
+returns :class:`~cyclozeta.checks.Check` rows, one per CLI report line.
 
 The corrected series twists and projects with the word-algebra maps
 :func:`~cyclozeta.algebra.qg_apply` and :func:`~cyclozeta.algebra.project_piY`,
@@ -18,8 +21,11 @@ covariant side of the duality.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                       _quasi_shuffle_words, project_piY, qg_apply)
@@ -51,22 +57,60 @@ def _pair_format(kind: str):
     return lambda pair: f"{fmt(pair[0])}|{fmt(pair[1])}"
 
 
+@lru_cache(maxsize=1)
+def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
+    """The word-level products the pair loop reads, which no series changes:
+    ``(words, us, vs, ends, positions, counts)``.  ``words`` lists the words
+    up to ``bound``; pair ``k`` is ``(words[us[k]], words[vs[k]])``, and its
+    product ``sum_w n_w w`` is the entries ``ends[k-1]:ends[k]`` of
+    ``positions`` (of ``w`` in ``words``) and ``counts`` (``n_w``), in the
+    order the word recursion yields them.  The pairs are the nonempty ones
+    of total degree at most ``bound``, first word outermost, both in
+    ``words`` order.  They are stored flat in int arrays rather than as a
+    tuple each, and each first word gets its own word memo, dropped before
+    the next one starts, rather than one memo for the whole table: this
+    keeps the peak memory of a large ``dmr-check`` near that of the plain
+    pair loop.  One table is cached, so the maps of one suite share it and
+    a new key frees the old table."""
+    words = tuple(alphabet.words_up_to(bound))
+    index = {w: i for i, w in enumerate(words)}
+    degrees = [alphabet.word_degree(w) for w in words]
+    firsts = [i for i, d in enumerate(degrees) if 0 < d < bound]
+    us, vs, ends, positions, counts = (array("I") for _ in range(5))
+    for u in firsts:
+        qs = _quasi_shuffle_words(diamond)
+        for v in firsts:
+            if degrees[u] + degrees[v] > bound:
+                break  # firsts runs by degree
+            for w, n in qs(words[u], words[v]).items():
+                positions.append(index[w])
+                counts.append(n)
+            us.append(u)
+            vs.append(v)
+            ends.append(len(positions))
+    return words, us, vs, ends, positions, counts
+
+
 def _pair_residuals(phi: TruncatedSeries, diamond):
     """``((u, v), sum_w (phi|w) n_w - (phi|u)(phi|v))`` over the nonempty
     word pairs of total degree at most the bound of ``phi``, where ``u
     *_diamond v = sum_w n_w w``: the only pair loop that multiplies words.
-    It reads the word-level counts directly, with a fresh memo for each
-    pair, and sums from the ring's zero."""
-    alphabet, terms, zero = phi.alphabet, phi.terms, phi.ring.zero
-    words = [(w, alphabet.word_degree(w))
-             for w in alphabet.words_up_to(phi.degree_bound - 1) if w]
-    for u, du in words:
-        for v, dv in words:
-            if du + dv > phi.degree_bound:
-                continue
-            counts = _quasi_shuffle_words(diamond)(u, v)
-            lhs = sum((terms.get(w, zero) * n for w, n in counts.items()), zero)
-            yield (u, v), lhs - terms.get(u, zero) * terms.get(v, zero)
+    It reads the counts from :func:`_pair_table` and the coefficients of
+    ``phi`` by position, so each word is hashed once per series.  The sum
+    starts from the ring's zero and skips the multiply at count 1."""
+    words, us, vs, ends, positions, counts = _pair_table(
+        phi.alphabet, phi.degree_bound, diamond)
+    zero = phi.ring.zero
+    get = phi.terms.get
+    vals = [get(w, zero) for w in words]
+    terms = zip(positions, counts)
+    start = 0
+    for u, v, end in zip(us, vs, ends):
+        lhs = zero
+        for p, n in islice(terms, end - start):
+            lhs = lhs + (vals[p] if n == 1 else vals[p] * n)
+        start = end
+        yield (words[u], words[v]), lhs - vals[u] * vals[v]
 
 
 def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> GrouplikeReport:

@@ -1,6 +1,8 @@
 """Free algebra: products, label twist, conversions, membership, pairing."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import combo, elem, oracle_quasi_shuffle_words, oracle_shuffle
 from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership,
-                               ZERO_DIAMOND, format_element_combo, harmonic,
+                               ZERO_DIAMOND, _quasi_shuffle_words,
+                               format_element_combo, harmonic,
                                membership, parse_element_combo,
                                project_piY, qg_apply, quasi_shuffle, shuffle,
                                shuffle_words, x_to_y, y_to_x)
@@ -115,6 +118,23 @@ class TestQuasiShuffle:
                                             HARMONIC_DIAMOND)
                         want = oracle_quasi_shuffle_words(w1, w2, diamond_fn)
                         assert got.terms == {w: Fraction(c) for w, c in want.items()}
+
+    def test_word_memo_dies_without_the_cycle_collector(self, Z3):
+        # a memo that referred back to itself would live until the cyclic
+        # collector ran, one per product call and per pair-table row
+        u = ((1, Z3.element(1)), (2, Z3.element(2)))
+        v = ((1, Z3.element(0)), (1, Z3.element(1)))
+        gc.disable()
+        try:
+            qs = _quasi_shuffle_words(HARMONIC_DIAMOND)
+            counts = qs(u, v)
+            dropped = weakref.ref(qs)
+            del qs
+            assert dropped() is None
+        finally:
+            gc.enable()
+        want = oracle_quasi_shuffle_words(u, v, HARMONIC_DIAMOND.mul)
+        assert counts == want
 
 
 def _words_over(letters, max_len):

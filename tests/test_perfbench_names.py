@@ -88,6 +88,18 @@ def test_traced_product_and_suite_counts(harness):
     assert stats["numeval.numeric_relation_suite.calls"] == 1
 
 
+def test_clear_caches_empties_the_pair_table(harness):
+    # every benchmark pass starts cold: the pair table shared by the duality
+    # maps of one pass must not survive into the next
+    workloads, _ = harness
+    from cyclozeta import dmr
+    group = construct_group([2])
+    grouplike_check(TruncatedSeries.one(RATIONAL, Alphabet.x(group), 3), "shuffle")
+    assert dmr._pair_table.cache_info().currsize == 1
+    workloads.clear_caches([dmr])
+    assert dmr._pair_table.cache_info().currsize == 0
+
+
 def test_exact_series_duality_ops(harness):
     # each map op compares the direct test and the grouplike check with the
     # map's construction, so a verdict that reads the pair loop wrongly fails

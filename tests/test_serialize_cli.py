@@ -165,16 +165,18 @@ class TestCli:
         (["polylog", "--N", "2", "--k", "2", "--z", "0.5"], "--k and --z take"),
         (["polylog", "--N", "2", "--k", "", "--z", "1"], "--k and --z take"),
         (["dmrd-check", "--N", "4", "--d", "0"], "d=0 does not divide"),
-        (["dmr-check", "--N", "2", "--degree", "0"], "--degree must be at least 1"),
+        (["dmr-check", "--N", "2", "--degree", "0"], "--degree must be at least 2"),
+        (["dmr-check", "--N", "2", "--degree", "1"], "--degree must be at least 2, got 1"),
         (["dmrd-check", "--N", "4", "--degree", "0"], "--degree must be at least 1"),
         (["eds-dmr-check", "--N", "2", "--degree", "0"], "--degree must be at least 1"),
-        (["relation-suite", "--N", "3", "--weight", "0"], "--weight must be at least 1"),
-        (["relation-suite", "--N", "3", "--weight", "-1"], "--weight must be at least 1"),
+        (["relation-suite", "--N", "3", "--weight", "0"], "--weight must be at least 2"),
+        (["relation-suite", "--N", "3", "--weight", "-1"], "--weight must be at least 2"),
+        (["relation-suite", "--N", "3", "--weight", "1"], "--weight must be at least 2, got 1"),
         (["regdist", "--N", "2", "--d", "2", "--max-len", "-1"],
          "--max-len must be at least 1"),
     ], ids=["k-letter", "z-float", "k-empty", "d-zero", "dmr-degree-zero",
-            "dmrd-degree-zero", "eds-dmr-degree-zero", "weight-zero",
-            "weight-negative", "max-len-negative"])
+            "dmr-degree-one", "dmrd-degree-zero", "eds-dmr-degree-zero",
+            "weight-zero", "weight-negative", "weight-one", "max-len-negative"])
     def test_bad_numeric_input_exits_two(self, capsys, argv, message):
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err

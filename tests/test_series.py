@@ -12,9 +12,10 @@ from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                               shuffle, x_to_y, y_to_x)
 from cyclozeta import duality
 from cyclozeta.checks import Check
-from cyclozeta.dmr import (GrouplikeReport, _pair_residuals, dmr_check, dmrd_check,
-                           eds_dmr_equality_check, functor_sharp, functor_star,
-                           grouplike_check, phi_corr, phi_from_Z, phi_star)
+from cyclozeta.dmr import (GrouplikeReport, _pair_residuals, _pair_table,
+                           dmr_check, dmrd_check, eds_dmr_equality_check,
+                           functor_sharp, functor_star, grouplike_check,
+                           phi_corr, phi_from_Z, phi_star)
 from cyclozeta.duality import (broken_functional, duality_suite,
                                functional_is_multiplicative, functional_series,
                                nested_sum_functional)
@@ -31,6 +32,24 @@ from test_regularization import prime_zmap
 def x_series(group, degree, mapping, letters=None):
     return TruncatedSeries.make(RATIONAL, Alphabet.x(group, letters), degree,
                                 mapping)
+
+
+def element_pair_residuals(series, diamond):
+    """The pair loop's residuals from element products: multiply the two
+    words as elements and pair the product with the series."""
+    alphabet, ring, bound = series.alphabet, series.ring, series.degree_bound
+    coeff = lambda w: series.terms.get(w, ring.zero)
+    words = [w for w in alphabet.words_up_to(bound - 1) if w]
+    for u in words:
+        for v in words:
+            if alphabet.word_degree(u) + alphabet.word_degree(v) > bound:
+                continue
+            prod = quasi_shuffle(
+                AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, u),
+                AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, v),
+                diamond)
+            lhs = sum(c * coeff(w) for w, c in prod.terms.items())
+            yield (u, v), lhs - coeff(u) * coeff(v)
 
 
 def random_series(alphabet, degree, rng, density=0.5):
@@ -189,33 +208,42 @@ class TestGrouplike:
         (COMPLEX, "y", HARMONIC_DIAMOND),
     ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic"])
     def test_pair_loop_matches_element_products(self, Z3, ring, kind, diamond):
-        """The pair loop reads word-level counts; the formula it replaces
-        multiplies the two words as elements and pairs the product."""
+        """The pair loop reads word-level counts from a table shared by every
+        series with the same alphabet and bound; the formula it replaces
+        multiplies the two words as elements and pairs the product.  Two
+        different series run through one table, so state left over from the
+        first would show in the second."""
         rng = random.Random(8)
         alphabet = Alphabet(kind, Z3, tuple(Z3.elements()))
-        if ring is COMPLEX:
-            terms = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                     for w in alphabet.words_up_to(4)}
-            series = TruncatedSeries.make(ring, alphabet, 4, terms)
-        else:
-            series = random_series(alphabet, 4, rng)
-        coeff = lambda w: series.terms.get(w, ring.zero)
+        _pair_table.cache_clear()
+        for _ in range(2):
+            if ring is COMPLEX:
+                terms = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                         for w in alphabet.words_up_to(4)}
+                series = TruncatedSeries.make(ring, alphabet, 4, terms)
+            else:
+                series = random_series(alphabet, 4, rng)
+            got = list(_pair_residuals(series, diamond))
+            assert len(got) > 100
+            assert got == list(element_pair_residuals(series, diamond))
+        info = _pair_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
-        def oracle():
-            words = [w for w in alphabet.words_up_to(3) if w]
-            for u in words:
-                for v in words:
-                    if alphabet.word_degree(u) + alphabet.word_degree(v) > 4:
-                        continue
-                    prod = quasi_shuffle(
-                        AlgebraElement.from_word(RATIONAL, kind, Z3, u),
-                        AlgebraElement.from_word(RATIONAL, kind, Z3, v), diamond)
-                    lhs = sum(c * coeff(w) for w, c in prod.terms.items())
-                    yield (u, v), lhs - coeff(u) * coeff(v)
-
-        got = list(_pair_residuals(series, diamond))
-        assert len(got) > 100
-        assert got == list(oracle())
+    def test_pair_table_is_bounded_and_keyed(self, Z3):
+        """One table is cached; another bound or product builds its own,
+        which replaces the cached one."""
+        assert _pair_table.cache_info().maxsize == 1
+        rng = random.Random(9)
+        alphabet = Alphabet.y(Z3)
+        terms = random_series(alphabet, 4, rng).terms
+        _pair_table.cache_clear()
+        for bound, diamond in ((4, HARMONIC_DIAMOND), (3, HARMONIC_DIAMOND),
+                               (3, ZERO_DIAMOND), (4, HARMONIC_DIAMOND)):
+            series = TruncatedSeries.make(RATIONAL, alphabet, bound, terms)
+            got = list(_pair_residuals(series, diamond))
+            assert got == list(element_pair_residuals(series, diamond))
+            assert _pair_table.cache_info().currsize == 1
+        assert _pair_table.cache_info().misses == 4
 
 
 class TestQgHat:
