@@ -21,9 +21,10 @@ Arithmetic convention: word-level products (:func:`shuffle_words`,
 coefficients puts the ring value on the left (``c * count``) and starts no
 sum from an int ``0`` (``out[w] = out[w] + term if w in out else term``).
 A ``Fraction`` then stays on its forward operator path, and each output
-term touches the ring once.  Where most counts are 1, as in the grouplike
-pair loop, a term at count 1 is the value itself (``c if n == 1 else
-c * n``), which builds no new ``Fraction``.
+term touches the ring once.  Most counts are 1, and a term at count 1 is
+the value itself (``c if n == 1 else c * n``), which builds no new
+``Fraction``; :func:`_bilinear` and the grouplike pair loop both follow
+this rule.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraEle
         for w2, c2 in b.terms.items():
             c = c1 * c2
             for word, count in words_product(w1, w2).items():
-                term = c * count
+                term = c if count == 1 else c * count
                 out[word] = out[word] + term if word in out else term
     return a._like(out)
 

@@ -22,10 +22,12 @@ covariant side of the duality.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import update_wrapper
 from itertools import islice
+from threading import Lock
 
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                       _quasi_shuffle_words, project_piY, qg_apply)
@@ -57,7 +59,47 @@ def _pair_format(kind: str):
     return lambda pair: f"{fmt(pair[0])}|{fmt(pair[1])}"
 
 
-@lru_cache(maxsize=1)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _one_slot:
+    """``functools.lru_cache(maxsize=1)``, with its ``cache_info()`` and
+    ``cache_clear()``, for a builder of large values, except that a call
+    with a new key frees the cached value before it builds the next one.
+    The key and its value are stored as one pair, so a thread never reads
+    the value of another key; threads that miss at once each build, as
+    with ``lru_cache``, outside the lock that guards the counts."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self._lock = Lock()
+        self._entry = None
+        self._hits = self._misses = 0
+
+    def __call__(self, *key):
+        with self._lock:
+            entry = self._entry
+            if entry is not None and entry[0] == key:
+                self._hits += 1
+                return entry[1]
+            self._misses += 1
+            self._entry = entry = None
+        value = self._build(*key)
+        self._entry = key, value
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, 1, int(self._entry is not None))
+
+    def cache_clear(self):
+        with self._lock:
+            self._entry = None
+            self._hits = self._misses = 0
+
+
+@_one_slot
 def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     """The word-level products the pair loop reads, which no series changes:
     ``(words, us, vs, ends, positions, counts)``.  ``words`` lists the words
@@ -70,8 +112,8 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     tuple each, and each first word gets its own word memo, dropped before
     the next one starts, rather than one memo for the whole table: this
     keeps the peak memory of a large ``dmr-check`` near that of the plain
-    pair loop.  One table is cached, so the maps of one suite share it and
-    a new key frees the old table."""
+    pair loop.  One table is cached, so the maps of one suite share it, and
+    a new key frees the old table before the new one is built."""
     words = tuple(alphabet.words_up_to(bound))
     index = {w: i for i, w in enumerate(words)}
     degrees = [alphabet.word_degree(w) for w in words]
@@ -97,7 +139,8 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
     *_diamond v = sum_w n_w w``: the only pair loop that multiplies words.
     It reads the counts from :func:`_pair_table` and the coefficients of
     ``phi`` by position, so each word is hashed once per series.  The sum
-    starts from the ring's zero and skips the multiply at count 1."""
+    starts from its first term (every product of two nonempty words has
+    one) and skips the multiply at count 1."""
     words, us, vs, ends, positions, counts = _pair_table(
         phi.alphabet, phi.degree_bound, diamond)
     zero = phi.ring.zero
@@ -106,8 +149,10 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
     terms = zip(positions, counts)
     start = 0
     for u, v, end in zip(us, vs, ends):
-        lhs = zero
-        for p, n in islice(terms, end - start):
+        product = islice(terms, end - start)
+        p, n = next(product)
+        lhs = vals[p] if n == 1 else vals[p] * n
+        for p, n in product:
             lhs = lhs + (vals[p] if n == 1 else vals[p] * n)
         start = end
         yield (words[u], words[v]), lhs - vals[u] * vals[v]
@@ -124,12 +169,20 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
         raise AlphabetMismatchError("the harmonic check needs a Y-side series")
     ring = phi.ring
     alphabet = phi.alphabet
-    residuals = [(((), ()), phi.coeff(()) - ring.one)]
-    # every word of a product of two words in the loop is within the bound
-    residuals += _pair_residuals(phi, diamond)
+    checked = 0
+
+    def residuals():
+        # streamed into the fold: a list of every pair's row would outweigh
+        # the pair table
+        nonlocal checked
+        yield ((), ()), phi.coeff(()) - ring.one
+        # every word of a product of two words in the loop is within the bound
+        for checked, row in enumerate(_pair_residuals(phi, diamond), 1):
+            yield row
+
     check = fold(f"dmr-{product}-grouplike", f"N={alphabet.group.order}", ring,
-                 residuals, _pair_format(alphabet.kind))
-    return GrouplikeReport(check, len(residuals) - 1)
+                 residuals(), _pair_format(alphabet.kind))
+    return GrouplikeReport(check, checked)
 
 
 # -- the generating series of an evaluation map -----------------------------

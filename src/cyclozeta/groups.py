@@ -3,12 +3,14 @@
 Groups are written multiplicatively in the mathematics but realized
 additively on exponent vectors: an element of ``Z/n1 x ... x Z/nk`` is the
 tuple of its exponents reduced mod ``n_i``, and the identity is the zero
-vector.  A group is an immutable value.  Each group owns one
-:class:`GroupElement` instance per element: ``element()``, ``identity()``,
-``elements()``, parsing, ``*``, ``inverse()`` and ``**`` all return that
-instance, so letters compare by identity and hash by a stored value.  The
-instances are made on first use, never as a table of the whole group.
-Elements of two equal groups built separately still compare equal.
+vector.  A group is an immutable value.  There is one
+:class:`GroupElement` instance per element per process: ``element()``,
+``identity()``, ``elements()``, parsing, ``*``, ``inverse()`` and ``**``
+all return that instance, and two equal groups built separately share it.
+Equality of elements is therefore identity, and the hash is ``object``'s,
+so hashing and comparing a word never runs Python code.  The instances are
+made on first use, never as a table of the whole group, and a process keeps
+one table per group it names.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from functools import cached_property
 from math import prod
 
 from .errors import GroupMismatchError, InvalidArgumentError, ParseError
+
+#: the element instances of every group this process has named, by
+#: invariant factors and element index
+_TABLES: dict[tuple[int, ...], dict[int, "GroupElement"]] = {}
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,9 @@ class FiniteAbelianGroup:
         for n in reversed(self.invariant_factors[1:]):
             strides.insert(0, n * strides[0])
         object.__setattr__(self, "_strides", tuple(strides))
-        object.__setattr__(self, "_interned", {})
+        # setdefault gives two threads that name a new group one table
+        object.__setattr__(self, "_interned",
+                           _TABLES.setdefault(self.invariant_factors, {}))
 
     def __reduce__(self):
         return FiniteAbelianGroup, (self.invariant_factors,)
@@ -94,14 +102,15 @@ class FiniteAbelianGroup:
 class GroupElement:
     """An element as a canonically reduced exponent vector.
 
-    There is one instance per element of a group; ``GroupElement(group,
-    exponents)`` returns ``group.element(exponents)``.  ``index`` is the
-    element's position in ``group.elements()``, and the hash is that of
-    ``(group, exponents)``, computed once.  Products are looked up in a
-    table of the products this element has formed so far.
+    There is one instance per element per process, shared by equal groups;
+    ``GroupElement(group, exponents)``, copies and unpickled elements all
+    return ``group.element(exponents)``.  Equality is identity and the hash
+    is ``object``'s.  ``index`` is the element's position in
+    ``group.elements()``.  Products are looked up in a table of the
+    products this element has formed so far.
     """
 
-    __slots__ = ("group", "exponents", "index", "_hash", "_products")
+    __slots__ = ("group", "exponents", "index", "_products")
 
     def __new__(cls, group: FiniteAbelianGroup, exponents) -> "GroupElement":
         return group.element(exponents)
@@ -111,7 +120,7 @@ class GroupElement:
               index: int) -> "GroupElement":
         g = object.__new__(cls)
         for name, value in (("group", group), ("exponents", reduced), ("index", index),
-                            ("_hash", hash((group, reduced))), ("_products", {})):
+                            ("_products", {})):
             object.__setattr__(g, name, value)
         return g
 
@@ -123,17 +132,6 @@ class GroupElement:
 
     def __reduce__(self):
         return GroupElement, (self.group, self.exponents)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return (self.exponents == other.exponents
-                and self.group.invariant_factors == other.group.invariant_factors)
 
     def __repr__(self):
         return f"GroupElement(group={self.group!r}, exponents={self.exponents!r})"

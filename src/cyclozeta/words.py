@@ -24,6 +24,15 @@ YWord = tuple[YLetter, ...]
 
 X0: XLetter = None
 
+#: one tuple per Y letter, shared by the words made here: the words of a
+#: large series or pair table repeat a few letters many times
+_Y_LETTERS: dict[YLetter, YLetter] = {}
+
+
+def _y_letter(n: int, g: GroupElement) -> YLetter:
+    y = (n, g)
+    return _Y_LETTERS.setdefault(y, y)
+
 
 def y_weight(word: YWord) -> int:
     return sum(n for n, _ in word)
@@ -60,7 +69,7 @@ def x_word_blocks(word: XWord) -> tuple[list[tuple[int, GroupElement]], int]:
         if letter is X0:
             run += 1
         else:
-            blocks.append((run + 1, letter))
+            blocks.append(_y_letter(run + 1, letter))
             run = 0
     return blocks, run
 
@@ -111,15 +120,17 @@ def x_words_up_to(letters, max_length: int) -> Iterator[XWord]:
 def y_words_up_to(letters, max_weight: int) -> Iterator[YWord]:
     """All Y words of weight <= max_weight, ordered by weight."""
     letters = tuple(letters)
+    ys = {n: [(_y_letter(n, g),) for g in letters]
+          for n in range(1, max_weight + 1)}
 
     def gen(weight: int) -> Iterator[YWord]:
         if weight == 0:
             yield ()
             return
         for n in range(1, weight + 1):
-            for g in letters:
+            for y in ys[n]:
                 for rest in gen(weight - n):
-                    yield ((n, g),) + rest
+                    yield y + rest
 
     for w in range(max_weight + 1):
         yield from gen(w)

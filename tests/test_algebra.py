@@ -17,7 +17,8 @@ from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership,
                                shuffle_words, x_to_y, y_to_x)
 from cyclozeta.errors import AlphabetMismatchError, NotInH1Error
 from cyclozeta.rings import COMPLEX, RATIONAL, ComplexRing
-from cyclozeta.words import X0, x_word_in_h0, x_word_in_h1, x_words_up_to, y_words_up_to
+from cyclozeta.words import (X0, x_to_y_word, x_word_in_h0, x_word_in_h1,
+                             x_words_up_to, y_to_x_word, y_words_up_to)
 
 
 class TestArith:
@@ -251,6 +252,16 @@ class TestConversion:
         for w in y_words_up_to(letters, 4):
             a = elem(Z3, *w, kind="y")
             assert x_to_y(y_to_x(a)) == a
+
+    def test_y_words_share_their_letters(self, Z3):
+        """The Y words of a large series repeat a few letters: the word
+        enumeration and the conversion from X make one tuple per letter."""
+        made = {}
+        for w in y_words_up_to(Z3.elements(), 4):
+            for word in (w, x_to_y_word(y_to_x_word(w))):
+                for letter in word:
+                    assert made.setdefault(letter, letter) is letter
+        assert len(made) == 4 * Z3.order
 
 
 class TestMembership:

@@ -35,6 +35,11 @@ COMMANDS = {
     "product-complex-shuffle": [
         "product", "--group", "Z3", "--ring", "complex", "--shuffle",
         "(1.5+0.25j)*xg[1]x0 + -2*xg[2] + -xg[0]", "(0.1-3j)*xg[2]xg[1] + 2*xg[0]"],
+    # negative-zero parts reach the products; the text must not show them
+    "product-complex-harmonic": [
+        "product", "--group", "Z3", "--ring", "complex", "--harmonic",
+        "(1-0j)*y[1,g1] + (-0.5-0j)*y[2,g2]y[1,g0] + (-0-1j)*y[1,g2]",
+        "(2-0j)*y[1,g1]y[1,g2] + (-0+3j)*y[1,g0] + -0.25*y[3,g1]"],
     "reg": [
         "reg", "--group", "Z3",
         "2/3*xg[0]xg[1]x0x0 + -5*xg[0]xg[0]xg[2]x0 + xg[0]x0"],

@@ -2,14 +2,18 @@
 
 import copy
 import pickle
+import sys
+import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
 
+from cyclozeta import groups
 from cyclozeta.errors import GroupMismatchError, InvalidArgumentError, ParseError
-from cyclozeta.groups import (FiniteAbelianGroup, GroupHom, construct_group,
-                              divisors_of_order, format_element, format_group,
+from cyclozeta.groups import (FiniteAbelianGroup, GroupElement, GroupHom,
+                              construct_group, divisors_of_order,
+                              format_element, format_group,
                               hom_identity, hom_inclusion, hom_power,
                               parse_element, parse_group, power_structure)
 
@@ -90,7 +94,8 @@ class TestArithmetic:
 
 
 class TestElementContract:
-    """One instance per element, a stored hash, and equality across groups."""
+    """One instance per element per process, shared by equal groups, with
+    identity equality and hash."""
 
     def test_reduction_returns_the_same_instance(self, Z3):
         assert Z3.element(4) is Z3.element(1)
@@ -114,14 +119,15 @@ class TestElementContract:
 
     def test_equal_groups_built_apart(self):
         a, b = construct_group([6]).element(1), construct_group([2, 3]).element(1)
-        assert a is not b
+        assert a is b
         assert a == b and hash(a) == hash(b)
         assert a * b == construct_group([6]).element(2)
 
     def test_hash_is_the_value_type_hash(self):
-        for G in (construct_group([6]), construct_group([2, 4]), construct_group([])):
-            for g in G.elements():
-                assert hash(g) == hash((G, g.exponents))
+        # identity hash and equality are C-level: a word's hash and its dict
+        # comparisons never call into Python code
+        assert GroupElement.__hash__ is object.__hash__
+        assert GroupElement.__eq__ is object.__eq__
 
     def test_attributes_are_read_only(self, Z3):
         g = Z3.element(1)
@@ -135,11 +141,49 @@ class TestElementContract:
         assert copy.deepcopy(g) == g
         assert pickle.loads(pickle.dumps(g)) == g
 
+    def test_copies_are_the_interned_instance(self):
+        for G in (construct_group([6]), construct_group([2, 4]), construct_group([])):
+            for g in G.elements():
+                assert copy.deepcopy(g) is g
+                assert copy.copy(g) is g
+                assert pickle.loads(pickle.dumps(g)) is g
+
+    def test_threads_naming_a_new_group_share_one_table(self):
+        factors = (3, 3, 999_999)
+        assert factors not in groups._TABLES
+        barrier = threading.Barrier(8, timeout=10)
+        made = []
+
+        def name_group():
+            barrier.wait()
+            G = FiniteAbelianGroup(factors)
+            made.append((G._interned, [G.element((1, 2, k)) for k in range(50)]))
+
+        threads = [threading.Thread(target=name_group) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(made) == 8
+        table, elements = made[0]
+        assert table is groups._TABLES[factors]
+        for other_table, other_elements in made[1:]:
+            assert other_table is table
+            assert all(g is h for g, h in zip(elements, other_elements))
+
     def test_large_group_stays_lazy(self):
         G = parse_group("Z1000000")
+        before = set(G._interned)
         g = parse_element("999999", G)
         assert (g * g).exponents == (999998,) and g.inverse().exponents == (1,)
-        assert len(G._interned) == 3
+        # the table is shared by every Z1000000 of the process: count what
+        # this test adds
+        assert set(G._interned) - before == {999999, 999998, 1} - before
 
 
 class TestPowerStructure:

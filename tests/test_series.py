@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -244,6 +247,68 @@ class TestGrouplike:
             assert got == list(element_pair_residuals(series, diamond))
             assert _pair_table.cache_info().currsize == 1
         assert _pair_table.cache_info().misses == 4
+
+    def test_threads_share_the_table_and_its_counts(self, Z3):
+        """Threads that alternate two keys each read the table of their
+        own key, and every call is counted once, as a hit or a miss."""
+        rng = random.Random(10)
+        alphabet = Alphabet.y(Z3)
+        cases = []
+        for bound, diamond in ((3, HARMONIC_DIAMOND), (3, ZERO_DIAMOND)):
+            series = random_series(alphabet, bound, rng)
+            expected = list(element_pair_residuals(series, diamond))
+            cases.append((series, diamond, expected))
+        _pair_table.cache_clear()
+        wrong = []
+
+        def alternate(first):
+            for k in range(20):
+                series, diamond, expected = cases[(first + k) % 2]
+                if list(_pair_residuals(series, diamond)) != expected:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=alternate, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        info = _pair_table.cache_info()
+        assert info.hits + info.misses == 80 and info.currsize == 1
+
+    def test_a_new_key_frees_the_old_table_first(self, Z3):
+        """``dmr_check`` builds a harmonic table after a shuffle one; the
+        shuffle table must be gone before the harmonic one is built, so the
+        build peaks lower than from nothing by about the freed table."""
+        shuffle_key = (Alphabet.x(Z3), 4, ZERO_DIAMOND)
+        harmonic_key = (Alphabet.y(Z3), 4, HARMONIC_DIAMOND)
+        _pair_table(*harmonic_key)  # first-use allocations stay out of the count
+        _pair_table.cache_clear()
+
+        def build_peak(key):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _pair_table(*key)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _pair_table(*shuffle_key)
+            held = tracemalloc.get_traced_memory()[0] - before
+            replacing = build_peak(harmonic_key)
+            _pair_table.cache_clear()
+            fresh = build_peak(harmonic_key)
+        finally:
+            tracemalloc.stop()
+        assert held > 0
+        assert replacing < fresh - held / 2
 
 
 class TestQgHat:
