@@ -24,7 +24,10 @@ A ``Fraction`` then stays on its forward operator path, and each output
 term touches the ring once.  Most counts are 1, and a term at count 1 is
 the value itself (``c if n == 1 else c * n``), which builds no new
 ``Fraction``; :func:`_bilinear` and the grouplike pair loop both follow
-this rule.
+this rule.  The pair loop (``dmr._pair_residuals``) goes one step further
+over the rational ring: it scales a series' coefficients to integers over
+their common denominator, sums them as ints, and builds one ``Fraction``
+per nonzero residual.
 """
 
 from __future__ import annotations

@@ -36,9 +36,12 @@ def fold(name: str, params: str, ring, residuals: Iterable[tuple],
     zero in ``ring``; the residual is the largest ``ring.abs`` and the detail
     names the word that first reaches it, written by ``fmt`` (no word when
     every residual is exactly zero, and ``words=0`` over an empty stream,
-    which passes vacuously)."""
+    which passes vacuously).  An exact zero (a false residual) is counted
+    but not measured: it can neither fail the check nor become the worst."""
     passed, worst, largest, count = True, None, 0.0, 0
     for count, (word, residual) in enumerate(residuals, 1):
+        if not residual:
+            continue
         size = ring.abs(residual)
         if size > largest:
             worst, largest = word, size

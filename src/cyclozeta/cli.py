@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import serialize
@@ -83,6 +84,14 @@ def _bound(args, name: str, least: int = 1) -> int:
         raise ParseError(
             f"--{name.replace('_', '-')} must be at least {least}, got {value}")
     return value
+
+
+def _check_tolerance(args) -> None:
+    """Reject a ``--tol`` (flag or config value) no residual can be held to:
+    with nan every comparison is false, so even a zero residual would FAIL."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ParseError(f"--tol must be a finite number >= 0, got {tol}")
 
 
 def _numeric_report(args, degree, checks) -> int:
@@ -328,6 +337,7 @@ def main(argv=None) -> int:
             return 2
     args = parser.parse_args(argv)
     try:
+        _check_tolerance(args)
         return args.fn(args)
     except CycloZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,12 @@ coefficient functional is multiplicative, so the checks run over word pairs
 through the truncation degree.  The word-level products of those pairs do not
 depend on the series: they are tabulated once per alphabet, bound and
 product, as integer positions and counts, and the table stays cached until a
-pair loop with another alphabet, bound or product replaces it.  Every check
-returns :class:`~cyclozeta.checks.Check` rows, one per CLI report line.
+pair loop with another alphabet, bound or product replaces it.  Over the
+rational ring a series' coefficients are summed as integers over the lcm
+``D`` of their denominators, and only a nonzero residual is built as a
+``Fraction``; the cost grows with the size of ``D``.  Other rings sum their
+values as they are.  Every check returns :class:`~cyclozeta.checks.Check`
+rows, one per CLI report line.
 
 The corrected series twists and projects with the word-algebra maps
 :func:`~cyclozeta.algebra.qg_apply` and :func:`~cyclozeta.algebra.project_piY`,
@@ -21,6 +25,7 @@ covariant side of the duality.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
@@ -35,6 +40,7 @@ from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, hom_inclusion, hom_power
 from .regularization import ZMap, bar_reg, extend_Z_st
+from .rings import RationalRing
 from .series import Alphabet, TruncatedSeries, series_exp
 from . import words as W
 
@@ -140,12 +146,27 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
     It reads the counts from :func:`_pair_table` and the coefficients of
     ``phi`` by position, so each word is hashed once per series.  The sum
     starts from its first term (every product of two nonempty words has
-    one) and skips the multiply at count 1."""
+    one) and skips the multiply at count 1.
+
+    Over the rational ring the coefficients are summed as integers: each
+    is scaled to ``c * D``, with ``D`` the lcm of their denominators, so a
+    pair's residual is ``r / D**2`` with ``r = lhs * D - (phi|u)(phi|v)``
+    in ints.  A nonzero ``r`` is built as one ``Fraction``, and ``r == 0``
+    yields the ring's zero, so the values are those of ``Fraction``
+    arithmetic.  The cost of an int operation grows with the size of
+    ``D``: a series whose denominators are many distinct large primes runs
+    slower than with ``Fraction``s.  Every other ring sums its values as
+    they are."""
     words, us, vs, ends, positions, counts = _pair_table(
         phi.alphabet, phi.degree_bound, diamond)
     zero = phi.ring.zero
     get = phi.terms.get
     vals = [get(w, zero) for w in words]
+    integral = isinstance(phi.ring, RationalRing)
+    if integral:
+        scale = math.lcm(*(c.denominator for c in vals))
+        square = scale * scale
+        vals = [c.numerator * (scale // c.denominator) for c in vals]
     terms = zip(positions, counts)
     start = 0
     for u, v, end in zip(us, vs, ends):
@@ -155,7 +176,11 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
         for p, n in product:
             lhs = lhs + (vals[p] if n == 1 else vals[p] * n)
         start = end
-        yield (words[u], words[v]), lhs - vals[u] * vals[v]
+        if integral:
+            r = lhs * scale - vals[u] * vals[v]
+            yield (words[u], words[v]), Fraction(r, square) if r else zero
+        else:
+            yield (words[u], words[v]), lhs - vals[u] * vals[v]
 
 
 def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> GrouplikeReport:

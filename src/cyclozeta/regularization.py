@@ -75,13 +75,16 @@ class TPolynomial:
 
 # -- word-level regularization tables -------------------------------------
 
+# the coefficient of every word a table maps to itself: one shared object
+_ONE = Fraction(1)
+
 
 @lru_cache(maxsize=200_000)
 def _tilde_word(word: tuple) -> tuple:
     """The shuffle-algebra retraction killing x0, identity on words that end
     in a group letter, of one word as ``((word, Fraction), ...)``."""
     if x_word_in_h1(word):
-        return ((word, Fraction(1)),)
+        return ((word, _ONE),)
     k = len(word)
     while k > 0 and word[k - 1] is X0:
         k -= 1
@@ -104,7 +107,7 @@ def _regt_word(word: tuple) -> tuple:
     """``reg^T`` of one word of the x0-free-tail algebra, as
     ``((l, word, Fraction), ...)``; assumes the word ends in a group letter."""
     if not word or word[0] is X0 or not word[0].is_identity:
-        return ((0, word, Fraction(1)),)
+        return ((0, word, _ONE),)
     m = 0
     while m < len(word) and word[m] is not X0 and word[m].is_identity:
         m += 1

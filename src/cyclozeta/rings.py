@@ -9,10 +9,15 @@ the Python numeric tower, so algebra code can use ordinary operators.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
+
+# ``Fraction`` is immutable, so every access to the constants shares one
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -23,11 +28,11 @@ class RationalRing:
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -91,9 +96,13 @@ class ComplexRing:
 
     def parse(self, text: str) -> complex:
         try:
-            return complex(text.strip())
+            value = complex(text.strip())
         except ValueError as exc:
             raise ParseError(f"bad complex literal {text!r}") from exc
+        # an infinite part turns into nan parts under complex multiplication
+        if not cmath.isfinite(value):
+            raise ParseError(f"complex literal {text!r} is not finite")
+        return value
 
 
 RATIONAL = RationalRing()

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from cyclozeta.checks import Check, differences, fold
 from cyclozeta.rings import RATIONAL, ComplexRing
 from cyclozeta.words import X0, format_x_word
@@ -52,6 +54,25 @@ class TestFold:
         tie = fold("c", "p", RATIONAL, differences({(g,): 1}, {(X0, g): 1, (g,): 2}),
                    format_x_word)
         assert not tie.passed and tie.detail == "worst=xg[1]"
+
+    @pytest.mark.parametrize("ring, zeros, value", [
+        (RATIONAL, (Fraction(0), Fraction(0)), Fraction(-3, 4)),
+        (ComplexRing(1e-3), (0j, -0j), 2e-3 - 1e-3j),
+    ], ids=["rational", "complex"])
+    def test_exact_zeros_count_but_change_nothing(self, Z2, ring, zeros, value):
+        """Zeros before and after a nonzero residual are counted, and the
+        row reads as if only the nonzero residual had been compared."""
+        g = Z2.element(1)
+        alone = fold("c", "p", ring, [((X0, g), value)], format_x_word)
+        for zero in zeros:
+            rows = [((g,), zero), ((X0, g), value), ((g, g), zero)]
+            check = fold("c", "p", ring, iter(rows), format_x_word)
+            assert check == alone
+            assert not check.passed and check.detail == "worst=x0xg[1]"
+            assert check.residual == ring.abs(value)
+            # only the zeros: nothing is named, and the row still counts them
+            assert fold("c", "p", ring, [((g,), zero)], format_x_word) == Check(
+                "c", "p", True, 0.0, "")
 
     def test_generator_input(self, Z2):
         g = Z2.element(1)

@@ -160,6 +160,15 @@ class TestCli:
         assert main(argv) == 2
         assert "at offset 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["inf", "nan", "infj", "1e999"])
+    def test_non_finite_complex_coefficient_exits_two(self, capsys, literal):
+        argv = ["product", "--group", "Z3", "--ring", "complex", "--shuffle",
+                f"{literal}*xg[1]", "xg[2]"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: complex literal {literal!r} is not finite" in captured.err
+
     @pytest.mark.parametrize("argv, message", [
         (["polylog", "--N", "2", "--k", "a", "--z", "1"], "--k and --z take"),
         (["polylog", "--N", "2", "--k", "2", "--z", "0.5"], "--k and --z take"),
@@ -174,12 +183,34 @@ class TestCli:
         (["relation-suite", "--N", "3", "--weight", "1"], "--weight must be at least 2, got 1"),
         (["regdist", "--N", "2", "--d", "2", "--max-len", "-1"],
          "--max-len must be at least 1"),
+        (["dmr-check", "--N", "2", "--degree", "3", "--tol", "nan"],
+         "--tol must be a finite number >= 0, got nan"),
+        (["dmr-check", "--N", "2", "--degree", "3", "--tol", "inf"],
+         "--tol must be a finite number >= 0, got inf"),
+        (["zhao-verify", "--N", "2", "--d", "2", "--tol", "-1"],
+         "--tol must be a finite number >= 0, got -1.0"),
+        (["polylog", "--N", "2", "--k", "2", "--z", "1", "--tol=-inf"],
+         "--tol must be a finite number >= 0, got -inf"),
     ], ids=["k-letter", "z-float", "k-empty", "d-zero", "dmr-degree-zero",
             "dmr-degree-one", "dmrd-degree-zero", "eds-dmr-degree-zero",
-            "weight-zero", "weight-negative", "weight-one", "max-len-negative"])
+            "weight-zero", "weight-negative", "weight-one", "max-len-negative",
+            "tol-nan", "tol-inf", "tol-negative", "polylog-tol-minus-inf"])
     def test_bad_numeric_input_exits_two(self, capsys, argv, message):
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_tolerance_in_config_exits_two(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol = {value}\n")
+        argv = ["polylog", "--N", "2", "--k", "2", "--z", "1", "--config", str(cfg)]
+        assert main(argv) == 2
+        assert "error: --tol must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "1e-300"])
+    def test_zero_and_tiny_tolerances_are_accepted(self, capsys, tol):
+        assert main(["polylog", "--N", "2", "--k", "2", "--z", "1", "--tol", tol]) == 0
+        assert f"tol={float(tol)}" in capsys.readouterr().out
 
     def test_spot_degree_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

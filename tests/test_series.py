@@ -204,31 +204,49 @@ class TestGrouplike:
         s = x_series(Z3, 2, {(X0,): Fraction(1)})
         assert not grouplike_check(s, "shuffle").passed
 
-    @pytest.mark.parametrize("ring, kind, diamond", [
-        (RATIONAL, "x", ZERO_DIAMOND),
-        (RATIONAL, "y", ZERO_DIAMOND),
-        (RATIONAL, "y", HARMONIC_DIAMOND),
-        (COMPLEX, "y", HARMONIC_DIAMOND),
-    ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic"])
-    def test_pair_loop_matches_element_products(self, Z3, ring, kind, diamond):
+    @pytest.mark.parametrize("coefficients, kind, diamond", [
+        ("rational", "x", ZERO_DIAMOND),
+        ("rational", "y", ZERO_DIAMOND),
+        ("rational", "y", HARMONIC_DIAMOND),
+        ("complex", "y", HARMONIC_DIAMOND),
+        ("primes", "x", ZERO_DIAMOND),
+    ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic",
+            "prime-denominators-x-shuffle"])
+    def test_pair_loop_matches_element_products(self, Z3, coefficients, kind, diamond):
         """The pair loop reads word-level counts from a table shared by every
         series with the same alphabet and bound; the formula it replaces
         multiplies the two words as elements and pairs the product.  Two
         different series run through one table, so state left over from the
-        first would show in the second."""
+        first would show in the second.  The prime case gives every stored
+        coefficient its own prime denominator, leaves a third of the words
+        at zero and stores the unit as an int, so the common denominator of
+        the integer sums has hundreds of digits and some pairs cancel."""
         rng = random.Random(8)
         alphabet = Alphabet(kind, Z3, tuple(Z3.elements()))
+        words = list(alphabet.words_up_to(4))
+        primes = [p for p in range(2, 5000)
+                  if all(p % q for q in range(2, int(p ** 0.5) + 1))]
         _pair_table.cache_clear()
         for _ in range(2):
-            if ring is COMPLEX:
+            if coefficients == "complex":
                 terms = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                         for w in alphabet.words_up_to(4)}
-                series = TruncatedSeries.make(ring, alphabet, 4, terms)
+                         for w in words}
+                series = TruncatedSeries.make(COMPLEX, alphabet, 4, terms)
+            elif coefficients == "primes":
+                rng.shuffle(primes)
+                terms = {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), p)
+                         for w, p in zip(words, primes) if rng.random() < 2 / 3}
+                terms[()] = 1
+                series = TruncatedSeries.make(RATIONAL, alphabet, 4, terms)
             else:
                 series = random_series(alphabet, 4, rng)
             got = list(_pair_residuals(series, diamond))
             assert len(got) > 100
             assert got == list(element_pair_residuals(series, diamond))
+            if series.ring is RATIONAL:
+                assert all(type(r) is Fraction for _, r in got)
+            if coefficients == "primes":
+                assert any(r == 0 for _, r in got) and any(r != 0 for _, r in got)
         info = _pair_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
