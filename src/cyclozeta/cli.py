@@ -24,7 +24,7 @@ from .numeval import (DEFAULT_TOLERANCE, NumericZMap, PolylogQuery,
                       numeric_relation_suite, polylog_numeric)
 from .regularization import bar_reg_T
 from .relations import fdtd1_grid, fdtd1_identity_check, regdist_full_check, zhao_case_table
-from .rings import RATIONAL, ring_from_name
+from .rings import COMPLEX, RATIONAL, ring_from_name
 from .words import format_x_word
 
 
@@ -205,7 +205,7 @@ def cmd_polylog(args) -> int:
     result = polylog_numeric(query)
     print(_meta_row(group=f"Z{args.N}", ring="complex", tol=args.tol))
     print("query\tvalue\tresidual\tbound")
-    print(f"Li{ks}@{zs}\t{result.value!r}\t\t{result.tail_bound:.3e}")
+    print(f"Li{ks}@{zs}\t{COMPLEX.format(result.value)}\t\t{result.tail_bound:.3e}")
     if result.low_precision:
         print("warning: tail bound exceeds tolerance", file=sys.stderr)
     return 0

@@ -1,13 +1,16 @@
-"""Repository hygiene: the README's library sketch runs, and no module of
-the package imports a name it never uses.
+"""Repository hygiene: the README's library sketch runs, no module of the
+package imports a name it never uses, and every cache the package holds is
+bounded.
 
-Both checks read the source text with the standard library only, so a
+The import check reads the source text with the standard library only, so a
 deleted public name or a dead import shows here rather than in a reader's
 session.
 """
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -68,3 +71,18 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_caches_are_bounded(path):
+    # a cache without a bound grows for as long as the process runs; only
+    # a function of no arguments can hold a single entry without one
+    module = importlib.import_module(f"cyclozeta.{path.stem}")
+    unbounded = []
+    for name, obj in vars(module).items():
+        info = getattr(obj, "cache_info", None)
+        if not callable(info) or isinstance(obj, type) or info().maxsize is not None:
+            continue
+        if inspect.signature(obj.__wrapped__).parameters:
+            unbounded.append(name)
+    assert not unbounded, f"{path.name} holds unbounded caches: {unbounded}"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import cyclozeta
 
 from conftest import em_tail_oracle, oracle_nested_sum
+from cyclozeta import numeval
 from cyclozeta.errors import DivergentSeriesError, NotInH0Error
 from cyclozeta.numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
                                polylog_numeric, word_to_query)
@@ -83,6 +85,60 @@ class TestEngineContracts:
     def test_low_precision_flag(self):
         result = polylog_numeric(PolylogQuery((2,), (0,), 1, tolerance=1e-30))
         assert result.low_precision
+
+
+def _compositions(weight):
+    if weight == 0:
+        yield ()
+        return
+    for first in range(1, weight + 1):
+        for rest in _compositions(weight - first):
+            yield (first,) + rest
+
+
+def _convergent_queries(level, max_weight):
+    return [PolylogQuery(ks, rs, level)
+            for weight in range(1, max_weight + 1)
+            for ks in _compositions(weight)
+            for rs in product(range(level), repeat=len(ks))
+            if ks[0] > 1 or rs[0] != 0]
+
+
+class TestSharedFactors:
+    """The factor cache shared by all queries changes no value."""
+
+    LEVELS = [1, 2, 3, 4, 6]
+
+    @staticmethod
+    def fingerprint(value):
+        # repr tells the signs of zeros apart, which == does not
+        return repr(value.value), value.tail_bound, value.low_precision
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_values_do_not_depend_on_query_order(self, level):
+        queries = _convergent_queries(level, 4)
+        numeval._g_factor.cache_clear()
+        forward = [self.fingerprint(polylog_numeric(q)) for q in queries]
+        numeval._g_factor.cache_clear()
+        backward = [self.fingerprint(polylog_numeric(q)) for q in reversed(queries)]
+        assert forward == backward[::-1]
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_cached_factor_is_the_computed_one(self, level, monkeypatch):
+        cached = numeval._g_factor
+        calls = set()
+
+        def recording(letters, y):
+            calls.add((letters, y))
+            return cached(letters, y)
+
+        monkeypatch.setattr(numeval, "_g_factor", recording)
+        cached.cache_clear()
+        for query in _convergent_queries(level, 4):
+            polylog_numeric(query)
+        assert calls
+        for letters, y in calls:
+            assert repr(cached(letters, y)) == repr(cached.__wrapped__(letters, y))
 
 
 class TestZcEval:

@@ -109,6 +109,16 @@ class TestCli:
         value_text = out.splitlines()[-1].split("\t")[1]
         assert abs(complex(value_text) - math.pi ** 2 / 6) < 1e-6
 
+    def test_polylog_prints_no_negative_zero(self, capsys):
+        # a real value prints its imaginary zero as +0j, as every other
+        # complex value of the CLI does
+        code = main(["polylog", "--N", "2", "--k", "2", "--z", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        value_text = out.splitlines()[-1].split("\t")[1]
+        assert "-0j" not in value_text
+        assert abs(complex(value_text) - math.pi ** 2 / 6) < 1e-6
+
     def test_duality_quick(self, capsys):
         code = main(["duality-test", "--group", "Z3", "--degree", "3",
                      "--maps", "8"])
