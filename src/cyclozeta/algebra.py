@@ -137,11 +137,6 @@ class AlgebraElement:
         pruning drops like a zero scalar."""
         return bool(self.terms)
 
-    def degree(self) -> int:
-        if self.kind == "x":
-            return max((len(w) for w in self.terms), default=0)
-        return max((W.y_weight(w) for w in self.terms), default=0)
-
     def map_words(self, fn: Callable, kind: str | None = None) -> "AlgebraElement":
         """Apply a word -> word map linearly; ``kind`` names the alphabet of
         the image words when ``fn`` changes it."""

@@ -32,18 +32,11 @@ def _meta_row(**fields) -> str:
     return "#meta\t" + "\t".join(f"{k}={v}" for k, v in fields.items() if v is not None)
 
 
-def _coerce_config_value(value: str):
-    for converter in (int, float):
-        try:
-            return converter(value)
-        except ValueError:
-            continue
-    return value
-
-
 def load_config_defaults(path) -> dict:
     """Option defaults from a ``key = value`` file; ``#`` starts a comment
-    line and a ``subcommand`` line is ignored."""
+    line and a ``subcommand`` line is ignored.  Values stay strings, so
+    argparse converts each through its flag's ``type``, as on the command
+    line."""
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -55,18 +48,21 @@ def load_config_defaults(path) -> dict:
             if not key or not value:
                 raise CycloZetaError(f"bad config line {line!r}")
             if key != "subcommand":
-                defaults[key.replace("-", "_")] = _coerce_config_value(value)
+                defaults[key.replace("-", "_")] = value
     return defaults
 
 
 class Report:
-    """A ``#meta`` row over (check, params, status, residual, detail) rows."""
+    """A ``#meta`` row over (check, params, status, residual, detail) rows;
+    a suite that has no row to print is refused, not passed."""
 
     columns = ("check", "params", "status", "residual", "detail")
 
     def __init__(self, meta: str, checks):
         self.meta = meta
         self.checks = list(checks)
+        if not self.checks:
+            raise ParseError("the input leaves the suite no row to check")
 
     def emit(self, stream=None) -> int:
         stream = stream or sys.stdout
@@ -192,8 +188,8 @@ def cmd_zhao_verify(args) -> int:
 
 def cmd_regdist(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    return _numeric_report(args, args.max_len, regdist_full_check(
-        Z, Z.group, args.d, _bound(args, "max_len")))
+    return _numeric_report(args, args.max_len, [regdist_full_check(
+        Z, Z.group, args.d, _bound(args, "max_len"))])
 
 
 def cmd_polylog(args) -> int:

@@ -258,7 +258,9 @@ def numeric_relation_suite(level: int, weight_bound: int,
     """Residuals of the finite double shuffle identities and of the
     distribution identities among the numeric values up to a weight bound,
     one row each; the detail holds the summed tail bound of the values the
-    row used."""
+    row used.  Both products commute, so the double shuffle identity on
+    ``u, v`` is the one on ``v, u``: each unordered pair is one row, ``u``
+    not after ``v`` in word order."""
     Z = NumericZMap(level, tolerance)
     ring = Z.ring
     group = Z.group
@@ -281,8 +283,8 @@ def numeric_relation_suite(level: int, weight_bound: int,
         return [w for w in x_words_up_to(letters, weight_bound) if w and x_word_in_h0(w)]
 
     words = convergent(group.elements())
-    for u in words:
-        for v in words:
+    for i, u in enumerate(words):
+        for v in words[i:]:
             if len(u) + len(v) <= weight_bound:
                 rows.append(row("fds", f"{format_x_word(u)}|{format_x_word(v)}",
                                 (u, v), fds_sides(ring, group, u, v)))

@@ -194,9 +194,17 @@ class TestIdentitySuites:
         assert all(r.residual < 1e-6 for r in dist_rows)
 
     def test_level_one_distribution_empty(self):
-        checks = numeric_relation_suite(1, 2, tolerance=1e-5)
-        assert all(c.name == "fds" for c in checks)
+        checks = numeric_relation_suite(1, 4, tolerance=1e-5)
+        assert [(c.name, c.params) for c in checks] == [("fds", "x0xg[0]|x0xg[0]")]
         assert all(c.passed for c in checks)
+
+    def test_one_row_per_unordered_pair(self):
+        # both products commute: the identity on v, u is the one on u, v
+        checks = numeric_relation_suite(3, 3, tolerance=1e-5)
+        pairs = [tuple(c.params.split("|")) for c in checks if c.name == "fds"]
+        assert len(pairs) == 21 and all(c.passed for c in checks)
+        for n, (u, v) in enumerate(pairs):
+            assert (v, u) not in pairs[:n]
 
     def test_scalar_distribution_instance(self):
         # Li2(1) = 2 (Li2(1) + Li2(-1))

@@ -100,6 +100,16 @@ def test_clear_caches_empties_the_pair_table(harness):
     assert dmr._pair_table.cache_info().currsize == 0
 
 
+def test_numeric_suites_pass(harness):
+    # every suite numeric-suites runs exits 0 with only PASS rows, so a change
+    # to a suite's rows shows here before the benchmark runs
+    workloads, _ = harness
+    from cyclozeta import cli
+    for argv in workloads.SUITES:
+        result = workloads._run_cli(cli, argv)
+        assert workloads._check_suite(result, {}) == workloads.OK, argv
+
+
 def test_exact_series_duality_ops(harness):
     # each map op compares the direct test and the grouplike check with the
     # map's construction, so a verdict that reads the pair loop wrongly fails

@@ -12,8 +12,8 @@ from cyclozeta.relations import (distribution_sides,
                                  fds_element, fds_sides, fdt1_element,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
                                  kernel_lemma_eval, rds_element,
-                                 regdist_full_check, zhao_case_table,
-                                 sharp_sides, zhao_regdist_check)
+                                 regdist_full_check, sharp_sides,
+                                 zhao_case_table)
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0
 from test_regularization import prime_zmap
@@ -176,31 +176,29 @@ class TestZhaoWeightTwo:
     def test_x0_x0_cell_is_zero(self):
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 2)
-        assert zhao_regdist_check(Z, ps, X0, X0).passed
+        cells = {c.params: c for c in zhao_case_table(Z, Z.group, 2)}
+        assert cells["d=2 cell=x0,x0"].passed
         lhs, rhs = distribution_sides(Z, ps, elem(Z.group, X0, X0, ring=Z.ring))
         assert not lhs.coeffs and not rhs.coeffs
-
-    def test_invalid_cell_argument(self):
-        Z = NumericZMap(4)
-        ps = power_structure(Z.group, 2)
-        with pytest.raises(InvalidArgumentError):
-            zhao_regdist_check(Z, ps, Z.group.element(1), X0)
 
 
 class TestRegDist:
     def test_divisor_one_trivial_for_any_map(self, Z4):
         Z = prime_zmap(Z4, 3)
-        checks = regdist_full_check(Z, Z4, 1, 3)
-        assert all(c.passed for c in checks)
-        assert checks[0].name == "regdist-T-level" and checks[0].residual == 0
+        check = regdist_full_check(Z, Z4, 1, 3)
+        assert check.passed and check.residual == 0
+        assert check.name == "regdist-T-level"
+
+    def test_broken_map_fails_and_names_a_word(self, Z4):
+        # independent prime values satisfy no distribution relation at d = 2
+        check = regdist_full_check(prime_zmap(Z4, 3), Z4, 2, 3)
+        assert not check.passed and check.residual > 0
+        assert check.detail == "worst=xg[2]xg[2]x0"
 
     def test_numeric_level_two(self):
         Z = NumericZMap(2)
-        t_level, ev0_level, generators = regdist_full_check(Z, Z.group, 2, 3)
-        assert t_level.passed and generators.passed
-        assert t_level.residual < 1e-5
-        # T-level pass forces ev0-level pass on the same words
-        assert ev0_level.passed
+        check = regdist_full_check(Z, Z.group, 2, 3)
+        assert check.passed and check.residual < 1e-5
 
     def test_divisor_one_identity_cell(self):
         # with trivial torsion both sides of the (1,1) cell are T^2/2
@@ -208,7 +206,8 @@ class TestRegDist:
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 1)
         one = Z.group.identity()
-        assert zhao_regdist_check(Z, ps, one, one).passed
+        cells = {c.params: c for c in zhao_case_table(Z, Z.group, 1)}
+        assert cells["d=1 cell=1,1"].passed
         lhs, _ = distribution_sides(Z, ps, elem(Z.group, one, one, ring=Z.ring))
         assert abs(lhs.coeff(2, 0j) - 0.5) < 1e-12
 

@@ -201,10 +201,17 @@ class TestCli:
          "--tol must be a finite number >= 0, got -1.0"),
         (["polylog", "--N", "2", "--k", "2", "--z", "1", "--tol=-inf"],
          "--tol must be a finite number >= 0, got -inf"),
+        # suites with no row: Z1 has no divisor d >= 2, and at level one the
+        # shortest convergent word, x0 x1, leaves no pair inside weight two
+        (["dmrd-check", "--N", "1"], "the input leaves the suite no row to check"),
+        (["fdt-verify", "--group", "Z1"], "the input leaves the suite no row to check"),
+        (["relation-suite", "--N", "1", "--weight", "2"],
+         "the input leaves the suite no row to check"),
     ], ids=["k-letter", "z-float", "k-empty", "d-zero", "dmr-degree-zero",
             "dmr-degree-one", "dmrd-degree-zero", "eds-dmr-degree-zero",
             "weight-zero", "weight-negative", "weight-one", "max-len-negative",
-            "tol-nan", "tol-inf", "tol-negative", "polylog-tol-minus-inf"])
+            "tol-nan", "tol-inf", "tol-negative", "polylog-tol-minus-inf",
+            "dmrd-no-divisor", "fdt-trivial-group", "relation-suite-level-one"])
     def test_bad_numeric_input_exits_two(self, capsys, argv, message):
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -355,6 +362,20 @@ class TestCommandConfig:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "tol=0.0001" not in out and "tol=1e-05" in out
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (["dmr-check", "--N", "2"], "degree = 4.5",
+         "argument --degree: invalid int value: '4.5'"),
+        (["duality-test"], "maps = 2.0", "argument --maps: invalid int value: '2.0'"),
+    ], ids=["degree-float", "maps-float"])
+    def test_config_values_go_through_the_flag_type(self, capsys, tmp_path,
+                                                   argv, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
