@@ -64,12 +64,11 @@ class Report:
         if not self.checks:
             raise ParseError("the input leaves the suite no row to check")
 
-    def emit(self, stream=None) -> int:
-        stream = stream or sys.stdout
-        print(self.meta, file=stream)
-        print("\t".join(self.columns), file=stream)
+    def emit(self) -> int:
+        print(self.meta)
+        print("\t".join(self.columns))
         for check in self.checks:
-            print(check, file=stream)
+            print(check)
         return 0 if all(c.passed for c in self.checks) else 1
 
 
@@ -80,6 +79,13 @@ def _bound(args, name: str, least: int = 1) -> int:
         raise ParseError(
             f"--{name.replace('_', '-')} must be at least {least}, got {value}")
     return value
+
+
+def _divisor(args):
+    """``--d``, refused at 1: both arrows are identities, so every row passes."""
+    if args.d == 1:
+        raise ParseError("--d 1 checks nothing: at d = 1 both arrows are identities")
+    return args.d
 
 
 def _check_tolerance(args) -> None:
@@ -101,20 +107,12 @@ def _numeric_report(args, degree, checks) -> int:
 def cmd_product(args) -> int:
     group = parse_group(args.group)
     ring = ring_from_name(args.ring)
-    if args.shuffle:
-        kind = "y" if args.alphabet == "Y" else "x"
-        a = parse_element_combo(args.shuffle[0], ring, kind, group)
-        b = parse_element_combo(args.shuffle[1], ring, kind, group)
-        result = shuffle(a, b)
-    elif args.harmonic:
-        a = parse_element_combo(args.harmonic[0], ring, "y", group)
-        b = parse_element_combo(args.harmonic[1], ring, "y", group)
-        result = harmonic(a, b)
-    else:
-        kind = "y" if args.alphabet == "Y" else "x"
-        a = parse_element_combo(args.concat[0], ring, kind, group)
-        b = parse_element_combo(args.concat[1], ring, kind, group)
-        result = a.concat(b)
+    # the harmonic product is defined on Y words only
+    kind = "y" if args.harmonic or args.alphabet == "Y" else "x"
+    a, b = (parse_element_combo(text, ring, kind, group)
+            for text in args.shuffle or args.harmonic or args.concat)
+    result = (shuffle(a, b) if args.shuffle else harmonic(a, b) if args.harmonic
+              else a.concat(b))
     print(str(result))
     if args.out:
         serialize.write_text(args.out, serialize.format_element(result))
@@ -168,7 +166,7 @@ def cmd_dmr_check(args) -> int:
 def cmd_dmrd_check(args) -> int:
     Z = NumericZMap(args.N, args.tol)
     # at d = 1 both arrows are identities; dmr-check's vanish row covers it
-    divisors = ([args.d] if args.d is not None
+    divisors = ([_divisor(args)] if args.d is not None
                 else [d for d in divisors_of_order(Z.group) if d >= 2])
     structures = [power_structure(Z.group, d) for d in divisors]
     phi = phi_from_Z(Z, _bound(args, "degree"))
@@ -183,13 +181,13 @@ def cmd_eds_dmr_check(args) -> int:
 
 def cmd_zhao_verify(args) -> int:
     Z = NumericZMap(args.N, args.tol)
-    return _numeric_report(args, 2, zhao_case_table(Z, Z.group, args.d))
+    return _numeric_report(args, 2, zhao_case_table(Z, Z.group, _divisor(args)))
 
 
 def cmd_regdist(args) -> int:
     Z = NumericZMap(args.N, args.tol)
     return _numeric_report(args, args.max_len, [regdist_full_check(
-        Z, Z.group, args.d, _bound(args, "max_len"))])
+        Z, Z.group, _divisor(args), _bound(args, "max_len"))])
 
 
 def cmd_polylog(args) -> int:

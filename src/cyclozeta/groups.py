@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, lcm, prod
 
 from .errors import GroupMismatchError, InvalidArgumentError, ParseError
 
@@ -167,43 +167,20 @@ class GroupElement:
 def construct_group(factors) -> FiniteAbelianGroup:
     """Build a group from an arbitrary list of cyclic factors.
 
-    The list is normalized to invariant-factor form by elementary-divisor
-    merging, so ``[2, 3]`` and ``[6]`` give the same group.  Factors equal
-    to 1 are trivial direct summands and are dropped.
+    The list is normalized to invariant-factor form by the diagonal sweep
+    ``Z/a x Z/b = Z/gcd(a,b) x Z/lcm(a,b)`` over every pair, so ``[2, 3]``
+    and ``[6]`` give the same group.  Factors equal to 1 are trivial direct
+    summands and are dropped.
     """
-    cleaned = []
-    for n in factors:
+    ns = list(factors)
+    for n in ns:
         if not isinstance(n, int) or n <= 0:
             raise InvalidArgumentError(f"cyclic factor {n!r} must be a positive integer")
-        if n > 1:
-            cleaned.append(n)
-    prime_powers: dict[int, list[int]] = {}
-    for n in cleaned:
-        for p, e in _factorize(n).items():
-            prime_powers.setdefault(p, []).append(e)
-    depth = max((len(v) for v in prime_powers.values()), default=0)
-    invariants = []
-    for i in range(depth):
-        factor = 1
-        for p, exps in prime_powers.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                factor *= p ** exps_sorted[i]
-        invariants.append(factor)
-    return FiniteAbelianGroup(tuple(reversed(invariants)))
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    # after row i, ns[i] divides every later entry
+    for i in range(len(ns)):
+        for j in range(i + 1, len(ns)):
+            ns[i], ns[j] = gcd(ns[i], ns[j]), lcm(ns[i], ns[j])
+    return FiniteAbelianGroup(tuple(n for n in ns if n > 1))
 
 
 def divisors_of_order(group: FiniteAbelianGroup) -> list[int]:
@@ -253,7 +230,8 @@ class GroupHom:
 
     ``domain`` and ``codomain`` list the elements of the two groups; they may
     be proper subgroups of their ambient groups, which is how the arrows
-    ``p^d : G -> G^d`` and ``i_d : G^d -> G`` are represented.
+    ``p^d : G -> G^d`` and ``i_d : G^d -> G`` are represented.  ``table`` is
+    ``mapping`` as a dict, built once while the mapping is validated.
     """
 
     domain: tuple[GroupElement, ...]
@@ -262,6 +240,7 @@ class GroupHom:
 
     def __post_init__(self):
         table = dict(self.mapping)
+        object.__setattr__(self, "table", table)
         dom, cod = set(self.domain), set(self.codomain)
         if set(table) != dom:
             raise InvalidArgumentError("mapping must cover the domain exactly")
@@ -271,10 +250,6 @@ class GroupHom:
             for b in self.domain:
                 if table[a * b] != table[a] * table[b]:
                     raise InvalidArgumentError("mapping is not a homomorphism")
-
-    @cached_property
-    def table(self) -> dict[GroupElement, GroupElement]:
-        return dict(self.mapping)
 
     @cached_property
     def kernel_size(self) -> int:

@@ -232,8 +232,7 @@ class NumericZMap(ZMap):
     def __init__(self, level: int, tolerance: float = DEFAULT_TOLERANCE):
         if level < 1:
             raise InvalidArgumentError("level must be >= 1")
-        super().__init__(ComplexRing(tolerance),
-                         construct_group([level] if level > 1 else []))
+        super().__init__(ComplexRing(tolerance), construct_group([level]))
         self.level = level
         self.tolerance = tolerance
         self._cache: dict[tuple, PolylogValue] = {}

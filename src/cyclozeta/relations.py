@@ -188,8 +188,7 @@ def fdtd1_grid(group: FiniteAbelianGroup) -> list[FDTd1Report]:
 # -- kernel reformulations ----------------------------------------------------
 
 
-def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
-                      ps: PowerStructure | None = None) -> Check:
+def kernel_lemma_eval(Z: ZMap, relation: RelationElement) -> Check:
     """Evaluate a relation element against its kernel reformulation.
 
     The check, named by the relation's tag, compares ``Z(element)`` with the
@@ -203,9 +202,7 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement,
     ring = Z.ring
     group = Z.group
     if relation.tag in ("FDT1", "FDT2"):
-        d = relation.params[0]
-        if ps is None or ps.d != d:
-            ps = power_structure(group, d)
+        ps = power_structure(group, relation.params[0])
         # x0 x_h for FDT1, x_{h1} x_{h2} for FDT2
         word = ((X0,) if relation.tag == "FDT1" else ()) + relation.params[1:]
         lower, upper = sharp_sides(ps, AlgebraElement.from_word(ring, "x", group, word))
@@ -249,12 +246,6 @@ def distribution_sides(Z: ZMap, ps: PowerStructure,
     return extend_Z_sh(Z, lower), sigma_apply(Z, ps.kernel, extend_Z_sh(Z, upper))
 
 
-def _cell_label(h) -> str:
-    if h is X0:
-        return "x0"
-    return "1" if h.is_identity else "h"
-
-
 def _regdist_residuals(Z: ZMap, ps: PowerStructure, word: tuple):
     """``("T^l", lhs - rhs at T^l)`` for the two sides of the regularized
     distribution relation on the X word ``word``, through the larger degree:
@@ -292,11 +283,12 @@ def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int) -> list[Check]:
     """The hypothesis spot checks, then every case-table cell (x0, identity
     and each nontrivial d-th power in both slots): the regularized
     distribution relation on ``x_{h1} x_{h2}``, compared coefficient by
-    coefficient in T; a cell's detail names the worst T power."""
+    coefficient in T; a cell's params name its word, its detail the worst T
+    power."""
     ps = power_structure(group, d)
     choices = [X0] + list(ps.subgroup)
     return zhao_hypotheses(Z, ps) + [
-        fold("zhao-cell", f"d={d} cell={_cell_label(h1)},{_cell_label(h2)}",
+        fold("zhao-cell", f"d={d} cell={format_x_word((h1, h2))}",
              Z.ring, _regdist_residuals(Z, ps, (h1, h2)), str)
         for h1 in choices for h2 in choices]
 

@@ -29,6 +29,13 @@ COMMANDS = {
     "product-harmonic": [
         "product", "--group", "Z3", "--harmonic",
         "2/5*y[1,g1]y[2,g2] + 3*y[1,g0]", "-4/3*y[2,g1] + y[1,g2]y[1,g1]"],
+    # the Y alphabet reaches the shuffle and concatenation products too
+    "product-y-shuffle": [
+        "product", "--group", "Z3", "--alphabet", "Y", "--shuffle",
+        "2/5*y[1,g1]y[2,g2] + 3*y[1,g0]", "-4/3*y[2,g1] + y[1,g2]y[1,g1]"],
+    "product-y-concat": [
+        "product", "--group", "Z3", "--alphabet", "Y", "--concat",
+        "2/5*y[1,g1]y[2,g2] + 3*y[1,g0]", "-4/3*y[2,g1] + y[1,g2]"],
     "product-concat": [
         "product", "--group", "Z3", "--concat",
         "3/2*xg[1]x0 + -1/7*xg[2]", "xg[1]xg[2] + 5/3*x0 + 2*xg[1]"],

@@ -1,6 +1,8 @@
 """Group core: construction, normalization, power structures, homs."""
 
 import copy
+import itertools
+import math
 import pickle
 import sys
 import threading
@@ -16,6 +18,15 @@ from cyclozeta.groups import (FiniteAbelianGroup, GroupElement, GroupHom,
                               format_element, format_group,
                               hom_identity, hom_inclusion, hom_power,
                               parse_element, parse_group, power_structure)
+
+
+def order_counts(factors):
+    """How many elements of ``Z/n1 x ... x Z/nk`` have each order, by brute
+    force over the exponent vectors: a vector's order is the lcm of its
+    components' orders ``n / gcd(e, n)``."""
+    component_orders = [[n // math.gcd(e, n) for e in range(n)] for n in factors]
+    return Counter(math.lcm(*orders)
+                   for orders in itertools.product(*component_orders))
 
 
 def element_order(g):
@@ -50,6 +61,16 @@ class TestConstruction:
         assert construct_group([6, 4]).invariant_factors == (2, 12)
         assert construct_group([2, 2, 2]).invariant_factors == (2, 2, 2)
         assert construct_group([4, 6, 9]).invariant_factors == (6, 36)
+
+    def test_order_counts_match_the_raw_factor_list(self):
+        # the counts of elements of each order determine a finite abelian
+        # group, so they pin the normal form without its algorithm
+        for k in range(4):
+            for factors in itertools.product(range(1, 13), repeat=k):
+                invariants = construct_group(factors).invariant_factors
+                assert 1 not in invariants
+                assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+                assert order_counts(invariants) == order_counts(factors), factors
 
     def test_trivial_group(self):
         G = construct_group([])

@@ -128,10 +128,10 @@ class TestKernelLemma:
         for d in (2, 3):
             ps = power_structure(Z6, d)
             for h in ps.subgroup:
-                report = kernel_lemma_eval(Z, fdt1_element(ps, h), ps)
+                report = kernel_lemma_eval(Z, fdt1_element(ps, h))
                 assert report.passed
                 if not h.is_identity:
-                    report2 = kernel_lemma_eval(Z, fdt2_element(ps, h, h), ps)
+                    report2 = kernel_lemma_eval(Z, fdt2_element(ps, h, h))
                     assert report2.passed
 
     def test_double_shuffle_case_exact(self, Z4):
@@ -158,7 +158,7 @@ class TestKernelLemma:
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 2)
         relation = fdt1_element(ps, Z.group.identity())
-        check = kernel_lemma_eval(Z, relation, ps)
+        check = kernel_lemma_eval(Z, relation)
         assert check.passed and check.residual < 1e-6
         assert (check.name, check.params) == ("FDT1", "2,0")
         assert abs(Z.eval_element(relation.value)) < 1e-6  # finite distribution relation
@@ -177,9 +177,16 @@ class TestZhaoWeightTwo:
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 2)
         cells = {c.params: c for c in zhao_case_table(Z, Z.group, 2)}
-        assert cells["d=2 cell=x0,x0"].passed
+        assert cells["d=2 cell=x0x0"].passed
         lhs, rhs = distribution_sides(Z, ps, elem(Z.group, X0, X0, ring=Z.ring))
         assert not lhs.coeffs and not rhs.coeffs
+
+    def test_rows_are_told_apart(self):
+        # Z6 has two nontrivial squares, so a cell must name its letters
+        Z = NumericZMap(6)
+        rows = [(c.name, c.params) for c in zhao_case_table(Z, Z.group, 2)]
+        assert len(rows) == len(set(rows)) == 3 + 4 * 4
+        assert ("zhao-cell", "d=2 cell=xg[2]xg[4]") in rows
 
 
 class TestRegDist:
@@ -207,7 +214,7 @@ class TestRegDist:
         ps = power_structure(Z.group, 1)
         one = Z.group.identity()
         cells = {c.params: c for c in zhao_case_table(Z, Z.group, 1)}
-        assert cells["d=1 cell=1,1"].passed
+        assert cells["d=1 cell=xg[0]xg[0]"].passed
         lhs, _ = distribution_sides(Z, ps, elem(Z.group, one, one, ring=Z.ring))
         assert abs(lhs.coeff(2, 0j) - 0.5) < 1e-12
 

@@ -184,6 +184,10 @@ class TestCli:
         (["polylog", "--N", "2", "--k", "2", "--z", "0.5"], "--k and --z take"),
         (["polylog", "--N", "2", "--k", "", "--z", "1"], "--k and --z take"),
         (["dmrd-check", "--N", "4", "--d", "0"], "d=0 does not divide"),
+        # at d = 1 both arrows are identities, so every row passes for any map
+        (["zhao-verify", "--N", "4", "--d", "1"], "--d 1 checks nothing"),
+        (["regdist", "--N", "4", "--d", "1"], "--d 1 checks nothing"),
+        (["dmrd-check", "--N", "4", "--d", "1"], "--d 1 checks nothing"),
         (["dmr-check", "--N", "2", "--degree", "0"], "--degree must be at least 2"),
         (["dmr-check", "--N", "2", "--degree", "1"], "--degree must be at least 2, got 1"),
         (["dmrd-check", "--N", "4", "--degree", "0"], "--degree must be at least 1"),
@@ -207,7 +211,8 @@ class TestCli:
         (["fdt-verify", "--group", "Z1"], "the input leaves the suite no row to check"),
         (["relation-suite", "--N", "1", "--weight", "2"],
          "the input leaves the suite no row to check"),
-    ], ids=["k-letter", "z-float", "k-empty", "d-zero", "dmr-degree-zero",
+    ], ids=["k-letter", "z-float", "k-empty", "d-zero", "zhao-d-one",
+            "regdist-d-one", "dmrd-d-one", "dmr-degree-zero",
             "dmr-degree-one", "dmrd-degree-zero", "eds-dmr-degree-zero",
             "weight-zero", "weight-negative", "weight-one", "max-len-negative",
             "tol-nan", "tol-inf", "tol-negative", "polylog-tol-minus-inf",
