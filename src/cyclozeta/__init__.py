@@ -9,8 +9,7 @@ from .dmr import (dmr_check, dmrd_check, eds_dmr_equality_check, functor_sharp,
                   functor_star, grouplike_check, phi_from_Z, phi_star)
 from .duality import duality_suite
 from .groups import (FiniteAbelianGroup, GroupElement, GroupHom, PowerStructure,
-                     construct_group, divisors_of_order, hom_inclusion, hom_power,
-                     parse_group, power_structure)
+                     construct_group, divisors_of_order, parse_group, power_structure)
 from .numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
                       polylog_numeric)
 from .regularization import (TableZMap, TPolynomial, ZMap, bar_reg, bar_reg_T,

@@ -136,8 +136,8 @@ def cmd_fdt_verify(args) -> int:
     if args.d is None:
         results = fdtd1_grid(group)
     else:
-        ps = power_structure(group, args.d)
-        results = [fdtd1_identity_check(group, args.d, h) for h in ps.subgroup]
+        ps = power_structure(group, _divisor(args))
+        results = [fdtd1_identity_check(group, ps.d, h) for h in ps.subgroup]
     checks = [fold("fdt1-decomposition", f"d={r.d} h={r.h} branch={r.branch}",
                    RATIONAL, differences(r.lhs.terms, r.rhs.terms), format_x_word)
               for r in results]

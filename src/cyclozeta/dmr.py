@@ -5,9 +5,9 @@ double-shuffle and distribution conditions on series.
 A series is grouplike for the coproduct dual to a product exactly when its
 coefficient functional is multiplicative, so the checks run over word pairs
 through the truncation degree.  The word-level products of those pairs do not
-depend on the series: they are tabulated once per alphabet, bound and
-product, as integer positions and counts, and the table stays cached until a
-pair loop with another alphabet, bound or product replaces it.  Over the
+depend on the series: they are tabulated per alphabet, bound and product, as
+integer positions and counts.  One table is cached, and :func:`dmr_check`
+drops the shuffle table before it builds the harmonic one.  Over the
 rational ring a series' coefficients are summed as integers over the lcm
 ``D`` of their denominators, and only a nonzero residual is built as a
 ``Fraction``; the cost grows with the size of ``D``.  Other rings sum their
@@ -27,18 +27,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import update_wrapper
+from functools import lru_cache
 from itertools import islice
-from threading import Lock
 
 from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                       _quasi_shuffle_words, project_piY, qg_apply)
 from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
-from .groups import FiniteAbelianGroup, GroupHom, PowerStructure, hom_inclusion, hom_power
+from .groups import FiniteAbelianGroup, GroupHom, PowerStructure
 from .regularization import ZMap, bar_reg, extend_Z_st
 from .rings import RationalRing
 from .series import Alphabet, TruncatedSeries, series_exp
@@ -65,47 +63,7 @@ def _pair_format(kind: str):
     return lambda pair: f"{fmt(pair[0])}|{fmt(pair[1])}"
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _one_slot:
-    """``functools.lru_cache(maxsize=1)``, with its ``cache_info()`` and
-    ``cache_clear()``, for a builder of large values, except that a call
-    with a new key frees the cached value before it builds the next one.
-    The key and its value are stored as one pair, so a thread never reads
-    the value of another key; threads that miss at once each build, as
-    with ``lru_cache``, outside the lock that guards the counts."""
-
-    def __init__(self, build):
-        update_wrapper(self, build)
-        self._build = build
-        self._lock = Lock()
-        self._entry = None
-        self._hits = self._misses = 0
-
-    def __call__(self, *key):
-        with self._lock:
-            entry = self._entry
-            if entry is not None and entry[0] == key:
-                self._hits += 1
-                return entry[1]
-            self._misses += 1
-            self._entry = entry = None
-        value = self._build(*key)
-        self._entry = key, value
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, 1, int(self._entry is not None))
-
-    def cache_clear(self):
-        with self._lock:
-            self._entry = None
-            self._hits = self._misses = 0
-
-
-@_one_slot
+@lru_cache(maxsize=1)
 def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     """The word-level products the pair loop reads, which no series changes:
     ``(words, us, vs, ends, positions, counts)``.  ``words`` lists the words
@@ -118,8 +76,9 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     tuple each, and each first word gets its own word memo, dropped before
     the next one starts, rather than one memo for the whole table: this
     keeps the peak memory of a large ``dmr-check`` near that of the plain
-    pair loop.  One table is cached, so the maps of one suite share it, and
-    a new key frees the old table before the new one is built."""
+    pair loop.  One table is cached, so the maps of one suite share it;
+    :func:`dmr_check` drops the shuffle table before it builds the harmonic
+    one, and that ``cache_clear()`` also resets the hit and miss counts."""
     words = tuple(alphabet.words_up_to(bound))
     index = {w: i for i, w in enumerate(words)}
     degrees = [alphabet.word_degree(w) for w in words]
@@ -256,6 +215,8 @@ def dmr_check(phi: TruncatedSeries) -> list[Check]:
     ring = phi.ring
     params = f"N={phi.alphabet.group.order}"
     sh = grouplike_check(phi, "shuffle").check
+    # nothing reads the shuffle table again; free it before the harmonic one
+    _pair_table.cache_clear()
     unit = phi.coeff(()) - ring.one
     if ring.is_zero(unit):
         st = grouplike_check(phi_star(phi), "harmonic").check
@@ -342,8 +303,8 @@ def dmrd_check(phi: TruncatedSeries, ps: PowerStructure) -> Check:
     """One divisor's distribution condition:
     ``p^d_*(phi) = exp(sum_{g^d=1} (phi|x_g) x_1) i_d^*(phi)``."""
     ring = phi.ring
-    lhs = functor_star(phi, hom_power(ps), "lower")
-    restricted = functor_star(phi, hom_inclusion(ps), "upper")
+    lhs = functor_star(phi, ps.power, "lower")
+    restricted = functor_star(phi, ps.inclusion, "upper")
     coeff = ring.zero
     for g in ps.kernel:
         coeff = coeff + phi.coeff((g,))

@@ -210,6 +210,18 @@ class PowerStructure:
     def kernel_order_is_d(self) -> bool:
         return len(self.kernel) == self.d
 
+    @cached_property
+    def power(self) -> GroupHom:
+        """``p^d : G ->> G^d``, the d-th power map, built on first use."""
+        return GroupHom(tuple(self.group.elements()), self.subgroup,
+                        tuple(self.power_map.items()))
+
+    @cached_property
+    def inclusion(self) -> GroupHom:
+        """``i_d : G^d -> G``, the canonical inclusion, built on first use."""
+        return GroupHom(self.subgroup, tuple(self.group.elements()),
+                        tuple((h, h) for h in self.subgroup))
+
 
 def power_structure(group: FiniteAbelianGroup, d: int) -> PowerStructure:
     """Enumerate ``G^d``, ``K_d``, ``p^d`` and its preimage classes."""
@@ -268,19 +280,6 @@ class GroupHom:
         return GroupHom(
             inner.domain, self.codomain,
             tuple((g, self.table[inner.table[g]]) for g in inner.domain))
-
-
-def hom_power(ps: PowerStructure) -> GroupHom:
-    """``p^d : G ->> G^d``, the d-th power map."""
-    return GroupHom(
-        tuple(ps.group.elements()), ps.subgroup,
-        tuple((g, ps.power_map[g]) for g in ps.group.elements()))
-
-
-def hom_inclusion(ps: PowerStructure) -> GroupHom:
-    """``i_d : G^d -> G``, the canonical inclusion."""
-    return GroupHom(ps.subgroup, tuple(ps.group.elements()),
-                    tuple((h, h) for h in ps.subgroup))
 
 
 def hom_identity(group: FiniteAbelianGroup) -> GroupHom:

@@ -22,8 +22,7 @@ from .checks import Check, fold
 from .dmr import functor_sharp, grouplike_check, phi_from_Z
 from .errors import InvalidArgumentError
 from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
-                     divisors_of_order, format_element, hom_inclusion, hom_power,
-                     power_structure)
+                     divisors_of_order, format_element, power_structure)
 from .regularization import (TPolynomial, ZMap, extend_Z_sh, extend_Z_st,
                              sigma_apply)
 from .rings import RATIONAL
@@ -115,8 +114,8 @@ def sharp_sides(ps: PowerStructure,
     """The two sides the finite distribution relation equates on ``elem``:
     its lower sharp image along the power map ``p^d`` and its upper sharp
     image along the inclusion ``i_d``."""
-    return (functor_sharp(elem, hom_power(ps), "lower"),
-            functor_sharp(elem, hom_inclusion(ps), "upper"))
+    return (functor_sharp(elem, ps.power, "lower"),
+            functor_sharp(elem, ps.inclusion, "upper"))
 
 
 # -- the depth-two decomposition ---------------------------------------------

@@ -10,6 +10,8 @@ against their ambient group and come back over the full alphabet.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import AlgebraElement, format_element_combo, parse_element_combo
 from .errors import ParseError
 from .groups import format_group, parse_group
@@ -19,14 +21,40 @@ from .series import Alphabet, TruncatedSeries
 from . import words as W
 
 
-def _header_fields(line: str) -> dict:
-    out = {}
-    for chunk in line.split():
+def _number(fields: dict, key: str, convert):
+    """A numeric header field, refused unless it is finite and >= 0."""
+    try:
+        value = convert(fields[key])
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ParseError(f"header field {key}={fields[key]} is not a finite number >= 0")
+    return value
+
+
+def _read(text: str, what: str, kind_key: str, *int_fields: str):
+    """The body lines of a series or element file, the kind, group and ring
+    its header names, and the values of its ``int_fields``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError(f"empty {what} file")
+    fields = {}
+    for chunk in lines[0].split():
         key, _, value = chunk.partition("=")
         if not value:
             raise ParseError(f"bad header field {chunk!r}")
-        out[key] = value
-    return out
+        fields[key] = value
+    try:
+        kind = fields[kind_key].lower()
+        group = parse_group(fields["group"])
+        values = [_number(fields, key, int) for key in int_fields]
+        ring = ring_from_name(fields["ring"],
+                              _number(fields, "tol", float) if "tol" in fields else None)
+    except KeyError as exc:
+        raise ParseError(f"{what} header is missing {exc}") from exc
+    if kind not in ("x", "y"):
+        raise ParseError(f"bad {kind_key} {fields[kind_key]!r}")
+    return (lines[1:], kind, group, ring, *values)
 
 
 def format_series(series: TruncatedSeries) -> str:
@@ -46,28 +74,20 @@ def format_series(series: TruncatedSeries) -> str:
 
 
 def parse_series(text: str) -> TruncatedSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty series file")
-    fields = _header_fields(lines[0])
-    try:
-        kind = fields["alphabet"].lower()
-        group = parse_group(fields["group"])
-        degree = int(fields["degree"])
-        ring = ring_from_name(fields["ring"],
-                              float(fields["tol"]) if "tol" in fields else None)
-    except KeyError as exc:
-        raise ParseError(f"series header is missing {exc}") from exc
-    if kind not in ("x", "y"):
-        raise ParseError(f"bad alphabet {fields['alphabet']!r}")
+    lines, kind, group, ring, degree = _read(text, "series", "alphabet", "degree")
     alphabet = Alphabet.x(group) if kind == "x" else Alphabet.y(group)
     coeffs = {}
     parse_word = W.parse_x_word if kind == "x" else W.parse_y_word
-    for line in lines[1:]:
+    for line in lines:
         word_text, _, coeff_text = line.partition("\t")
         if not coeff_text:
             raise ParseError(f"bad series line {line!r}")
-        coeffs[parse_word(word_text.strip(), group)] = ring.parse(coeff_text)
+        word = parse_word(word_text.strip(), group)
+        if word in coeffs:
+            raise ParseError(f"series line {line!r} repeats its word")
+        if alphabet.word_degree(word) > degree:
+            raise ParseError(f"series line {line!r} is beyond degree {degree}")
+        coeffs[word] = ring.parse(coeff_text)
     return TruncatedSeries.make(ring, alphabet, degree, coeffs)
 
 
@@ -80,19 +100,10 @@ def format_element(elem: AlgebraElement) -> str:
 
 
 def parse_element(text: str) -> AlgebraElement:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 1:
-        raise ParseError("empty element file")
-    fields = _header_fields(lines[0])
-    try:
-        kind = fields["element"].lower()
-        group = parse_group(fields["group"])
-        ring = ring_from_name(fields["ring"],
-                              float(fields["tol"]) if "tol" in fields else None)
-    except KeyError as exc:
-        raise ParseError(f"element header is missing {exc}") from exc
-    body = lines[1] if len(lines) > 1 else "0"
-    return parse_element_combo(body, ring, kind, group)
+    lines, kind, group, ring = _read(text, "element", "element")
+    if len(lines) > 1:
+        raise ParseError(f"element file has a second body line {lines[1]!r}")
+    return parse_element_combo(lines[0] if lines else "0", ring, kind, group)
 
 
 def format_tpoly(tpoly: TPolynomial, ring) -> str:

@@ -20,7 +20,7 @@ import pytest
 
 from cyclozeta.algebra import AlgebraElement, harmonic, shuffle
 from cyclozeta.dmr import functor_star, phi_star
-from cyclozeta.groups import construct_group, hom_inclusion, hom_power, power_structure
+from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.regularization import (TPolynomial, TableZMap, bar_reg_T, rho_apply,
                                       sigma_apply)
 from cyclozeta.rings import COMPLEX, RATIONAL
@@ -60,8 +60,8 @@ def products(ring):
     for level, c in bar_reg_T(divergent).coeffs.items():
         yield f"bar_reg_T T^{level}", c
     yield "series *", s * s
-    yield "functor_star lower", functor_star(s, hom_power(ps), "lower")
-    yield "functor_star upper", functor_star(s, hom_inclusion(ps), "upper")
+    yield "functor_star lower", functor_star(s, ps.power, "lower")
+    yield "functor_star upper", functor_star(s, ps.inclusion, "upper")
     Z = correction_zmap(ring)
     p = TPolynomial.make({3: ring.one, 1: ring.one})
     yield "rho", rho_apply(Z, p)

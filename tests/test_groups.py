@@ -16,8 +16,8 @@ from cyclozeta.errors import GroupMismatchError, InvalidArgumentError, ParseErro
 from cyclozeta.groups import (FiniteAbelianGroup, GroupElement, GroupHom,
                               construct_group, divisors_of_order,
                               format_element, format_group,
-                              hom_identity, hom_inclusion, hom_power,
-                              parse_element, parse_group, power_structure)
+                              hom_identity, parse_element, parse_group,
+                              power_structure)
 
 
 def order_counts(factors):
@@ -265,21 +265,26 @@ class TestDivisors:
 class TestHoms:
     def test_power_hom_tables(self, Z4):
         ps = power_structure(Z4, 2)
-        p = hom_power(ps)
+        p = ps.power
         assert p(Z4.element(1)) == Z4.element(2)
         assert p.kernel_size == 2
         assert set(p.preimage(Z4.element(2))) == {Z4.element(1), Z4.element(3)}
 
     def test_inclusion_hom(self, Z4):
         ps = power_structure(Z4, 2)
-        i = hom_inclusion(ps)
+        i = ps.inclusion
         assert i(Z4.element(2)) == Z4.element(2)
         assert i.kernel_size == 1
 
+    def test_arrows_are_built_once_on_first_use(self, Z4):
+        ps = power_structure(Z4, 2)
+        assert "power" not in vars(ps) and "inclusion" not in vars(ps)
+        assert ps.power is ps.power and ps.inclusion is ps.inclusion
+
     def test_compose(self, Z12):
         ps2 = power_structure(Z12, 2)
-        p2 = hom_power(ps2)
-        i2 = hom_inclusion(ps2)
+        p2 = ps2.power
+        i2 = ps2.inclusion
         comp = p2.compose(i2)  # p^2 o i_2 : G^2 -> G^2, the squaring map there
         for h in ps2.subgroup:
             assert comp(h) == h ** 2

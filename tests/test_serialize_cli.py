@@ -54,6 +54,29 @@ class TestSerializeRoundTrips:
         back = serialize.parse_series(serialize.format_series(series))
         assert back.terms == series.terms
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (serialize.parse_element, "element=Q group=Z3 ring=rational\n0\n", "bad element 'Q'"),
+        (serialize.parse_element, "element=X group=Z3 ring=rational\nx0\nxg[1]\n",
+         "second body line 'xg[1]'"),
+        (serialize.parse_series, "alphabet=X group=Z2 degree=x ring=rational\n",
+         "degree=x is not a finite number >= 0"),
+        (serialize.parse_series, "alphabet=X group=Z2 degree=-1 ring=rational\n",
+         "degree=-1 is not a finite number >= 0"),
+        (serialize.parse_series, "alphabet=X group=Z2 degree=1 ring=complex tol=abc\n",
+         "tol=abc is not a finite number >= 0"),
+        (serialize.parse_series, "alphabet=X group=Z2 degree=1 ring=complex tol=nan\n",
+         "tol=nan is not a finite number >= 0"),
+        (serialize.parse_series, "alphabet=X group=Z2 degree=1 ring=rational\nx0x0\t1\n",
+         "series line 'x0x0\\t1' is beyond degree 1"),
+        (serialize.parse_series, "alphabet=X group=Z2 degree=2 ring=rational\nx0\t1\nx0\t2\n",
+         "series line 'x0\\t2' repeats its word"),
+    ], ids=["element-kind", "element-two-lines", "degree-text", "degree-negative",
+            "tol-text", "tol-nan", "word-beyond-degree", "word-repeated"])
+    def test_malformed_file_raises_parse_error(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert message in str(info.value)
+
     def test_element_roundtrip(self, Z3):
         a = combo(Z3, (Fraction(2, 7), (X0, Z3.element(1))), (-1, (Z3.element(2),)))
         back = serialize.parse_element(serialize.format_element(a))
@@ -188,6 +211,8 @@ class TestCli:
         (["zhao-verify", "--N", "4", "--d", "1"], "--d 1 checks nothing"),
         (["regdist", "--N", "4", "--d", "1"], "--d 1 checks nothing"),
         (["dmrd-check", "--N", "4", "--d", "1"], "--d 1 checks nothing"),
+        (["fdt-verify", "--group", "Z4", "--d", "1"],
+         "--d 1 checks nothing: at d = 1 both arrows are identities"),
         (["dmr-check", "--N", "2", "--degree", "0"], "--degree must be at least 2"),
         (["dmr-check", "--N", "2", "--degree", "1"], "--degree must be at least 2, got 1"),
         (["dmrd-check", "--N", "4", "--degree", "0"], "--degree must be at least 1"),
@@ -212,7 +237,7 @@ class TestCli:
         (["relation-suite", "--N", "1", "--weight", "2"],
          "the input leaves the suite no row to check"),
     ], ids=["k-letter", "z-float", "k-empty", "d-zero", "zhao-d-one",
-            "regdist-d-one", "dmrd-d-one", "dmr-degree-zero",
+            "regdist-d-one", "dmrd-d-one", "fdt-d-one", "dmr-degree-zero",
             "dmr-degree-one", "dmrd-degree-zero", "eds-dmr-degree-zero",
             "weight-zero", "weight-negative", "weight-one", "max-len-negative",
             "tol-nan", "tol-inf", "tol-negative", "polylog-tol-minus-inf",

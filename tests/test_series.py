@@ -4,7 +4,7 @@ import itertools
 import random
 import sys
 import threading
-import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,7 +13,7 @@ from conftest import combo, elem
 from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
                               harmonic, project_piY, qg_apply, quasi_shuffle,
                               shuffle, x_to_y, y_to_x)
-from cyclozeta import duality
+from cyclozeta import dmr, duality
 from cyclozeta.checks import Check
 from cyclozeta.dmr import (GrouplikeReport, _pair_residuals, _pair_table,
                            dmr_check, dmrd_check, eds_dmr_equality_check,
@@ -25,7 +25,7 @@ from cyclozeta.duality import (broken_functional, duality_suite,
 from cyclozeta.errors import (AlphabetMismatchError, DegreeBoundError,
                               InvalidArgumentError)
 from cyclozeta.groups import (GroupHom, construct_group, divisors_of_order,
-                              hom_inclusion, hom_power, power_structure)
+                              power_structure)
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries, series_exp, series_log
 from cyclozeta.words import X0, y_words_up_to
@@ -300,33 +300,22 @@ class TestGrouplike:
         info = _pair_table.cache_info()
         assert info.hits + info.misses == 80 and info.currsize == 1
 
-    def test_a_new_key_frees_the_old_table_first(self, Z3):
-        """``dmr_check`` builds a harmonic table after a shuffle one; the
-        shuffle table must be gone before the harmonic one is built, so the
-        build peaks lower than from nothing by about the freed table."""
-        shuffle_key = (Alphabet.x(Z3), 4, ZERO_DIAMOND)
-        harmonic_key = (Alphabet.y(Z3), 4, HARMONIC_DIAMOND)
-        _pair_table(*harmonic_key)  # first-use allocations stay out of the count
-        _pair_table.cache_clear()
+    def test_dmr_check_drops_the_shuffle_table_first(self, Z3, monkeypatch):
+        """Nothing reads the shuffle table after the shuffle check, so
+        ``dmr_check`` frees it before it builds the corrected series, and
+        no harmonic table is built while the shuffle table lives."""
+        phi = phi_from_Z(prime_zmap(Z3, 4), 4)
+        grouplike_check(phi, "shuffle")
+        table = weakref.ref(_pair_table(phi.alphabet, 4, ZERO_DIAMOND)[4])
+        freed = []
 
-        def build_peak(key):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _pair_table(*key)
-            return tracemalloc.get_traced_memory()[1] - before
+        def spy(series, real=dmr.phi_star):
+            freed.append(table() is None)
+            return real(series)
 
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            _pair_table(*shuffle_key)
-            held = tracemalloc.get_traced_memory()[0] - before
-            replacing = build_peak(harmonic_key)
-            _pair_table.cache_clear()
-            fresh = build_peak(harmonic_key)
-        finally:
-            tracemalloc.stop()
-        assert held > 0
-        assert replacing < fresh - held / 2
+        monkeypatch.setattr(dmr, "phi_star", spy)
+        dmr_check(phi)
+        assert freed == [True]
 
 
 class TestQgHat:
@@ -422,7 +411,7 @@ class TestEdsDmrEquality:
 class TestFunctors:
     def test_lower_star_tables(self, Z4):
         ps = power_structure(Z4, 2)
-        pd = hom_power(ps)
+        pd = ps.power
         g = Z4.element(1)
         s = x_series(Z4, 2, {(g,): Fraction(1), (X0,): Fraction(1)})
         image = functor_star(s, pd, "lower")
@@ -431,7 +420,7 @@ class TestFunctors:
 
     def test_upper_star_tables(self, Z4):
         ps = power_structure(Z4, 2)
-        i2 = hom_inclusion(ps)
+        i2 = ps.inclusion
         g = Z4.element(1)  # not a square
         s = x_series(Z4, 2, {(g,): Fraction(1), (Z4.element(2),): Fraction(3)})
         image = functor_star(s, i2, "upper")
@@ -440,7 +429,7 @@ class TestFunctors:
 
     def test_sharp_tables(self, Z4):
         ps = power_structure(Z4, 2)
-        pd, i2 = hom_power(ps), hom_inclusion(ps)
+        pd, i2 = ps.power, ps.inclusion
         h = Z4.element(2)
         base = elem(Z4, h)
         lower = functor_sharp(base, pd, "lower")
@@ -472,8 +461,8 @@ class TestAppendixLemmas:
     def setup_method(self):
         self.G = construct_group([4])
         self.ps = power_structure(self.G, 2)
-        self.pd = hom_power(self.ps)
-        self.i2 = hom_inclusion(self.ps)
+        self.pd = self.ps.power
+        self.i2 = self.ps.inclusion
         self.rng = random.Random(42)
         self.sub_alphabet = Alphabet.x(self.G, self.ps.subgroup)
         self.full_alphabet = Alphabet.x(self.G)
@@ -615,7 +604,7 @@ class TestAppendixLemmas:
 
     def test_functoriality_on_z12_lattice(self, Z12):
         ps2 = power_structure(Z12, 2)
-        psi = hom_power(ps2)  # Z12 -> subgroup of order 6
+        psi = ps2.power  # Z12 -> subgroup of order 6
         sub6 = ps2.subgroup
         cube_image = tuple(sorted({g ** 3 for g in sub6}, key=lambda e: e.exponents))
         phi = GroupHom(sub6, cube_image, tuple((g, g ** 3) for g in sub6))
