@@ -4,8 +4,10 @@ double-shuffle and distribution conditions on series.
 
 A series is grouplike for the coproduct dual to a product exactly when its
 coefficient functional is multiplicative, so the checks run over word pairs
-through the truncation degree.  The word-level products of those pairs do not
-depend on the series: they are tabulated per alphabet, bound and product, as
+through the truncation degree.  Both products commute, because the group is
+abelian, so a pair and its reverse have the same residual and each unordered
+pair is checked once.  The word-level products of those pairs do not depend
+on the series: they are tabulated per alphabet, bound and product, as
 integer positions and counts.  One table is cached, and :func:`dmr_check`
 drops the shuffle table before it builds the harmonic one.  Over the
 rational ring a series' coefficients are summed as integers over the lcm
@@ -70,13 +72,14 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     up to ``bound``; pair ``k`` is ``(words[us[k]], words[vs[k]])``, and its
     product ``sum_w n_w w`` is the entries ``ends[k-1]:ends[k]`` of
     ``positions`` (of ``w`` in ``words``) and ``counts`` (``n_w``), in the
-    order the word recursion yields them.  The pairs are the nonempty ones
-    of total degree at most ``bound``, first word outermost, both in
-    ``words`` order.  They are stored flat in int arrays rather than as a
-    tuple each, and each first word gets its own word memo, dropped before
-    the next one starts, rather than one memo for the whole table: this
-    keeps the peak memory of a large ``dmr-check`` near that of the plain
-    pair loop.  One table is cached, so the maps of one suite share it;
+    order the word recursion yields them.  The pairs are the unordered
+    nonempty ones of total degree at most ``bound``, ``u`` at or before
+    ``v`` in ``words`` order, first word outermost: both products commute,
+    because the group is abelian, so ``(v, u)`` has the same product.  They
+    are stored flat in int arrays rather than as a tuple each, and each
+    first word gets its own word memo, dropped before the next one starts,
+    rather than one memo for the whole table: this keeps the peak memory of
+    a large ``dmr-check`` near that of the plain pair loop.  One table is cached, so the maps of one suite share it;
     :func:`dmr_check` drops the shuffle table before it builds the harmonic
     one, and that ``cache_clear()`` also resets the hit and miss counts."""
     words = tuple(alphabet.words_up_to(bound))
@@ -84,9 +87,9 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     degrees = [alphabet.word_degree(w) for w in words]
     firsts = [i for i, d in enumerate(degrees) if 0 < d < bound]
     us, vs, ends, positions, counts = (array("I") for _ in range(5))
-    for u in firsts:
+    for k, u in enumerate(firsts):
         qs = _quasi_shuffle_words(diamond)
-        for v in firsts:
+        for v in firsts[k:]:
             if degrees[u] + degrees[v] > bound:
                 break  # firsts runs by degree
             for w, n in qs(words[u], words[v]).items():
@@ -99,13 +102,15 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
 
 
 def _pair_residuals(phi: TruncatedSeries, diamond):
-    """``((u, v), sum_w (phi|w) n_w - (phi|u)(phi|v))`` over the nonempty
-    word pairs of total degree at most the bound of ``phi``, where ``u
-    *_diamond v = sum_w n_w w``: the only pair loop that multiplies words.
-    It reads the counts from :func:`_pair_table` and the coefficients of
-    ``phi`` by position, so each word is hashed once per series.  The sum
-    starts from its first term (every product of two nonempty words has
-    one) and skips the multiply at count 1.
+    """``((u, v), sum_w (phi|w) n_w - (phi|u)(phi|v))`` over the unordered
+    nonempty word pairs of total degree at most the bound of ``phi``, ``u``
+    first in word order, where ``u *_diamond v = sum_w n_w w``: the only
+    pair loop that multiplies words.  The products commute, because the
+    group is abelian, so ``(v, u)`` would give the same residual.  It reads
+    the counts from :func:`_pair_table` and the coefficients of ``phi`` by
+    position, so each word is hashed once per series.  The sum starts from
+    its first term (every product of two nonempty words has one) and skips
+    the multiply at count 1.
 
     Over the rational ring the coefficients are summed as integers: each
     is scaled to ``c * D``, with ``D`` the lcm of their denominators, so a
@@ -145,7 +150,10 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
 def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> GrouplikeReport:
     """Verify ``(phi | u * v) = (phi | u)(phi | v)`` for all nonempty word
     pairs within the truncation degree, together with ``(phi | 1) = 1``,
-    which the check reports as the pair ``1|1``."""
+    which the check reports as the pair ``1|1``.  Both products commute,
+    because the group is abelian, so each unordered pair is checked once,
+    named ``u|v`` with ``u`` first in word order, and ``pairs_checked``
+    counts unordered pairs."""
     diamond = {"shuffle": ZERO_DIAMOND, "harmonic": HARMONIC_DIAMOND}.get(product)
     if diamond is None:
         raise InvalidArgumentError(f"unknown coproduct {product!r}")

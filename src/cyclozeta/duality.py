@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .algebra import HARMONIC_DIAMOND
 from .checks import Check
@@ -40,18 +40,26 @@ MAX_SLOTS = 5
 def nested_sum_functional(group: FiniteAbelianGroup, weight_bound: int,
                           rng: random.Random) -> dict:
     """A harmonic-multiplicative functional on the Y-word basis, as the table
-    of its values on every Y word up to ``weight_bound``."""
+    of its values on every Y word up to ``weight_bound``.
+
+    The variables are scaled to the integers ``a_n = x_n D``, with ``D`` the
+    lcm of their denominators, so a nested sum of weight ``w`` is summed as
+    an integer over ``D**w``, and each value is built as one ``Fraction``,
+    with ``lam**w`` folded into its numerator and denominator."""
     slots = rng.randint(1, MAX_SLOTS)
     xs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(slots)]
     lam = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+    scale = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (scale // x.denominator) for x in xs]
 
     @cache
     def value(ks: tuple[int, ...]) -> Fraction:
         # combinations are increasing, so n_1 > ... > n_r reads them backwards
-        terms = (prod((xs[n] ** k for n, k in zip(reversed(ns), ks)),
-                      start=Fraction(1))
-                 for ns in combinations(range(slots), len(ks)))
-        return lam ** sum(ks) * sum(terms, Fraction(0))
+        total = sum(prod(ints[n] ** k for n, k in zip(reversed(ns), ks))
+                    for ns in combinations(range(slots), len(ks)))
+        w = sum(ks)
+        return Fraction(lam.numerator ** w * total,
+                        (lam.denominator * scale) ** w)
 
     return {w: value(tuple(k for k, _ in w))
             for w in y_words_up_to(group.elements(), weight_bound)}

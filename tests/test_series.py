@@ -37,22 +37,32 @@ def x_series(group, degree, mapping, letters=None):
                                 mapping)
 
 
-def element_pair_residuals(series, diamond):
-    """The pair loop's residuals from element products: multiply the two
-    words as elements and pair the product with the series."""
-    alphabet, ring, bound = series.alphabet, series.ring, series.degree_bound
+def element_pair_residual(series, diamond, u, v):
+    """``(series | u * v) - (series | u)(series | v)`` from element products:
+    multiply the two words as elements and pair the product with the
+    series."""
+    alphabet, ring = series.alphabet, series.ring
     coeff = lambda w: series.terms.get(w, ring.zero)
+    prod = quasi_shuffle(
+        AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, u),
+        AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, v),
+        diamond)
+    lhs = sum(c * coeff(w) for w, c in prod.terms.items())
+    return lhs - coeff(u) * coeff(v)
+
+
+def element_pair_residuals(series, diamond):
+    """The pair loop's residuals from element products, over the unordered
+    pairs ``(u, v)`` of nonempty words within the bound, ``u`` at or before
+    ``v`` in ``words_up_to`` order: both products commute, because the
+    group is abelian, so ``(v, u)`` has the same residual (see
+    ``test_reversed_pairs_have_equal_residuals``)."""
+    alphabet, bound = series.alphabet, series.degree_bound
     words = [w for w in alphabet.words_up_to(bound - 1) if w]
-    for u in words:
-        for v in words:
-            if alphabet.word_degree(u) + alphabet.word_degree(v) > bound:
-                continue
-            prod = quasi_shuffle(
-                AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, u),
-                AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, v),
-                diamond)
-            lhs = sum(c * coeff(w) for w, c in prod.terms.items())
-            yield (u, v), lhs - coeff(u) * coeff(v)
+    for i, u in enumerate(words):
+        for v in words[i:]:
+            if alphabet.word_degree(u) + alphabet.word_degree(v) <= bound:
+                yield (u, v), element_pair_residual(series, diamond, u, v)
 
 
 def random_series(alphabet, degree, rng, density=0.5):
@@ -249,6 +259,47 @@ class TestGrouplike:
                 assert any(r == 0 for _, r in got) and any(r != 0 for _, r in got)
         info = _pair_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("coefficients, kind, diamond", [
+        ("rational", "x", ZERO_DIAMOND),
+        ("rational", "y", ZERO_DIAMOND),
+        ("rational", "y", HARMONIC_DIAMOND),
+        ("complex", "y", HARMONIC_DIAMOND),
+        ("primes", "x", ZERO_DIAMOND),
+    ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic",
+            "prime-denominators-x-shuffle"])
+    def test_reversed_pairs_have_equal_residuals(self, Z3, coefficients, kind,
+                                                 diamond):
+        """The pair loop visits ``(u, v)`` and not ``(v, u)``: for every
+        ordered pair the element-product residual of ``(v, u)`` equals that
+        of ``(u, v)``, exactly over the rationals and within rounding over
+        the complex numbers, because both products commute."""
+        rng = random.Random(8)
+        alphabet = Alphabet(kind, Z3, tuple(Z3.elements()))
+        words = list(alphabet.words_up_to(4))
+        if coefficients == "complex":
+            terms = {w: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                     for w in words}
+            series = TruncatedSeries.make(COMPLEX, alphabet, 4, terms)
+        elif coefficients == "primes":
+            primes = [p for p in range(2, 5000)
+                      if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+            terms = {w: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), p)
+                     for w, p in zip(words, primes)}
+            series = TruncatedSeries.make(RATIONAL, alphabet, 4, terms)
+        else:
+            series = random_series(alphabet, 4, rng)
+        nonempty = [w for w in alphabet.words_up_to(3) if w]
+        ordered = [(u, v) for u, v in itertools.product(nonempty, repeat=2)
+                   if alphabet.word_degree(u) + alphabet.word_degree(v) <= 4]
+        assert len(ordered) > 100
+        for u, v in ordered:
+            forward = element_pair_residual(series, diamond, u, v)
+            backward = element_pair_residual(series, diamond, v, u)
+            if series.ring is RATIONAL:
+                assert backward == forward
+            else:
+                assert abs(backward - forward) <= 1e-12
 
     def test_pair_table_is_bounded_and_keyed(self, Z3):
         """One table is cached; another bound or product builds its own,
@@ -659,7 +710,34 @@ class TestDualitySuite:
 
     def test_pairs_checked(self, Z3):
         one = TruncatedSeries.one(RATIONAL, Alphabet.y(Z3), 4)
-        assert grouplike_check(one, "harmonic").pairs_checked == 513
+        # Z3 has 3, 12 and 48 Y words of weight 1, 2 and 3.  The unordered
+        # pairs of total weight <= 4 are 3*4/2 + 3*12 + 3*48 + 12*13/2 =
+        # 6 + 36 + 144 + 78 = 264, that is (513 ordered pairs + 15 with
+        # u = v) / 2.
+        assert grouplike_check(one, "harmonic").pairs_checked == 264
+
+    @pytest.mark.parametrize("seed, worst", [
+        (1, "worst=y[1,g1]|y[1,g2]"),
+        (2, "worst=y[1,g0]|y[1,g1]y[1,g2]"),
+    ])
+    def test_failure_off_the_diagonal_is_found(self, Z3, seed, worst):
+        """A map that fails only on pairs of two different words: the loop
+        visits each unordered pair once, shorter word first, and skipping
+        ``(v, u)`` hides no failure.  Perturbing the value at
+        ``y[1,g1]y[1,g2]`` moves the pair ``y[1,g1]|y[1,g2]``, whose
+        product holds that word, and every pair with that word as a factor,
+        by the value of its partner (zero at seed 1); within weight 3 no
+        diagonal pair reads it."""
+        table = nested_sum_functional(Z3, 3, random.Random(seed))
+        assert functional_is_multiplicative(Z3, table, 3)
+        word = ((1, Z3.element(1)), (1, Z3.element(2)))
+        table[word] += 1
+        series = functional_series(Z3, table, 3)
+        failing = [pair for pair, r in _pair_residuals(series, HARMONIC_DIAMOND) if r]
+        assert failing and all(u != v for u, v in failing)
+        report = grouplike_check(series, "harmonic")
+        assert not report.passed and report.check.detail == worst
+        assert not functional_is_multiplicative(Z3, table, 3)
 
     def test_verdict_is_compared_with_construction(self, Z3, monkeypatch):
         # a grouplike check that passes every map contradicts the broken ones
@@ -721,6 +799,20 @@ class TestNestedSumSpecimen:
                 assert all(type(v) is Fraction for v in table.values())
                 # the same draws, and no others
                 assert rng.getstate() == replay.getstate()
+
+    def test_benchmark_maps_match_definition(self, Z3):
+        """The 50 maps perfbench's exact-series workload draws at Z3,
+        weight 4, from the per-map seeds ``2024 * 1_000_003 + i``."""
+        words = list(y_words_up_to(Z3.elements(), 4))
+        for i in range(50):
+            rng = random.Random(2024 * 1_000_003 + i)
+            replay = random.Random(2024 * 1_000_003 + i)
+            table = nested_sum_functional(Z3, 4, rng)
+            expected = oracle_nested_sum_table(Z3, 4, replay)
+            assert list(table) == words
+            assert table == expected
+            assert all(type(v) is Fraction for v in table.values())
+            assert rng.getstate() == replay.getstate()
 
 
 class TestNumericLevelFour:
