@@ -41,7 +41,7 @@ from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure
 from .regularization import ZMap, bar_reg, extend_Z_st
 from .rings import RationalRing
-from .series import Alphabet, TruncatedSeries, series_exp
+from .series import Alphabet, TruncatedSeries, _word_table, series_exp
 from . import words as W
 
 
@@ -68,8 +68,10 @@ def _pair_format(kind: str):
 @lru_cache(maxsize=1)
 def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     """The word-level products the pair loop reads, which no series changes:
-    ``(words, us, vs, ends, positions, counts)``.  ``words`` lists the words
-    up to ``bound``; pair ``k`` is ``(words[us[k]], words[vs[k]])``, and its
+    ``(words, us, vs, ends, positions, counts)``.  ``words`` and the word
+    degrees come from the word table of the alphabet and bound
+    (:func:`~cyclozeta.series._word_table`), which the series' own terms
+    read as well; pair ``k`` is ``(words[us[k]], words[vs[k]])``, and its
     product ``sum_w n_w w`` is the entries ``ends[k-1]:ends[k]`` of
     ``positions`` (of ``w`` in ``words``) and ``counts`` (``n_w``), in the
     order the word recursion yields them.  The pairs are the unordered
@@ -82,9 +84,9 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     a large ``dmr-check`` near that of the plain pair loop.  One table is cached, so the maps of one suite share it;
     :func:`dmr_check` drops the shuffle table before it builds the harmonic
     one, and that ``cache_clear()`` also resets the hit and miss counts."""
-    words = tuple(alphabet.words_up_to(bound))
+    words, degree_of = _word_table(alphabet, bound)
     index = {w: i for i, w in enumerate(words)}
-    degrees = [alphabet.word_degree(w) for w in words]
+    degrees = [degree_of[w] for w in words]
     firsts = [i for i, d in enumerate(degrees) if 0 < d < bound]
     us, vs, ends, positions, counts = (array("I") for _ in range(5))
     for k, u in enumerate(firsts):

@@ -30,7 +30,6 @@ from .groups import FiniteAbelianGroup
 from .rings import RATIONAL
 from .series import Alphabet, TruncatedSeries
 from .dmr import _pair_residuals, grouplike_check
-from .words import y_words_up_to, y_weight
 
 
 #: the largest number of summation variables of a nested-sum functional
@@ -62,7 +61,7 @@ def nested_sum_functional(group: FiniteAbelianGroup, weight_bound: int,
                         (lam.denominator * scale) ** w)
 
     return {w: value(tuple(k for k, _ in w))
-            for w in y_words_up_to(group.elements(), weight_bound)}
+            for w in Alphabet.y(group).words_up_to(weight_bound)}
 
 
 def broken_functional(table: dict, rng: random.Random) -> dict:
@@ -73,7 +72,8 @@ def broken_functional(table: dict, rng: random.Random) -> dict:
     multiplicativity as long as weight two is inside the bound.
     """
     out = dict(table)
-    words = [w for w in out if y_weight(w) == 1]
+    # a word of weight one is one letter y[1,g]
+    words = [w for w in out if len(w) == 1 and w[0][0] == 1]
     w = words[rng.randrange(len(words))]
     old = out[w]
     delta = Fraction(rng.randint(1, 5))

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterator
 
 from .algebra import AlgebraElement
 from .errors import DegreeBoundError, InvalidArgumentError
@@ -46,13 +45,29 @@ class Alphabet:
         return Alphabet("y", group, tuple(letters) if letters is not None
                         else tuple(group.elements()))
 
-    def words_up_to(self, degree: int) -> Iterator[tuple]:
-        if self.kind == "x":
-            return W.x_words_up_to(self.letters, degree)
-        return W.y_words_up_to(self.letters, degree)
+    def words_up_to(self, degree: int) -> tuple:
+        """Every word up to ``degree``, by degree: X words by length over
+        ``x0`` and the letters, Y words by weight.  The tuple is built once
+        per alphabet and bound and shared by every caller (see
+        :func:`_word_table`)."""
+        return _word_table(self, degree)[0]
 
     def word_degree(self, word: tuple) -> int:
         return len(word) if self.kind == "x" else W.y_weight(word)
+
+
+@lru_cache(maxsize=4)
+def _word_table(alphabet: Alphabet, degree: int) -> tuple[tuple, dict]:
+    """``(words, degree_of)``: the words over ``alphabet`` up to ``degree``
+    in :meth:`Alphabet.words_up_to` order, and a dict from each to its
+    degree.  Series over the alphabet and bound read degrees from it, and
+    so does the grouplike pair table, so no layer enumerates the words or
+    takes their degrees again.  A ``dmr-check`` reads two tables, the X one
+    of its series and the Y one of the corrected series, and both stay
+    cached."""
+    make = W.x_words_up_to if alphabet.kind == "x" else W.y_words_up_to
+    words = tuple(make(alphabet.letters, degree))
+    return words, {w: alphabet.word_degree(w) for w in words}
 
 
 @dataclass(frozen=True)
@@ -68,12 +83,14 @@ class TruncatedSeries(AlgebraElement):
 
     @staticmethod
     def make(ring, alphabet, degree_bound, mapping: dict) -> "TruncatedSeries":
-        cleaned = {}
-        for w, c in mapping.items():
-            if alphabet.word_degree(w) > degree_bound:
-                continue
-            if c:
-                cleaned[w] = c
+        """Keep the nonzero coefficients of the words up to the bound.  A
+        word of the word table of the alphabet and bound, built here on
+        first use, is within the bound; only a word outside it (past the
+        bound, or with a letter outside ``alphabet.letters``, which is kept
+        when within the bound) has its degree computed."""
+        degree_of = _word_table(alphabet, degree_bound)[1]
+        cleaned = {w: c for w, c in mapping.items() if c and (
+            w in degree_of or alphabet.word_degree(w) <= degree_bound)}
         return TruncatedSeries(ring, alphabet.kind, alphabet.group, cleaned,
                                alphabet, degree_bound)
 
@@ -87,17 +104,21 @@ class TruncatedSeries(AlgebraElement):
 
     def coeff(self, word):
         word = tuple(word)
-        if self.alphabet.word_degree(word) > self.degree_bound:
-            raise DegreeBoundError(
-                f"word of degree {self.alphabet.word_degree(word)} is beyond "
-                f"the bound {self.degree_bound}")
+        if word not in _word_table(self.alphabet, self.degree_bound)[1]:
+            degree = self.alphabet.word_degree(word)
+            if degree > self.degree_bound:
+                raise DegreeBoundError(
+                    f"word of degree {degree} is beyond the bound {self.degree_bound}")
         return self.terms.get(word, self.ring.zero)
 
     @cached_property
     def _by_degree(self) -> dict:
+        alphabet = self.alphabet
+        degree_of = _word_table(alphabet, self.degree_bound)[1]
         out: dict = {}
         for w, c in self.terms.items():
-            out.setdefault(self.alphabet.word_degree(w), {})[w] = c
+            d = degree_of[w] if w in degree_of else alphabet.word_degree(w)
+            out.setdefault(d, {})[w] = c
         return out
 
     # -- arithmetic ----------------------------------------------------------

@@ -27,7 +27,8 @@ from cyclozeta.errors import (AlphabetMismatchError, DegreeBoundError,
 from cyclozeta.groups import (GroupHom, construct_group, divisors_of_order,
                               power_structure)
 from cyclozeta.rings import COMPLEX, RATIONAL
-from cyclozeta.series import Alphabet, TruncatedSeries, series_exp, series_log
+from cyclozeta.series import (Alphabet, TruncatedSeries, _word_table, series_exp,
+                              series_log)
 from cyclozeta.words import X0, y_words_up_to
 from test_regularization import prime_zmap
 
@@ -136,6 +137,40 @@ class TestSeriesIsAlgebraElement:
         assert type(longer) is TruncatedSeries and longer.degree_bound == 2
         assert longer.terms == {(X0, g): Fraction(1)}
         assert s.concat(s).terms == {(g, g): Fraction(1)}
+
+    def test_y_words_past_the_weight_bound_are_dropped(self, Z3):
+        """A Y word is bounded by its weight, not its length: ``y[3,g]y[3,g]``
+        has two letters and weight 6, past the bound 5."""
+        g = Z3.element(1)
+        light, heavy = ((1, g),), ((3, g),)
+        s = TruncatedSeries.make(RATIONAL, Alphabet.y(Z3), 5,
+                                 {light: Fraction(1), heavy: Fraction(2),
+                                  heavy + heavy: Fraction(3)})
+        assert s.terms == {light: Fraction(1), heavy: Fraction(2)}
+        doubled = s.map_words(lambda w: w + w)
+        assert type(doubled) is TruncatedSeries and doubled.degree_bound == 5
+        assert doubled.terms == {light + light: Fraction(1)}
+        assert s.concat(s).terms == {light + light: Fraction(1),
+                                     light + heavy: Fraction(2),
+                                     heavy + light: Fraction(2)}
+        with pytest.raises(DegreeBoundError):
+            s.coeff(heavy + heavy)
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_words_over_other_letters_are_kept(self, Z3, kind):
+        """A word within the bound that uses a letter outside the alphabet's
+        letters is outside the alphabet's word table, and is kept."""
+        alphabet = Alphabet(kind, Z3, (Z3.identity(),))
+        g = Z3.element(1)
+        letter = (g,) if kind == "x" else ((1, g),)
+        s = TruncatedSeries.make(RATIONAL, alphabet, 2,
+                                 {letter: Fraction(1), letter * 3: Fraction(2)})
+        assert letter not in _word_table(alphabet, 2)[1]
+        assert s.terms == {letter: Fraction(1)}
+        assert s.coeff(letter) == Fraction(1) and s.coeff(letter * 2) == 0
+        assert s.concat(s).terms == {letter * 2: Fraction(1)}
+        with pytest.raises(DegreeBoundError):
+            s.coeff(letter * 3)
 
     def test_project_piY_gives_y_series_on_same_letters(self, Z4):
         letters = (Z4.identity(), Z4.element(2))
@@ -715,6 +750,32 @@ class TestDualitySuite:
         # 6 + 36 + 144 + 78 = 264, that is (513 ordered pairs + 15 with
         # u = v) / 2.
         assert grouplike_check(one, "harmonic").pairs_checked == 264
+
+    def test_maps_share_one_word_table(self, Z3, monkeypatch):
+        """Ten maps at Z3, weight 4, build their words and degrees once: no
+        word degree is computed outside the one word table build, though
+        every map builds two series and runs the harmonic check."""
+        computed = []
+        real = Alphabet.word_degree
+
+        def counting(alphabet, word):
+            computed.append(word)
+            return real(alphabet, word)
+
+        monkeypatch.setattr(Alphabet, "word_degree", counting)
+        _word_table.cache_clear()
+        _pair_table.cache_clear()
+        rng = random.Random(2024)
+        for i in range(10):
+            table = nested_sum_functional(Z3, 4, rng)
+            if i % 2:
+                table = broken_functional(table, rng)
+            multiplicative = functional_is_multiplicative(Z3, table, 4)
+            report = grouplike_check(functional_series(Z3, table, 4), "harmonic")
+            assert report.passed == multiplicative == (i % 2 == 0)
+        assert _word_table.cache_info().misses == 1
+        # the build takes each word's degree once
+        assert computed == list(Alphabet.y(Z3).words_up_to(4))
 
     @pytest.mark.parametrize("seed, worst", [
         (1, "worst=y[1,g1]|y[1,g2]"),
