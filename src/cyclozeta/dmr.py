@@ -39,8 +39,8 @@ from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
 from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure
-from .regularization import ZMap, bar_reg, extend_Z_st
-from .rings import RationalRing
+from .regularization import ZMap, _reg_levels, extend_Z_st
+from .rings import RATIONAL, RationalRing
 from .series import Alphabet, TruncatedSeries, _word_table, series_exp
 from . import words as W
 
@@ -184,12 +184,13 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
 
 def phi_from_Z(Z: ZMap, degree: int) -> TruncatedSeries:
     """The series whose coefficient at ``w`` is Z of the regularization of
-    ``w`` at T = 0; its x0 and x1 coefficients vanish by construction."""
+    ``w`` at T = 0; its x0 and x1 coefficients vanish by construction.  Each
+    word's T^0 row is summed over the rationals before Z evaluates it."""
     alphabet = Alphabet.x(Z.group)
     out = {}
     for w in alphabet.words_up_to(degree):
-        elem = AlgebraElement.from_word(Z.ring, "x", Z.group, w)
-        out[w] = Z.eval_element(bar_reg(elem))
+        elem = AlgebraElement.from_word(RATIONAL, "x", Z.group, w)
+        out[w] = Z._eval_terms(_reg_levels(elem).get(0, {}))
     return TruncatedSeries.make(Z.ring, alphabet, degree, out)
 
 
@@ -340,7 +341,7 @@ def eds_dmr_equality_check(Z: ZMap, degree: int) -> Check:
 
     def residuals():
         for w in lhs.alphabet.words_up_to(degree):
-            elem = AlgebraElement.from_word(ring, "y", Z.group, w)
+            elem = AlgebraElement.from_word(RATIONAL, "y", Z.group, w)
             yield w, lhs.coeff(w) - extend_Z_st(Z, elem).coeff(0, ring.zero)
 
     return fold("eds-dmr-equality", f"N={Z.group.order} degree={degree}", ring,

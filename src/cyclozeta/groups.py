@@ -106,11 +106,11 @@ class GroupElement:
     ``GroupElement(group, exponents)``, copies and unpickled elements all
     return ``group.element(exponents)``.  Equality is identity and the hash
     is ``object``'s.  ``index`` is the element's position in
-    ``group.elements()``.  Products are looked up in a table of the
-    products this element has formed so far.
+    ``group.elements()``.  Products and the inverse are looked up among
+    those this element has formed so far.
     """
 
-    __slots__ = ("group", "exponents", "index", "_products")
+    __slots__ = ("group", "exponents", "index", "_products", "_inverse")
 
     def __new__(cls, group: FiniteAbelianGroup, exponents) -> "GroupElement":
         return group.element(exponents)
@@ -120,7 +120,7 @@ class GroupElement:
               index: int) -> "GroupElement":
         g = object.__new__(cls)
         for name, value in (("group", group), ("exponents", reduced), ("index", index),
-                            ("_products", {})):
+                            ("_products", {}), ("_inverse", None)):
             object.__setattr__(g, name, value)
         return g
 
@@ -151,7 +151,9 @@ class GroupElement:
         return product
 
     def inverse(self) -> "GroupElement":
-        return self.group.element(tuple(-e for e in self.exponents))
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self ** -1)
+        return self._inverse
 
     def __pow__(self, k: int) -> "GroupElement":
         return self.group.element(tuple(k * e for e in self.exponents))

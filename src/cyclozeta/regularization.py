@@ -7,7 +7,9 @@ sending x0 to 0), then leading identity letters are divided out with
 against the shuffle of its divergent run with the rest, where the target
 word occurs exactly once and every other interleaving is strictly closer to
 the convergent subalgebra.  The composition is the unique shuffle-algebra map
-that fixes convergent words and sends ``x0 -> 0``, ``x1 -> T``.
+that fixes convergent words and sends ``x0 -> 0``, ``x1 -> T``.  Both
+tables hold ``Fraction`` rows, so a word is regularized over the rationals
+whatever Z is: Z's ring enters once per convergent word, as ``ring.coerce(c)``.
 
 The correction automorphisms of A[T], :func:`rho_apply` and
 :func:`sigma_apply`, are one action of an exponential ``exp(sum_n c_n u^n)
@@ -123,27 +125,32 @@ def _regt_word(word: tuple) -> tuple:
     return tuple((l, w, c) for (l, w), c in out.items() if c)
 
 
-def bar_reg_T(a: AlgebraElement) -> TPolynomial:
-    """Regularize into T-polynomials with convergent-word coefficients:
-    the unique shuffle map fixing those words, with x0 -> 0 and x1 -> T."""
+def _reg_levels(a: AlgebraElement) -> dict:
+    """The rows of :func:`bar_reg_T` as ``{l: {word: coeff}}``: ``c * c1 * c2``
+    summed, ``c`` from ``a``, no product by a table's one; zeros are kept."""
     if a.kind != "x":
         raise AlphabetMismatchError("bar_reg_T applies to X-side input")
     acc: dict = {}
     for word, coeff in a.terms.items():
         for w1, c1 in _tilde_word(word):
+            c = coeff if c1 is _ONE else coeff * c1
             for l, w2, c2 in _regt_word(w1):
                 level = acc.setdefault(l, {})
-                term = coeff * c1 * c2
+                term = c if c2 is _ONE else c * c2
                 level[w2] = level[w2] + term if w2 in level else term
-    return TPolynomial.make({
-        l: AlgebraElement.make(a.ring, "x", a.group, level)
-        for l, level in acc.items()})
+    return acc
+
+
+def bar_reg_T(a: AlgebraElement) -> TPolynomial:
+    """Regularize into T-polynomials with convergent-word coefficients:
+    the unique shuffle map fixing those words, with x0 -> 0 and x1 -> T."""
+    return TPolynomial.make({l: AlgebraElement.make(a.ring, "x", a.group, level)
+                             for l, level in _reg_levels(a).items()})
 
 
 def bar_reg(a: AlgebraElement) -> AlgebraElement:
     """Evaluation of :func:`bar_reg_T` at T = 0 (x0 -> 0 and x1 -> 0)."""
-    tp = bar_reg_T(a)
-    return tp.coeff(0, AlgebraElement.zero(a.ring, "x", a.group))
+    return AlgebraElement.make(a.ring, "x", a.group, _reg_levels(a).get(0, {}))
 
 
 # -- evaluation maps -------------------------------------------------------
@@ -152,10 +159,11 @@ def bar_reg(a: AlgebraElement) -> AlgebraElement:
 class ZMap:
     """A linear functional on the convergent word basis.
 
-    Subclasses provide :meth:`eval_word`; evaluation of combinations and of
-    algebra-valued T-polynomials extends it linearly.  A map that cannot
-    evaluate a word raises from :meth:`eval_word`, as :class:`TableZMap` does
-    with :class:`~cyclozeta.errors.DegreeBoundError` outside its table.
+    Subclasses provide :meth:`eval_word`; evaluation of combinations and,
+    through :func:`extend_Z_sh`, of regularized words extends it linearly.
+    A map that cannot evaluate a word raises from :meth:`eval_word`, as
+    :class:`TableZMap` does with :class:`~cyclozeta.errors.DegreeBoundError`
+    outside its table.
     """
 
     def __init__(self, ring, group):
@@ -173,14 +181,16 @@ class ZMap:
         return self.eval_word(word)
 
     def eval_element(self, a: AlgebraElement):
-        total = self.ring.zero
-        for word, coeff in a.terms.items():
-            total = total + coeff * self._eval_checked(word)
-        return total
+        return self._eval_terms(a.terms)
 
-    def eval_tpoly(self, tp: TPolynomial) -> TPolynomial:
-        return TPolynomial.make(
-            {l: self.eval_element(c) for l, c in tp.coeffs.items()})
+    def _eval_terms(self, terms: dict):
+        """Z of ``sum c w`` over ``{w: c}``, each nonzero c as ``ring.coerce(c)``."""
+        coerce = self.ring.coerce
+        total = self.ring.zero
+        for word, coeff in terms.items():
+            if coeff:
+                total = total + coerce(coeff) * self._eval_checked(word)
+        return total
 
 
 class TableZMap(ZMap):
@@ -203,18 +213,19 @@ class TableZMap(ZMap):
 
 def _exp_action(ring, p: TPolynomial, log: dict) -> TPolynomial:
     """The action of ``exp(sum_n c_n u^n)``, ``log = {n: c_n}`` in increasing
-    n >= 1, through ``m e_m = sum_n c_n e_(m-n) n``."""
+    n >= 1, through ``m e_m = sum_n c_n e_(m-n) n``.  Every int and
+    ``Fraction`` constant enters the ring through ``ring.coerce``."""
     e = [ring.one]
     for m in range(1, p.degree() + 1):
         acc = ring.zero
         for n, c in log.items():
             if n <= m:
-                acc = acc + c * n * e[m - n]
-        e.append(acc * Fraction(1, m))
+                acc = acc + c * ring.coerce(n) * e[m - n]
+        e.append(acc * ring.coerce(Fraction(1, m)))
     out: dict = {}
     for l, c in p.coeffs.items():
         for j in range(l + 1):  # T^l -> l! sum_j e_j T^(l-j)/(l-j)!
-            term = c * e[j] * Fraction(math.factorial(l), math.factorial(l - j))
+            term = c * e[j] * ring.coerce(Fraction(math.factorial(l), math.factorial(l - j)))
             out[l - j] = out[l - j] + term if (l - j) in out else term
     return TPolynomial.make(out)
 
@@ -225,8 +236,8 @@ def rho_apply(Z: ZMap, p: TPolynomial, inverse: bool = False) -> TPolynomial:
     identity = Z.group.identity()
     sign = -1 if inverse else 1
     return _exp_action(Z.ring, p, {
-        n: Z._eval_checked((X0,) * (n - 1) + (identity,)) * Fraction(sign * (-1) ** n, n)
-        for n in range(2, p.degree() + 1)})
+        n: Z._eval_checked((X0,) * (n - 1) + (identity,))
+        * Z.ring.coerce(Fraction(sign * (-1) ** n, n)) for n in range(2, p.degree() + 1)})
 
 
 def sigma_apply(Z: ZMap, kernel, p: TPolynomial) -> TPolynomial:
@@ -245,7 +256,8 @@ def sigma_apply(Z: ZMap, kernel, p: TPolynomial) -> TPolynomial:
 def extend_Z_sh(Z: ZMap, a: AlgebraElement) -> TPolynomial:
     """The unique T-polynomial-valued extension of Z along the shuffle
     regularization: evaluate Z on each T-coefficient of ``bar_reg_T``."""
-    return Z.eval_tpoly(bar_reg_T(a))
+    return TPolynomial.make(
+        {l: Z._eval_terms(level) for l, level in _reg_levels(a).items()})
 
 
 def extend_Z_st(Z: ZMap, a: AlgebraElement) -> TPolynomial:

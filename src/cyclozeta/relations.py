@@ -251,7 +251,7 @@ def _regdist_residuals(Z: ZMap, ps: PowerStructure, word: tuple):
     two zero polynomials still compare their constant terms."""
     zero = Z.ring.zero
     lhs, rhs = distribution_sides(
-        Z, ps, AlgebraElement.from_word(Z.ring, "x", ps.group, word))
+        Z, ps, AlgebraElement.from_word(RATIONAL, "x", ps.group, word))
     for l in range(max(lhs.degree(), rhs.degree()) + 1):
         yield f"T^{l}", lhs.coeff(l, zero) - rhs.coeff(l, zero)
 
@@ -267,7 +267,7 @@ def zhao_hypotheses(Z: ZMap, ps: PowerStructure) -> list[Check]:
     def dist_diffs(words):
         for word in words:
             lower, upper = sharp_sides(
-                ps, AlgebraElement.from_word(ring, "x", ps.group, word))
+                ps, AlgebraElement.from_word(RATIONAL, "x", ps.group, word))
             yield word, Z.eval_element(lower) - Z.eval_element(upper)
 
     weight1 = fold("zhao-hypothesis-weight1", f"d={ps.d}", ring,

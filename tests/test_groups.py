@@ -101,6 +101,15 @@ class TestArithmetic:
         assert Z6.element(4).inverse() == Z6.element(2)
         assert Z6.identity().inverse() == Z6.identity()
 
+    @pytest.mark.parametrize("factors", [[6], [2, 4], [2, 2, 2]])
+    def test_inverse_is_the_interned_negation(self, factors):
+        G = construct_group(factors)
+        for g in G.elements():
+            inverse = g.inverse()
+            assert inverse is G.element(tuple(-e for e in g.exponents))
+            assert g.inverse() is inverse
+            assert g * inverse is G.identity()
+
     def test_power(self, Z6):
         assert Z6.element(2) ** 3 == Z6.identity()
         assert Z6.element(2) ** -1 == Z6.element(4)

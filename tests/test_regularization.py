@@ -11,10 +11,12 @@ from conftest import combo, elem, oracle_shuffle_words
 from cyclozeta.algebra import AlgebraElement, shuffle
 from cyclozeta.dmr import phi_from_Z
 from cyclozeta.errors import DegreeBoundError, NotInH0Error
-from cyclozeta.regularization import (TPolynomial, TableZMap, _regt_word,
+from cyclozeta.numeval import NumericZMap
+from cyclozeta.regularization import (TPolynomial, TableZMap, ZMap, _regt_word,
                                       _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
                                       rho_apply, sigma_apply)
-from cyclozeta.groups import power_structure
+from cyclozeta.relations import _regdist_residuals
+from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
 
@@ -277,3 +279,143 @@ class TestZMapContracts:
     def test_unit_value(self, Z2):
         Z = prime_zmap(Z2, 2)
         assert Z.eval_element(AlgebraElement.one(RATIONAL, "x", Z2)) == 1
+
+
+class TestExactUntilEvaluation:
+    """Words are regularized over the rationals, and Z's ring enters once
+    per convergent word.  Each test compares the evaluated path with
+    ``bar_reg`` or ``bar_reg_T`` followed by ``eval_element``."""
+
+    @pytest.mark.parametrize("factors, degree", [([3], 4), ([2, 2], 3)])
+    def test_phi_from_Z_is_Z_of_bar_reg_exactly(self, factors, degree):
+        G = construct_group(factors)
+        Z = prime_zmap(G, degree)
+        phi = phi_from_Z(Z, degree)
+        for w in x_words_up_to(G.elements(), degree):
+            assert phi.coeff(w) == Z.eval_element(bar_reg(elem(G, *w)))
+
+    def test_phi_from_Z_numeric_within_ulps(self):
+        Z = NumericZMap(3)
+        G = Z.group
+        phi = phi_from_Z(Z, 4)
+        for w in x_words_up_to(G.elements(), 4):
+            reg = bar_reg(elem(G, *w))
+            scale = sum(abs(c) * abs(Z.eval_element(elem(G, *v)))
+                        for v, c in reg.terms.items())
+            assert abs(phi.coeff(w) - Z.eval_element(reg)) <= 4 * math.ulp(max(scale, 1.0))
+
+    def test_phi_from_Z_evaluates_the_T0_supports(self):
+        Z = NumericZMap(3)
+        G = Z.group
+        phi_from_Z(Z, 4)
+        supports = set()
+        for w in x_words_up_to(G.elements(), 4):
+            level = bar_reg_T(elem(G, *w)).coeffs.get(0)
+            supports |= set(level.terms) if level else set()
+        supports.discard(())  # the unit is the ring's one, not a lookup
+        assert set(Z._cache) == supports
+
+    def test_extend_Z_sh_levels_on_combinations(self, Z3):
+        Z = prime_zmap(Z3, 5)
+        rng = random.Random(21)
+        letters = [X0] + list(Z3.elements())
+        cases = [combo(Z3, (1, (Z3.identity(), Z3.element(1))),
+                       (1, (Z3.element(1), Z3.identity())))]  # x1 sh xg: T^0 cancels
+        for _ in range(40):
+            cases.append(combo(Z3, *(
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                 tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))))
+                for _ in range(rng.randint(2, 5)))))
+        for a in cases:
+            levels = {l: Z.eval_element(c) for l, c in bar_reg_T(a).coeffs.items()}
+            assert extend_Z_sh(Z, a).coeffs == {l: v for l, v in levels.items() if v}
+
+
+class _Strict:
+    """A ring value that adds, subtracts and multiplies only with its own
+    type: a product with an int or a ``Fraction``, on either side, raises
+    ``TypeError``."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: Fraction):
+        self.q = q
+
+    def _of(self, other) -> Fraction:
+        if type(other) is not _Strict:
+            raise TypeError(f"_Strict combined with {type(other).__name__}")
+        return other.q
+
+    def __add__(self, other):
+        return _Strict(self.q + self._of(other))
+
+    def __sub__(self, other):
+        return _Strict(self.q - self._of(other))
+
+    def __mul__(self, other):
+        return _Strict(self.q * self._of(other))
+
+    def __bool__(self):
+        return bool(self.q)
+
+
+class _StrictRing:
+    zero = _Strict(Fraction(0))
+    one = _Strict(Fraction(1))
+
+    def coerce(self, value) -> _Strict:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {value!r}")
+        return _Strict(Fraction(value))
+
+    def is_zero(self, value) -> bool:
+        return not value
+
+    def eq(self, a, b) -> bool:
+        return a.q == b.q
+
+    def abs(self, value) -> float:
+        return abs(float(value.q))
+
+
+class _StrictZMap(ZMap):
+    """The values of a rational map, wrapped as :class:`_Strict`."""
+
+    def __init__(self, rational: ZMap):
+        super().__init__(_StrictRing(), rational.group)
+        self.rational = rational
+
+    def eval_word(self, word: tuple) -> _Strict:
+        return _Strict(self.rational.eval_word(word))
+
+
+def _unwrap(value):
+    return value.q if isinstance(value, _Strict) else value
+
+
+class TestRingContract:
+    """The regularized streams need from Z's ring only ``+``, ``-`` and
+    ``*`` among its own values, ``bool`` and ``coerce`` of ints and
+    ``Fraction``s; on such a ring they give the rational map's values."""
+
+    def test_phi_from_Z(self, Z3):
+        rational = prime_zmap(Z3, 4)
+        strict = phi_from_Z(_StrictZMap(rational), 4)
+        assert {w: _unwrap(c) for w, c in strict.terms.items()} == phi_from_Z(rational, 4).terms
+
+    def test_extend_Z_sh(self, Z3):
+        rational = prime_zmap(Z3, 4)
+        strict = _StrictZMap(rational)
+        one, g = Z3.identity(), Z3.element(1)
+        for a in (combo(Z3, (Fraction(2, 3), (one, g, X0)), (-5, (one, one, g))),
+                  combo(Z3, (1, (g, X0)), (Fraction(1, 7), (X0, g)), (3, (one,)))):
+            got = extend_Z_sh(strict, a).coeffs
+            assert {l: _unwrap(c) for l, c in got.items()} == extend_Z_sh(rational, a).coeffs
+
+    def test_regdist_residuals(self, Z4):
+        rational = prime_zmap(Z4, 2)
+        strict = _StrictZMap(rational)
+        ps = power_structure(Z4, 2)
+        for w in x_words_up_to(ps.subgroup, 2):
+            got = [(t, _unwrap(r)) for t, r in _regdist_residuals(strict, ps, w)]
+            assert got == list(_regdist_residuals(rational, ps, w))
