@@ -17,17 +17,19 @@ Elements are immutable in practice (no method mutates ``terms``) and all
 products are pure functions, so values can be shared freely across threads.
 
 Arithmetic convention: word-level products (:func:`shuffle_words`,
-:func:`_quasi_shuffle_words`) yield integer counts, and every loop over
-coefficients puts the ring value on the left (``c * count``) and starts no
-sum from an int ``0`` (``out[w] = out[w] + term if w in out else term``).
-A ``Fraction`` then stays on its forward operator path, and each output
-term touches the ring once.  Most counts are 1, and a term at count 1 is
-the value itself (``c if n == 1 else c * n``), which builds no new
-``Fraction``; :func:`_bilinear` and the grouplike pair loop both follow
-this rule.  The pair loop (``dmr._pair_residuals``) goes one step further
-over the rational ring: it scales a series' coefficients to integers over
-their common denominator, sums them as ints, and builds one ``Fraction``
-per nonzero residual.
+:func:`_quasi_shuffle_words`) yield integer counts, and :func:`_bilinear`
+asks of a ring value only ``*`` with its own type, ``+`` and ``bool``, and
+of the ring only ``one`` and ``coerce`` of ints.  A pair coefficient is
+``c1 * c2``, or the other factor when one of them is the ring's shared
+``one`` (``c1 is one``), so a product of single words builds no new value.
+Each distinct count n of a pair is scaled once, to ``c * ring.coerce(n)``,
+or to ``ring.coerce(n)`` when ``c`` is ``one``; count 1 is ``c`` itself.
+Every loop starts no sum from an int ``0``
+(``out[w] = out[w] + term if w in out else term``), and :meth:`make`
+prunes the results, dropping the false values.  The pair loop
+(``dmr._pair_residuals``) goes one step further over the rational ring: it
+scales a series' coefficients to integers over their common denominator,
+sums them as ints, and builds one ``Fraction`` per nonzero residual.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class AlgebraElement:
     @staticmethod
     def from_word(ring, kind, group, word, coeff=None) -> "AlgebraElement":
         c = ring.one if coeff is None else ring.coerce(coeff)
-        return AlgebraElement.make(ring, kind, group, {tuple(word): c})
+        return AlgebraElement(ring, kind, group, {tuple(word): c} if c else {})
 
     def _like(self, terms: dict, kind: str | None = None) -> "AlgebraElement":
         """An element of the same space holding ``terms``; ``kind`` moves it
@@ -183,19 +185,23 @@ HARMONIC_DIAMOND = HarmonicDiamond()
 def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
     """One step of Hoffman's recursion ``a u * b v = a (u * b v) + b (a u * v)
     + (a <> b)(u * v)``, reading the products of shorter pairs from ``sub``;
-    the zero diamond drops the last term and leaves the shuffle."""
+    the zero diamond drops the last term and leaves the shuffle.  The keys
+    come in that order, and the pair table and the numeric grouplike
+    residuals read it."""
     if not w1:
         return {w2: 1}
     if not w2:
         return {w1: 1}
-    out: dict = {}
-    for word, c in sub(w1[1:], w2).items():
-        key = (w1[0],) + word
-        out[key] = out.get(key, 0) + c
-    for word, c in sub(w1, w2[1:]).items():
-        key = (w2[0],) + word
-        out[key] = out.get(key, 0) + c
-    for letter, lam in diamond.mul(w1[0], w2[0]):
+    a, b = w1[0], w2[0]
+    out = {(a,) + word: c for word, c in sub(w1[1:], w2).items()}
+    if b != a:  # the b-prefixed words are new keys
+        for word, c in sub(w1, w2[1:]).items():
+            out[(b,) + word] = c
+    else:
+        for word, c in sub(w1, w2[1:]).items():
+            key = (b,) + word
+            out[key] = out.get(key, 0) + c
+    for letter, lam in diamond.mul(a, b):
         for word, c in sub(w1[1:], w2[1:]).items():
             key = (letter,) + word
             out[key] = out.get(key, 0) + lam * c
@@ -207,12 +213,17 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraEle
     a._check(b)
     if not a.terms or not b.terms:
         return a._like({})
+    one, coerce = a.ring.one, a.ring.coerce
     out: dict = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            c = c1 * c2
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
+            multiples = {1: c}
             for word, count in words_product(w1, w2).items():
-                term = c if count == 1 else c * count
+                term = multiples.get(count)
+                if term is None:
+                    term = multiples[count] = (coerce(count) if c is one
+                                               else c * coerce(count))
                 out[word] = out[word] + term if word in out else term
     return a._like(out)
 

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, qg_apply, shuffle_words, y_to_x
 from .errors import AlphabetMismatchError, DegreeBoundError, NotInH0Error
+from .rings import RATIONAL
 from .words import X0, x_word_in_h0, x_word_in_h1, format_x_word
 
 
@@ -77,8 +78,10 @@ class TPolynomial:
 
 # -- word-level regularization tables -------------------------------------
 
-# the coefficient of every word a table maps to itself: one shared object
-_ONE = Fraction(1)
+# the coefficient of every word a table maps to itself, and of every word an
+# element is built from without a coefficient: the rational ring's one, so
+# ``c is _ONE`` tells a product that it may skip the multiplication
+_ONE = RATIONAL.one
 
 
 @lru_cache(maxsize=200_000)
@@ -127,13 +130,13 @@ def _regt_word(word: tuple) -> tuple:
 
 def _reg_levels(a: AlgebraElement) -> dict:
     """The rows of :func:`bar_reg_T` as ``{l: {word: coeff}}``: ``c * c1 * c2``
-    summed, ``c`` from ``a``, no product by a table's one; zeros are kept."""
+    summed, ``c`` from ``a``, no product by the rational one; zeros are kept."""
     if a.kind != "x":
         raise AlphabetMismatchError("bar_reg_T applies to X-side input")
     acc: dict = {}
     for word, coeff in a.terms.items():
         for w1, c1 in _tilde_word(word):
-            c = coeff if c1 is _ONE else coeff * c1
+            c = coeff if c1 is _ONE else c1 if coeff is _ONE else coeff * c1
             for l, w2, c2 in _regt_word(w1):
                 level = acc.setdefault(l, {})
                 term = c if c2 is _ONE else c * c2

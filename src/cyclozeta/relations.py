@@ -196,7 +196,8 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement) -> Check:
     reformulation.  The distribution cases compare against the
     letter-substitution maps (so the FDT1 case matches exactly when the
     d-torsion has order d); the RDS case needs Z to be multiplicative for the
-    shuffle, since it goes through the harmonic-side regularized map.
+    shuffle, since it goes through the harmonic-side regularized map.  Every
+    word is built over the rationals, so Z's ring enters through Z's values.
     """
     ring = Z.ring
     group = Z.group
@@ -204,18 +205,18 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement) -> Check:
         ps = power_structure(group, relation.params[0])
         # x0 x_h for FDT1, x_{h1} x_{h2} for FDT2
         word = ((X0,) if relation.tag == "FDT1" else ()) + relation.params[1:]
-        lower, upper = sharp_sides(ps, AlgebraElement.from_word(ring, "x", group, word))
+        lower, upper = sharp_sides(ps, AlgebraElement.from_word(RATIONAL, "x", group, word))
         rhs_value = Z.eval_element(lower) - Z.eval_element(upper)
         detail = "Z(p_sharp) - Z(i_sharp)"
     elif relation.tag == "FDS":
         g1, g2 = relation.params
-        stuffle, shuffled = fds_sides(ring, group, (g1,), (g2,))
+        stuffle, shuffled = fds_sides(RATIONAL, group, (g1,), (g2,))
         rhs_value = Z.eval_element(stuffle) - Z.eval_element(shuffled)
         detail = "Z(q^-1(u * v)) - Z(u sh v)"
     elif relation.tag == "RDS":
         g = relation.params[0]
-        x1 = AlgebraElement.from_word(ring, "y", group, ((1, group.identity()),))
-        xg = AlgebraElement.from_word(ring, "y", group, ((1, g),))
+        x1 = AlgebraElement.from_word(RATIONAL, "y", group, ((1, group.identity()),))
+        xg = AlgebraElement.from_word(RATIONAL, "y", group, ((1, g),))
         lhs_poly = extend_Z_st(Z, y_to_x(harmonic(x1, xg)))
         rhs_poly = extend_Z_st(Z, y_to_x(x1)).mul(
             extend_Z_st(Z, y_to_x(xg)), operator.mul)

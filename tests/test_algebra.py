@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import combo, elem, oracle_quasi_shuffle_words, oracle_shuffle
-from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership,
+from conftest import (combo, elem, oracle_quasi_shuffle_words, oracle_shuffle,
+                      oracle_shuffle_words)
+from cyclozeta.algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND, Membership,
                                ZERO_DIAMOND, _quasi_shuffle_words,
                                format_element_combo, harmonic,
                                membership, parse_element_combo,
@@ -17,6 +18,7 @@ from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, Membership,
                                shuffle_words, x_to_y, y_to_x)
 from cyclozeta.errors import AlphabetMismatchError, NotInH1Error
 from cyclozeta.rings import COMPLEX, RATIONAL, ComplexRing
+from cyclozeta.series import Alphabet, TruncatedSeries
 from cyclozeta.words import (X0, x_to_y_word, x_word_in_h0, x_word_in_h1,
                              x_words_up_to, y_to_x_word, y_words_up_to)
 
@@ -136,6 +138,158 @@ class TestQuasiShuffle:
             gc.enable()
         want = oracle_quasi_shuffle_words(u, v, HARMONIC_DIAMOND.mul)
         assert counts == want
+
+
+def _old_rule_product(a, b, words_product):
+    """The bilinear product by the rule the kernel used to follow: ``c1 * c2``
+    for every pair, ``c * count`` for every term, then the pruning of
+    ``make``; ``words_product`` is an independent word-level oracle."""
+    out: dict = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            c = c1 * c2
+            for word, count in words_product(w1, w2).items():
+                term = c * count
+                out[word] = out[word] + term if word in out else term
+    return a._like(out)
+
+
+class _SplitDiamond(DiamondProduct):
+    """A letter product with several terms and non-unit constants, so the
+    counts of a pair exceed 1 and repeat: ``y_{n,g} <> y_{m,h}`` is
+    ``2 y_{n+m,gh} - 1/3 y_{n+m,g}``."""
+
+    def mul(self, a, b):
+        (n1, g1), (n2, g2) = a, b
+        return (((n1 + n2, g1 * g2), 2), ((n1 + n2, g1), Fraction(-1, 3)))
+
+
+def _parent_merge_step(w1, w2, diamond, sub):
+    """The recursion step as it was written before its halves were built
+    by a comprehension and a plain store; the key order must not change."""
+    if not w1:
+        return {w2: 1}
+    if not w2:
+        return {w1: 1}
+    out: dict = {}
+    for word, c in sub(w1[1:], w2).items():
+        key = (w1[0],) + word
+        out[key] = out.get(key, 0) + c
+    for word, c in sub(w1, w2[1:]).items():
+        key = (w2[0],) + word
+        out[key] = out.get(key, 0) + c
+    for letter, lam in diamond.mul(w1[0], w2[0]):
+        for word, c in sub(w1[1:], w2[1:]).items():
+            key = (letter,) + word
+            out[key] = out.get(key, 0) + lam * c
+    return out
+
+
+def _parent_words_product(diamond):
+    memo: dict = {}
+
+    def product(w1, w2):
+        if (w1, w2) not in memo:
+            memo[w1, w2] = _parent_merge_step(w1, w2, diamond, product)
+        return memo[w1, w2]
+    return product
+
+
+class TestProductsFollowTheOldRule:
+    """``shuffle``, ``harmonic`` and ``quasi_shuffle`` skip the product by
+    the ring's one and scale each distinct count once per pair; their values
+    equal those of the plain rule, on every coefficient type, and the word
+    products keep their key order."""
+
+    @staticmethod
+    def _operands(Z3, ring, coeffs, kind):
+        one, g, h = Z3.identity(), Z3.element(1), Z3.element(2)
+        if kind == "x":
+            words = [(g, X0), (g, g), (one, h), (h,), (X0, g, g)]
+        else:
+            words = [((1, g), (2, h)), ((1, g), (1, g)), ((2, one),), ((1, h),)]
+        a = combo(Z3, *zip(coeffs[:3], words[:3]), ring=ring, kind=kind)
+        b = combo(Z3, *zip(coeffs[3:], words[2:]), ring=ring, kind=kind)
+        # a unit term on each side: its pairs take the other coefficient as is
+        return (a + AlgebraElement.from_word(ring, kind, Z3, words[-1]),
+                b + AlgebraElement.from_word(ring, kind, Z3, words[0]))
+
+    RINGS = [(RATIONAL, [Fraction(3, 2), -2, Fraction(-1, 7), 5, Fraction(2, 9), -1]),
+             (COMPLEX, [1.5 + 0.25j, -2, 0.1 - 3j, 2j, -0.5, 1 + 1j])]
+
+    @pytest.mark.parametrize("ring, coeffs", RINGS)
+    def test_shuffle(self, Z3, ring, coeffs):
+        a, b = self._operands(Z3, ring, coeffs, "x")
+        assert shuffle(a, b) == _old_rule_product(a, b, oracle_shuffle_words)
+
+    @pytest.mark.parametrize("ring, coeffs", RINGS)
+    def test_harmonic(self, Z3, ring, coeffs):
+        a, b = self._operands(Z3, ring, coeffs, "y")
+        want = _old_rule_product(a, b, lambda u, v: oracle_quasi_shuffle_words(
+            u, v, HARMONIC_DIAMOND.mul))
+        assert harmonic(a, b) == want
+
+    @pytest.mark.parametrize("ring, coeffs", RINGS)
+    def test_quasi_shuffle_with_repeated_counts(self, Z3, ring, coeffs):
+        a, b = self._operands(Z3, ring, coeffs, "y")
+        diamond = _SplitDiamond()
+        got = quasi_shuffle(a, b, diamond)
+        want = _old_rule_product(a, b, lambda u, v: oracle_quasi_shuffle_words(
+            u, v, diamond.mul))
+        assert got == want
+        words = _quasi_shuffle_words(diamond)  # some pair has two counts above 1
+        assert any(len(set(words(u, v).values()) - {1}) > 1 for u in a.terms for v in b.terms)
+
+    def test_truncated_series(self, Z3):
+        alphabet = Alphabet.x(Z3)
+        g, h = Z3.element(1), Z3.element(2)
+        a = TruncatedSeries.make(RATIONAL, alphabet, 3, {
+            (): RATIONAL.one, (g,): Fraction(2, 3), (g, g): -3, (X0, h): RATIONAL.one})
+        b = TruncatedSeries.make(RATIONAL, alphabet, 3, {
+            (g,): RATIONAL.one, (h, X0): Fraction(-5, 4), (g, h, g): 7})
+        got = shuffle(a, b)
+        assert isinstance(got, TruncatedSeries)
+        assert got == _old_rule_product(a, b, oracle_shuffle_words)
+
+    @pytest.mark.parametrize("ring, c", [(RATIONAL, Fraction(5, 3)), (COMPLEX, 0.5 + 0.25j)])
+    def test_cancellation_across_pairs_is_pruned(self, Z3, ring, c):
+        g, h = Z3.element(1), Z3.element(2)
+        a = combo(Z3, (c, (g,)), (c, (h,)), ring=ring)
+        b = combo(Z3, (1, (g,)), (-1, (h,)), ring=ring)
+        # c xg sh -xh + c xh sh xg cancels on xg xh and xh xg
+        got = shuffle(a, b)
+        assert set(got.terms) == {(g, g), (h, h)}
+        assert got == _old_rule_product(a, b, oracle_shuffle_words)
+
+    def test_underflowing_pair_coefficient_gives_zero(self, Z3):
+        g, h = Z3.element(1), Z3.element(2)
+        a = combo(Z3, (1e-200, (g,)), ring=COMPLEX)
+        b = combo(Z3, (1e-200, (h, g)), ring=COMPLEX)  # counts 1 and 2
+        assert shuffle(a, b).terms == {} and not shuffle(a, b)
+        ya = combo(Z3, (1e-200, ((1, g),)), ring=COMPLEX, kind="y")
+        yb = combo(Z3, (1e-200j, ((1, h),)), ring=COMPLEX, kind="y")
+        assert not harmonic(ya, yb).terms
+
+    def test_word_products_keep_the_key_order(self, Z2):
+        e, s = Z2.element(0), Z2.element(1)
+        x_words = [()] + _words_over([X0, e, s], 5)
+        shuffle_ref = _parent_words_product(ZERO_DIAMOND)
+        for w1 in x_words:
+            for w2 in x_words:
+                if len(w1) + len(w2) <= 5:
+                    assert list(shuffle_words(w1, w2).items()) == list(
+                        shuffle_ref(w1, w2).items())
+        y_words = list(y_words_up_to([e, s], 5))
+        harmonic_ref = _parent_words_product(HARMONIC_DIAMOND)
+        harmonic_words = _quasi_shuffle_words(HARMONIC_DIAMOND)
+        pairs = 0
+        for w1 in y_words:
+            for w2 in y_words:
+                if sum(n for n, _ in w1 + w2) <= 5:
+                    pairs += 1
+                    assert list(harmonic_words(w1, w2).items()) == list(
+                        harmonic_ref(w1, w2).items())
+        assert pairs > 1000
 
 
 def _words_over(letters, max_len):

@@ -8,14 +8,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import combo, elem, oracle_shuffle_words
-from cyclozeta.algebra import AlgebraElement, shuffle
+from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, _quasi_shuffle_words,
+                               harmonic, shuffle, shuffle_words)
 from cyclozeta.dmr import phi_from_Z
 from cyclozeta.errors import DegreeBoundError, NotInH0Error
 from cyclozeta.numeval import NumericZMap
 from cyclozeta.regularization import (TPolynomial, TableZMap, ZMap, _regt_word,
                                       _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
                                       rho_apply, sigma_apply)
-from cyclozeta.relations import _regdist_residuals
+from cyclozeta.relations import (_regdist_residuals, fds_element, fdt1_element, fdt2_element,
+                                 kernel_lemma_eval)
 from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
@@ -342,31 +344,46 @@ class _Strict:
         self.q = q
 
     def _of(self, other) -> Fraction:
-        if type(other) is not _Strict:
-            raise TypeError(f"_Strict combined with {type(other).__name__}")
+        if type(other) is not type(self):
+            raise TypeError(f"{type(self).__name__} combined with {type(other).__name__}")
         return other.q
 
     def __add__(self, other):
-        return _Strict(self.q + self._of(other))
+        return type(self)(self.q + self._of(other))
 
     def __sub__(self, other):
-        return _Strict(self.q - self._of(other))
+        return type(self)(self.q - self._of(other))
 
     def __mul__(self, other):
-        return _Strict(self.q * self._of(other))
+        return type(self)(self.q * self._of(other))
 
     def __bool__(self):
         return bool(self.q)
 
 
+class _Counted(_Strict):
+    """A :class:`_Strict` value that counts the products it takes part in."""
+
+    __slots__ = ()
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return super().__mul__(other)
+
+
 class _StrictRing:
-    zero = _Strict(Fraction(0))
-    one = _Strict(Fraction(1))
+    """The ring of one value type, with a shared ``one``."""
+
+    def __init__(self, value=_Strict):
+        self.value = value
+        self.zero = value(Fraction(0))
+        self.one = value(Fraction(1))
 
     def coerce(self, value) -> _Strict:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot coerce {value!r}")
-        return _Strict(Fraction(value))
+        return self.value(Fraction(value))
 
     def is_zero(self, value) -> bool:
         return not value
@@ -393,10 +410,69 @@ def _unwrap(value):
     return value.q if isinstance(value, _Strict) else value
 
 
+def _lift(ring: _StrictRing, a: AlgebraElement) -> AlgebraElement:
+    """``a`` over ``ring``; a coefficient 1 becomes the ring's shared one."""
+    return AlgebraElement.make(ring, a.kind, a.group, {
+        w: ring.one if c == 1 else ring.coerce(c) for w, c in a.terms.items()})
+
+
 class TestRingContract:
     """The regularized streams need from Z's ring only ``+``, ``-`` and
     ``*`` among its own values, ``bool`` and ``coerce`` of ints and
-    ``Fraction``s; on such a ring they give the rational map's values."""
+    ``Fraction``s; on such a ring they give the rational map's values.
+    The element products need only ``*`` and ``+`` among the ring's values,
+    ``bool`` and ``coerce`` of ints."""
+
+    @staticmethod
+    def _product_operands(Z3):
+        one, g, h = Z3.identity(), Z3.element(1), Z3.element(2)
+        x = (combo(Z3, (Fraction(2, 3), (g, X0)), (1, (g,)), (-5, (one, h))),
+             combo(Z3, (1, (g, g)), (Fraction(-1, 4), (h,)), (3, (g, X0, h))))
+        y = (combo(Z3, (1, ((1, g),)), (Fraction(3, 5), ((2, h), (1, g))), kind="y"),
+             combo(Z3, (-2, ((1, g), (1, g))), (1, ((1, h),)), kind="y"))
+        return {"shuffle": (shuffle, x), "harmonic": (harmonic, y)}
+
+    @pytest.mark.parametrize("name", ["shuffle", "harmonic"])
+    def test_products(self, Z3, name):
+        product, (a, b) = self._product_operands(Z3)[name]
+        ring = _StrictRing()
+        got = product(_lift(ring, a), _lift(ring, b))
+        assert {w: _unwrap(c) for w, c in got.terms.items()} == product(a, b).terms
+
+    @pytest.mark.parametrize("name", ["shuffle", "harmonic"])
+    def test_products_multiply_once_per_pair_and_distinct_count(self, Z3, name):
+        product, (a, b) = self._product_operands(Z3)[name]
+        words = shuffle_words if name == "shuffle" else _quasi_shuffle_words(HARMONIC_DIAMOND)
+        bound = 0
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                units = (c1 == 1) + (c2 == 1)
+                counts = set(words(w1, w2).values()) - {1}
+                bound += (units == 0) + (0 if units == 2 else len(counts))
+        ring = _StrictRing(_Counted)
+        ua, ub = _lift(ring, a), _lift(ring, b)
+        _Counted.products = 0
+        product(ua, ub)
+        assert 0 < _Counted.products <= bound
+        units_only = [AlgebraElement.make(ring, e.kind, e.group, dict.fromkeys(e.terms, ring.one))
+                      for e in (ua, ub)]
+        _Counted.products = 0
+        got = product(*units_only)
+        assert _Counted.products == 0
+        assert any(_unwrap(c) > 1 for c in got.terms.values())  # counts above 1 ran
+
+    def test_kernel_lemma_distribution_and_double_shuffle(self, Z4):
+        rational = prime_zmap(Z4, 2)
+        strict = _StrictZMap(rational)
+        ps = power_structure(Z4, 2)
+        relations = [fdt1_element(ps, h) for h in ps.subgroup]
+        relations += [fdt2_element(ps, h1, h2) for h1 in ps.subgroup for h2 in ps.subgroup
+                      if not h1.is_identity]
+        relations += [fds_element(g1, g2) for g1 in Z4.elements() for g2 in Z4.elements()
+                      if not (g1.is_identity or g2.is_identity)]
+        assert {r.tag for r in relations} == {"FDT1", "FDT2", "FDS"}
+        for relation in relations:
+            assert kernel_lemma_eval(strict, relation) == kernel_lemma_eval(rational, relation)
 
     def test_phi_from_Z(self, Z3):
         rational = prime_zmap(Z3, 4)
