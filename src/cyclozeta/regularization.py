@@ -1,15 +1,22 @@
 """Shuffle regularization into T-polynomials and the scalar correction maps.
 
-The regularization of a word is computed by two-phase shuffle division:
-trailing x0 letters are eliminated first (the word table ``_tilde_word``,
-sending x0 to 0), then leading identity letters are divided out with
-``x_1 -> T`` (the word table ``_regt_word``).  Both phases rewrite a word
-against the shuffle of its divergent run with the rest, where the target
-word occurs exactly once and every other interleaving is strictly closer to
-the convergent subalgebra.  The composition is the unique shuffle-algebra map
-that fixes convergent words and sends ``x0 -> 0``, ``x1 -> T``.  Both
-tables hold ``Fraction`` rows, so a word is regularized over the rationals
-whatever Z is: Z's ring enters once per convergent word, as ``ring.coerce(c)``.
+The regularization of a word is the unique shuffle-algebra map that fixes
+the convergent words and sends ``x0 -> 0``, ``x1 -> T``.  Two word tables
+give it in closed form (Ihara, Kaneko and Zagier 2006):
+
+- ``_tilde_word`` sends x0 to 0: ``v a x0^n -> (-1)^n (v sh x0^n) a`` for a
+  group letter ``a``;
+- ``_regt_word`` sends x1 to T: ``x1^m b u -> sum_{k=0..m} (-1)^k
+  T^(m-k)/(m-k)! b (x1^k sh u)`` for a letter ``b`` other than x1.
+
+They are the map because the shuffle algebra is a polynomial algebra twice
+over: ``H = H^1 sh Q[x0]``, with H^1 the words ending in a group letter,
+and ``H^1 = H^0 sh Q[x1]``, with H^0 the convergent words.  The first sum
+is the constant term of a word as a polynomial in x0 over H^1, the second
+the coefficients of a word of H^1 as a polynomial in x1 over H^0, with
+``x1^l`` read as ``T^l/l!``.  Both tables hold ``Fraction`` rows, so a word is
+regularized over the rationals whatever Z is: Z's ring enters once per
+convergent word, as ``ring.coerce(c)``.
 
 The correction automorphisms of A[T], :func:`rho_apply` and
 :func:`sigma_apply`, are one action of an exponential ``exp(sum_n c_n u^n)
@@ -46,10 +53,6 @@ class TPolynomial:
         """Drop the exact zeros: the falsy coefficients, scalar or element."""
         return TPolynomial({l: c for l, c in mapping.items() if c})
 
-    @staticmethod
-    def constant(value) -> "TPolynomial":
-        return TPolynomial.make({0: value})
-
     def coeff(self, l: int, zero=0):
         return self.coeffs.get(l, zero)
 
@@ -61,9 +64,6 @@ class TPolynomial:
         for l, c in other.coeffs.items():
             out[l] = out[l] + c if l in out else c
         return TPolynomial.make(out)
-
-    def __sub__(self, other: "TPolynomial") -> "TPolynomial":
-        return self + TPolynomial({l: -c for l, c in other.coeffs.items()})
 
     def mul(self, other: "TPolynomial", multiply) -> "TPolynomial":
         """Convolution in T; ``multiply`` combines coefficients (e.g. shuffle)."""
@@ -87,45 +87,39 @@ _ONE = RATIONAL.one
 @lru_cache(maxsize=200_000)
 def _tilde_word(word: tuple) -> tuple:
     """The shuffle-algebra retraction killing x0, identity on words that end
-    in a group letter, of one word as ``((word, Fraction), ...)``."""
+    in a group letter, of one word as ``((word, Fraction), ...)``.  The
+    shuffle counts are positive and its words distinct, so no row is zero
+    or repeated."""
     if x_word_in_h1(word):
         return ((word, _ONE),)
-    k = len(word)
-    while k > 0 and word[k - 1] is X0:
+    k = len(word) - 1
+    while k >= 0 and word[k] is X0:
         k -= 1
-    run = len(word) - k
-    head = word[:k]
-    if not head:
+    if k < 0:
         return ()  # pure x0 power maps to 0
-    out: dict = {}
-    for other, count in shuffle_words(head, (X0,) * run).items():
-        if other == word:
-            continue
-        for w, c in _tilde_word(other):
-            term = c * count
-            out[w] = out[w] - term if w in out else -term
-    return tuple((w, c) for w, c in out.items() if c)
+    n = len(word) - 1 - k
+    a = word[k:k + 1]
+    return tuple((w + a, Fraction((-1) ** n * count))
+                 for w, count in shuffle_words(word[:k], (X0,) * n).items())
 
 
 @lru_cache(maxsize=200_000)
 def _regt_word(word: tuple) -> tuple:
     """``reg^T`` of one word of the x0-free-tail algebra, as
-    ``((l, word, Fraction), ...)``; assumes the word ends in a group letter."""
+    ``((l, word, Fraction), ...)``; assumes the word ends in a group letter.
+    The shuffle counts are positive and the pairs ``(l, word)`` distinct
+    (``l = m - k``), so no row is zero or repeated."""
     if not word or word[0] is X0 or not word[0].is_identity:
         return ((0, word, _ONE),)
-    m = 0
+    m = 1
     while m < len(word) and word[m] is not X0 and word[m].is_identity:
         m += 1
-    tail = word[m:]
-    out: dict = {(m, tail): Fraction(1, math.factorial(m))}
-    for other, count in shuffle_words(word[:m], tail).items():
-        if other == word:
-            continue
-        for l, w, c in _regt_word(other):
-            key = (l, w)
-            term = c * count
-            out[key] = out[key] - term if key in out else -term
-    return tuple((l, w, c) for (l, w), c in out.items() if c)
+    if m == len(word):
+        return ((m, (), Fraction(1, math.factorial(m))),)
+    b, u = word[m:m + 1], word[m + 1:]
+    return tuple((m - k, b + w, Fraction((-1) ** k * count, math.factorial(m - k)))
+                 for k in range(m + 1)
+                 for w, count in shuffle_words(word[:k], u).items())
 
 
 def _reg_levels(a: AlgebraElement) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import (AlgebraElement, Membership, harmonic, membership,
                       qg_apply, shuffle, x_to_y, y_to_x)
-from .checks import Check, fold
+from .checks import Check, differences, fold
 from .dmr import functor_sharp, grouplike_check, phi_from_Z
 from .errors import InvalidArgumentError
 from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
@@ -220,10 +220,9 @@ def kernel_lemma_eval(Z: ZMap, relation: RelationElement) -> Check:
         lhs_poly = extend_Z_st(Z, y_to_x(harmonic(x1, xg)))
         rhs_poly = extend_Z_st(Z, y_to_x(x1)).mul(
             extend_Z_st(Z, y_to_x(xg)), operator.mul)
-        diff = lhs_poly - rhs_poly
-        rhs_value = diff.coeff(0, ring.zero)
-        higher = max((ring.abs(c) for l, c in diff.coeffs.items() if l > 0),
-                     default=0.0)
+        diff = dict(differences(lhs_poly.coeffs, rhs_poly.coeffs, ring.zero))
+        rhs_value = diff.pop(0, ring.zero)
+        higher = max(map(ring.abs, diff.values()), default=0.0)
         detail = f"Zst(x1 * xg) - Zst(x1) Zst(xg); higher-T residue {higher:.2e}"
     else:
         raise InvalidArgumentError(f"no kernel reformulation for {relation.tag!r}")

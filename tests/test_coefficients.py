@@ -186,19 +186,3 @@ def test_tpolynomial_prunes_exact_zeros():
     assert TPolynomial.make({0: zero, 1: a}).coeffs == {1: a}
     assert TPolynomial.make({0: Fraction(0), 2: Fraction(1, 2)}).coeffs == {2: Fraction(1, 2)}
     assert TPolynomial.make({0: 0j, 1: 1e-12 + 0j}).coeffs == {1: 1e-12 + 0j}
-
-
-@pytest.mark.parametrize("values", [
-    [x_elem(RATIONAL, (1, (g1,)), (2, (g2, X0))), x_elem(RATIONAL, (-3, (g3,))),
-     x_elem(RATIONAL, (5, (g1, g1)))],
-    [Fraction(3, 2), Fraction(-1), Fraction(1, 7)],
-    [1.5 + 2j, -0.25 + 0j, 3j],
-], ids=["element", "rational", "complex"])
-def test_tpolynomial_difference_is_coefficientwise(values):
-    a0, a1, b2 = values
-    p = TPolynomial.make({0: a0, 1: a1})
-    q = TPolynomial.make({0: a0, 2: b2})
-    # the T^0 coefficients cancel and are pruned
-    assert (p - q).coeffs == {1: a1, 2: -b2}
-    assert (q - p).coeffs == {1: -a1, 2: b2}
-    assert (p - p).coeffs == {}

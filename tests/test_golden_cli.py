@@ -52,6 +52,10 @@ COMMANDS = {
         "2/3*xg[0]xg[1]x0x0 + -5*xg[0]xg[0]xg[2]x0 + xg[0]x0"],
     # the T^0 coefficient cancels to an empty element, which must be pruned
     "reg-cancelled-constant": ["reg", "--group", "Z3", "xg[0]xg[1] + xg[1]xg[0]"],
+    # leading x1 runs under trailing x0 runs of length 2 and 3 over Z/2 x Z/2
+    "reg-2x2-runs": [
+        "reg", "--group", "2x2",
+        "xg[0:0]xg[0:0]xg[1:0]x0xg[0:1]x0x0 + -3/2*xg[0:0]xg[0:0]xg[0:0]xg[1:1]x0x0x0"],
     "reg-complex": [
         "reg", "--group", "Z3", "--ring", "complex",
         "(0.5+2j)*xg[0]xg[1]x0 + -1.25*xg[0]xg[0]xg[2]"],

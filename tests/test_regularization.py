@@ -17,7 +17,7 @@ from cyclozeta.regularization import (TPolynomial, TableZMap, ZMap, _regt_word,
                                       _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
                                       rho_apply, sigma_apply)
 from cyclozeta.relations import (_regdist_residuals, fds_element, fdt1_element, fdt2_element,
-                                 kernel_lemma_eval)
+                                 kernel_lemma_eval, rds_element)
 from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
@@ -62,15 +62,19 @@ class TestTildeReg:
         assert bar_reg_T(elem(Z3, g, X0)).coeffs == {0: elem(Z3, X0, g).scale(-1)}
 
     def test_algebra_hom(self, Z2):
-        # reg(u sh v) = reg(u) sh reg(v) in A[T] on all pairs of the pool
-        letters = [X0] + list(Z2.elements())
-        rng = random.Random(3)
-        pool = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-                for _ in range(40)]
-        for w1, w2 in itertools.product(pool, repeat=2):
-            a, b = elem(Z2, *w1), elem(Z2, *w2)
-            lhs = bar_reg_T(shuffle(a, b))
-            assert lhs.coeffs == bar_reg_T(a).mul(bar_reg_T(b), shuffle).coeffs
+        # the defining property: reg(u sh v) = reg(u) sh reg(v) in A[T] on
+        # every pair of words of total length <= bound, and reg fixes the
+        # convergent words
+        for group, bound in ((Z2, 5), (construct_group([2, 2]), 4)):
+            words = list(x_words_up_to(group.elements(), bound))
+            for w1 in words:
+                for w2 in x_words_up_to(group.elements(), bound - len(w1)):
+                    a, b = elem(group, *w1), elem(group, *w2)
+                    lhs = bar_reg_T(shuffle(a, b))
+                    assert lhs.coeffs == bar_reg_T(a).mul(bar_reg_T(b), shuffle).coeffs
+            for w in words:
+                if x_word_in_h0(w):
+                    assert bar_reg_T(elem(group, *w)).coeffs == {0: elem(group, *w)}
 
 
 class TestWordCaches:
@@ -172,7 +176,7 @@ class TestGamma:
 class TestRho:
     def test_examples(self, Z2):
         Z = prime_zmap(Z2, 4)
-        one = TPolynomial.constant(Fraction(1))
+        one = TPolynomial.make({0: Fraction(1)})
         assert rho_apply(Z, one).coeffs == {0: Fraction(1)}
         t = TPolynomial.make({1: Fraction(1)})
         assert rho_apply(Z, t).coeffs == {1: Fraction(1)}
@@ -194,7 +198,7 @@ class TestSigma:
     def test_identity_on_constants(self, Z6):
         Z = prime_zmap(Z6, 3)
         ps = power_structure(Z6, 2)
-        one = TPolynomial.constant(Fraction(7))
+        one = TPolynomial.make({0: Fraction(7)})
         assert sigma_apply(Z, ps.kernel, one).coeffs == {0: Fraction(7)}
 
     def test_linear_shift(self, Z6):
@@ -470,7 +474,8 @@ class TestRingContract:
                       if not h1.is_identity]
         relations += [fds_element(g1, g2) for g1 in Z4.elements() for g2 in Z4.elements()
                       if not (g1.is_identity or g2.is_identity)]
-        assert {r.tag for r in relations} == {"FDT1", "FDT2", "FDS"}
+        relations += [rds_element(g) for g in Z4.elements() if not g.is_identity]
+        assert {r.tag for r in relations} == {"FDT1", "FDT2", "FDS", "RDS"}
         for relation in relations:
             assert kernel_lemma_eval(strict, relation) == kernel_lemma_eval(rational, relation)
 
