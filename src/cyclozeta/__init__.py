@@ -15,8 +15,8 @@ from .numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
 from .regularization import (TableZMap, TPolynomial, ZMap, bar_reg, bar_reg_T,
                              extend_Z_sh, extend_Z_st, rho_apply, sigma_apply)
 from .relations import (fds_element, fdt1_element, fdt2_element, fdtd1_grid,
-                        fdtd1_identity_check, kernel_lemma_eval, rds_element,
-                        regdist_full_check, zhao_case_table)
+                        fdtd1_identity_check, rds_element, regdist_full_check,
+                        zhao_case_table)
 from .rings import COMPLEX, RATIONAL, ComplexRing, RationalRing
 from .series import Alphabet, TruncatedSeries, series_exp, series_log
 

@@ -195,10 +195,9 @@ def divisors_of_order(group: FiniteAbelianGroup) -> list[int]:
 class PowerStructure:
     """The d-th power map data: subgroup ``G^d``, kernel ``K_d`` and tables.
 
-    ``kernel_order_is_d`` records whether ``|K_d| = d``; the identity-count
-    arguments behind the depth-two decomposition need exactly that, and it can
-    fail for non-cyclic groups (``Z/2 x Z/2`` with ``d = 2`` has ``|K_2| = 4``).
-    Consumers that rely on it must refuse structures where the flag is false.
+    ``|K_d|`` is ``d`` on a cyclic group but can be larger on others
+    (``Z/2 x Z/2`` with ``d = 2`` has ``|K_2| = 4``); the distribution
+    relations take it as ``len(kernel)``, never as ``d``.
     """
 
     group: FiniteAbelianGroup
@@ -207,10 +206,6 @@ class PowerStructure:
     kernel: tuple[GroupElement, ...]
     power_map: dict[GroupElement, GroupElement]
     preimages: dict[GroupElement, tuple[GroupElement, ...]]
-
-    @property
-    def kernel_order_is_d(self) -> bool:
-        return len(self.kernel) == self.d
 
     @cached_property
     def power(self) -> GroupHom:

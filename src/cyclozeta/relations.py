@@ -4,27 +4,26 @@ Everything in this module lives over exact rationals in the convergent
 subalgebra: the distribution tails ``FDT``, the finite double shuffle
 elements ``FDS`` and the regularized ones ``RDS``, the two sides of each
 finite relation (:func:`fds_sides`, :func:`sharp_sides`), the exact
-decomposition of the depth-two distribution tail into those pieces, and the
-kernel reformulations.  The regularized-distribution verifiers (the weight-two
-case table and the full word range) compare the two sides of
-:func:`distribution_sides` under an evaluation map and return
-:class:`~cyclozeta.checks.Check` rows.
+decomposition of the depth-two distribution tail into those pieces.  The
+weight-one tail carries the order of the d-torsion ``K_d`` as its x0 factor,
+as the sharp map does, so every identity here holds on every finite abelian
+group.  The regularized-distribution verifiers (the weight-two case table and
+the full word range) compare the two sides of :func:`distribution_sides`
+under an evaluation map and return :class:`~cyclozeta.checks.Check` rows.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 from .algebra import (AlgebraElement, Membership, harmonic, membership,
                       qg_apply, shuffle, x_to_y, y_to_x)
-from .checks import Check, differences, fold
+from .checks import Check, fold
 from .dmr import functor_sharp, grouplike_check, phi_from_Z
 from .errors import InvalidArgumentError
 from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
-                     divisors_of_order, format_element, power_structure)
-from .regularization import (TPolynomial, ZMap, extend_Z_sh, extend_Z_st,
-                             sigma_apply)
+                     divisors_of_order, power_structure)
+from .regularization import TPolynomial, ZMap, extend_Z_sh, sigma_apply
 from .rings import RATIONAL
 from .words import X0, format_x_word, x_words_up_to
 
@@ -47,13 +46,16 @@ class RelationElement:
 
 
 def fdt1_element(ps: PowerStructure, h: GroupElement) -> RelationElement:
-    """``d * sum_{g^d = h} x0 x_g  -  x0 x_h``."""
+    """``|K_d| * sum_{g^d = h} x0 x_g  -  x0 x_h``.
+
+    The x0 factor is the order of the d-torsion ``K_d``, the factor the sharp
+    map gives (:func:`sharp_sides`); it is ``d`` on every cyclic group."""
     if h not in ps.preimages:
         raise InvalidArgumentError(f"{h} is not a d-th power")
     group = ps.group
     acc = AlgebraElement.zero(RATIONAL, "x", group)
     for g in ps.preimages[h]:
-        acc = acc + _word(group, X0, g).scale(ps.d)
+        acc = acc + _word(group, X0, g).scale(len(ps.kernel))
     acc = acc - _word(group, X0, h)
     return RelationElement("FDT1", (ps.d, h), acc)
 
@@ -137,13 +139,11 @@ def fdtd1_identity_check(group: FiniteAbelianGroup, d: int,
     """Exact equality of the depth-two distribution tail against its
     decomposition into double-shuffle and lower-weight pieces.
 
-    Both branches count the nontrivial d-torsion as ``d - 1`` elements, so
-    pairs with ``|K_d| != d`` are refused rather than checked vacuously.
+    Both branches sum over the ``|K_d| - 1`` nontrivial elements of the
+    d-torsion ``K_d``, which balance the ``|K_d|`` in :func:`fdt1_element`,
+    so the decomposition holds on every finite abelian group.
     """
     ps = power_structure(group, d)
-    if not ps.kernel_order_is_d:
-        raise InvalidArgumentError(
-            f"|K_{d}| = {len(ps.kernel)} != {d}: the decomposition hypothesis fails")
     if h not in ps.preimages:
         raise InvalidArgumentError(f"{h} is not a d-th power")
     lhs = fdt1_element(ps, h).value
@@ -177,60 +177,9 @@ def fdtd1_grid(group: FiniteAbelianGroup) -> list[FDTd1Report]:
         if d < 2:
             continue
         ps = power_structure(group, d)
-        if not ps.kernel_order_is_d:
-            continue
         for h in ps.subgroup:
             out.append(fdtd1_identity_check(group, d, h))
     return out
-
-
-# -- kernel reformulations ----------------------------------------------------
-
-
-def kernel_lemma_eval(Z: ZMap, relation: RelationElement) -> Check:
-    """Evaluate a relation element against its kernel reformulation.
-
-    The check, named by the relation's tag, compares ``Z(element)`` with the
-    reformulated difference (always taken reformulation-left minus
-    reformulation-right); the two values agreeing is the content of the
-    reformulation.  The distribution cases compare against the
-    letter-substitution maps (so the FDT1 case matches exactly when the
-    d-torsion has order d); the RDS case needs Z to be multiplicative for the
-    shuffle, since it goes through the harmonic-side regularized map.  Every
-    word is built over the rationals, so Z's ring enters through Z's values.
-    """
-    ring = Z.ring
-    group = Z.group
-    if relation.tag in ("FDT1", "FDT2"):
-        ps = power_structure(group, relation.params[0])
-        # x0 x_h for FDT1, x_{h1} x_{h2} for FDT2
-        word = ((X0,) if relation.tag == "FDT1" else ()) + relation.params[1:]
-        lower, upper = sharp_sides(ps, AlgebraElement.from_word(RATIONAL, "x", group, word))
-        rhs_value = Z.eval_element(lower) - Z.eval_element(upper)
-        detail = "Z(p_sharp) - Z(i_sharp)"
-    elif relation.tag == "FDS":
-        g1, g2 = relation.params
-        stuffle, shuffled = fds_sides(RATIONAL, group, (g1,), (g2,))
-        rhs_value = Z.eval_element(stuffle) - Z.eval_element(shuffled)
-        detail = "Z(q^-1(u * v)) - Z(u sh v)"
-    elif relation.tag == "RDS":
-        g = relation.params[0]
-        x1 = AlgebraElement.from_word(RATIONAL, "y", group, ((1, group.identity()),))
-        xg = AlgebraElement.from_word(RATIONAL, "y", group, ((1, g),))
-        lhs_poly = extend_Z_st(Z, y_to_x(harmonic(x1, xg)))
-        rhs_poly = extend_Z_st(Z, y_to_x(x1)).mul(
-            extend_Z_st(Z, y_to_x(xg)), operator.mul)
-        diff = dict(differences(lhs_poly.coeffs, rhs_poly.coeffs, ring.zero))
-        rhs_value = diff.pop(0, ring.zero)
-        higher = max(map(ring.abs, diff.values()), default=0.0)
-        detail = f"Zst(x1 * xg) - Zst(x1) Zst(xg); higher-T residue {higher:.2e}"
-    else:
-        raise InvalidArgumentError(f"no kernel reformulation for {relation.tag!r}")
-    residual = Z.eval_element(relation.value) - rhs_value
-    params = ",".join(format_element(p) if isinstance(p, GroupElement) else str(p)
-                      for p in relation.params)
-    return replace(fold(relation.tag, params, ring, [(relation.tag, residual)], str),
-                   detail=detail)
 
 
 # -- regularized distribution -------------------------------------------------

@@ -16,10 +16,10 @@ from conftest import elem, oracle_shuffle_words
 from cyclozeta.algebra import AlgebraElement, harmonic
 from cyclozeta.dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from cyclozeta.duality import duality_suite
-from cyclozeta.groups import construct_group, divisors_of_order, power_structure
+from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.numeval import NumericZMap, PolylogQuery, polylog_numeric
 from cyclozeta.regularization import TPolynomial, TableZMap, bar_reg_T, rho_apply, sigma_apply
-from cyclozeta.relations import fdtd1_identity_check, zhao_case_table
+from cyclozeta.relations import fdtd1_grid, zhao_case_table
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to, y_words_up_to, y_weight
 
@@ -30,23 +30,33 @@ def report(number: int, passed: bool, detail: str):
     assert passed, f"criterion {number} failed: {detail}"
 
 
+def invariant_factor_lists(order: int, least: int = 1):
+    """Every list d1 | d2 | ... of factors above 1 with product ``order``
+    whose first factor is a multiple of ``least``: one list per abelian
+    group of that order."""
+    if order == 1:
+        yield []
+    for f in range(2, order + 1):
+        if order % f == 0 and f % least == 0:
+            for rest in invariant_factor_lists(order // f, f):
+                yield [f] + rest
+
+
 def test_criterion_1_fdtd1_exact_identity():
+    groups = [construct_group(factors) for n in range(2, 17)
+              for factors in invariant_factor_lists(n)]
+    assert len(groups) == 24  # the abelian groups of order 2..16
     cells = 0
     worst = None
-    for n in (2, 3, 4, 6, 8, 12):
-        group = construct_group([n])
-        for d in divisors_of_order(group):
-            if d < 2:
-                continue
-            ps = power_structure(group, d)
-            for h in ps.subgroup:
-                result = fdtd1_identity_check(group, d, h)
-                cells += 1
-                if result.difference.terms:
-                    worst = (n, d, h)
-    report(1, worst is None,
-           f"depth-two decomposition exactly zero on {cells} (N,d,h) cells, "
-           f"zero tolerance")
+    for group in groups:
+        for result in fdtd1_grid(group):
+            cells += 1
+            if result.difference.terms:
+                worst = (group.invariant_factors, result.d, result.h)
+    # every (G, d, h) with d >= 2 dividing |G| and h a d-th power, none skipped
+    report(1, worst is None and cells == 131,
+           f"depth-two decomposition exactly zero on {cells} (G,d,h) cells over "
+           f"{len(groups)} abelian groups of order <= 16, zero tolerance")
 
 
 def test_criterion_2_quasi_shuffle_laws():

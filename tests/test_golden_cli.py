@@ -60,6 +60,8 @@ COMMANDS = {
         "reg", "--group", "Z3", "--ring", "complex",
         "(0.5+2j)*xg[0]xg[1]x0 + -1.25*xg[0]xg[0]xg[2]"],
     "fdt-verify-Z12": ["fdt-verify", "--group", "Z12"],
+    # |K_2| = 4 and |K_4| = |K_8| = 16 differ from d
+    "fdt-verify-4x4": ["fdt-verify", "--group", "4x4"],
     "duality-test-Z3": ["duality-test", "--group", "Z3", "--degree", "4",
                         "--maps", "50"],
 }

@@ -16,8 +16,7 @@ from cyclozeta.numeval import NumericZMap
 from cyclozeta.regularization import (TPolynomial, TableZMap, ZMap, _regt_word,
                                       _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
                                       rho_apply, sigma_apply)
-from cyclozeta.relations import (_regdist_residuals, fds_element, fdt1_element, fdt2_element,
-                                 kernel_lemma_eval, rds_element)
+from cyclozeta.relations import _regdist_residuals
 from cyclozeta.groups import construct_group, power_structure
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
@@ -464,20 +463,6 @@ class TestRingContract:
         got = product(*units_only)
         assert _Counted.products == 0
         assert any(_unwrap(c) > 1 for c in got.terms.values())  # counts above 1 ran
-
-    def test_kernel_lemma_distribution_and_double_shuffle(self, Z4):
-        rational = prime_zmap(Z4, 2)
-        strict = _StrictZMap(rational)
-        ps = power_structure(Z4, 2)
-        relations = [fdt1_element(ps, h) for h in ps.subgroup]
-        relations += [fdt2_element(ps, h1, h2) for h1 in ps.subgroup for h2 in ps.subgroup
-                      if not h1.is_identity]
-        relations += [fds_element(g1, g2) for g1 in Z4.elements() for g2 in Z4.elements()
-                      if not (g1.is_identity or g2.is_identity)]
-        relations += [rds_element(g) for g in Z4.elements() if not g.is_identity]
-        assert {r.tag for r in relations} == {"FDT1", "FDT2", "FDS", "RDS"}
-        for relation in relations:
-            assert kernel_lemma_eval(strict, relation) == kernel_lemma_eval(rational, relation)
 
     def test_phi_from_Z(self, Z3):
         rational = prime_zmap(Z3, 4)

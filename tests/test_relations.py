@@ -1,18 +1,20 @@
-"""Relation elements, the depth-two decomposition, kernel reformulations,
-and the weight-two regularized distribution verifier."""
+"""Relation elements, the exact identities between their sides, the
+depth-two decomposition, and the weight-two regularized distribution
+verifier."""
 
 import pytest
 
 from conftest import combo, elem
-from cyclozeta.algebra import Membership, membership
+from cyclozeta.algebra import Membership, harmonic, membership, qg_apply, y_to_x
 from cyclozeta.errors import InvalidArgumentError
-from cyclozeta.groups import construct_group, divisors_of_order, power_structure
+from cyclozeta.groups import (construct_group, divisors_of_order, parse_group,
+                              power_structure)
 from cyclozeta.numeval import NumericZMap
+from cyclozeta.regularization import bar_reg_T
 from cyclozeta.relations import (distribution_sides,
                                  fds_element, fds_sides, fdt1_element,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
-                                 kernel_lemma_eval, rds_element,
-                                 regdist_full_check, sharp_sides,
+                                 rds_element, regdist_full_check, sharp_sides,
                                  zhao_case_table)
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0
@@ -77,9 +79,11 @@ class TestRelationSides:
                 stuffle, shuffled = fds_sides(RATIONAL, group, (g1,), (g2,))
                 assert stuffle - shuffled == fds_element(g1, g2).value
 
-    @pytest.mark.parametrize("order", [4, 6, 12])
-    def test_sharp_sides_differ_by_fdt_elements(self, order):
-        group = construct_group([order])
+    # |K_2| = 4 != d on each noncyclic group here, and |K_d| != d at some
+    # larger d as well (2x4 at d = 4, 2x6 at d = 6, 4x4 at d = 4 and 8)
+    @pytest.mark.parametrize("spec", ["4", "6", "12", "2x2", "2x4", "2x6", "4x4"])
+    def test_sharp_sides_differ_by_fdt_elements(self, spec):
+        group = parse_group(spec)
         for d in divisors_of_order(group):
             ps = power_structure(group, d)
             for h in ps.subgroup:
@@ -90,6 +94,21 @@ class TestRelationSides:
                 for h2 in ps.subgroup:
                     lower, upper = sharp_sides(ps, elem(group, h, h2))
                     assert lower - upper == fdt2_element(ps, h, h2).value
+
+    @pytest.mark.parametrize("spec", ["Z4", "Z6", "2x2"])
+    def test_regularized_harmonic_product_is_rds_element(self, spec):
+        # the harmonic product x1 * x_g, regularized with x1 -> T, is the RDS
+        # element plus T x_g: the regularized double shuffle relation as an
+        # exact word identity
+        group = parse_group(spec)
+        x1 = elem(group, (1, group.identity()), kind="y")
+        for g in group.elements():
+            if g.is_identity:
+                continue
+            product = qg_apply(y_to_x(harmonic(x1, elem(group, (1, g), kind="y"))),
+                               inverse=True)
+            assert bar_reg_T(product).coeffs == {0: rds_element(g).value,
+                                                 1: elem(group, g)}
 
 
 class TestFDTd1:
@@ -109,59 +128,18 @@ class TestFDTd1:
         report = fdtd1_identity_check(Z6, 3, Z6.identity())
         assert report.passed
 
-    def test_noncyclic_kernel_refused(self):
+    def test_noncyclic_kernel_passes(self):
+        # |K_2| = 4 on the Klein four-group: the x0 factor is 4, not d = 2
         klein = construct_group([2, 2])
-        with pytest.raises(InvalidArgumentError):
-            fdtd1_identity_check(klein, 2, klein.identity())
+        report = fdtd1_identity_check(klein, 2, klein.identity())
+        assert report.passed and report.branch == "h=1"
+        assert report.lhs == combo(klein, (-1, (X0, klein.identity())),
+                                   *((4, (X0, g)) for g in klein.elements()))
 
     def test_grid_z12(self, Z12):
         reports = fdtd1_grid(Z12)
         assert reports and all(r.passed for r in reports)
         assert {r.d for r in reports} == {2, 3, 4, 6, 12}
-
-
-class TestKernelLemma:
-    def test_distribution_cases_exact(self, Z6):
-        # (a) and (b) reformulate the same element identity, so any linear
-        # map must give matching values
-        Z = prime_zmap(Z6, 3)
-        for d in (2, 3):
-            ps = power_structure(Z6, d)
-            for h in ps.subgroup:
-                report = kernel_lemma_eval(Z, fdt1_element(ps, h))
-                assert report.passed
-                if not h.is_identity:
-                    report2 = kernel_lemma_eval(Z, fdt2_element(ps, h, h))
-                    assert report2.passed
-
-    def test_double_shuffle_case_exact(self, Z4):
-        Z = prime_zmap(Z4, 3)
-        for g1 in Z4.elements():
-            for g2 in Z4.elements():
-                if g1.is_identity or g2.is_identity:
-                    continue
-                report = kernel_lemma_eval(Z, fds_element(g1, g2))
-                assert report.passed
-
-    def test_regularized_case_exact(self, Z4):
-        # at depth two the regularized comparison degenerates to an exact
-        # element identity, so it holds for the prime-valued map as well
-        Z = prime_zmap(Z4, 3)
-        for g in Z4.elements():
-            if g.is_identity:
-                continue
-            report = kernel_lemma_eval(Z, rds_element(g))
-            assert report.passed
-
-    def test_numeric_weight_two(self):
-        # at level two the depth-two tail is itself a vanishing combination
-        Z = NumericZMap(2)
-        ps = power_structure(Z.group, 2)
-        relation = fdt1_element(ps, Z.group.identity())
-        check = kernel_lemma_eval(Z, relation)
-        assert check.passed and check.residual < 1e-6
-        assert (check.name, check.params) == ("FDT1", "2,0")
-        assert abs(Z.eval_element(relation.value)) < 1e-6  # finite distribution relation
 
 
 class TestZhaoWeightTwo:
@@ -245,13 +223,3 @@ class TestNumericKernelMembership:
             ps = power_structure(Z.group, d)
             for h in ps.subgroup:
                 assert abs(Z.eval_element(fdt1_element(ps, h).value)) < 1e-6
-
-    @pytest.mark.parametrize("level", [2, 4])
-    def test_kernel_lemma_numeric_cases_c_d(self, level):
-        # the two returned values coincide for the numeric map as well
-        from cyclozeta.relations import fds_element, rds_element, kernel_lemma_eval
-        Z = NumericZMap(level)
-        g = Z.group.element(1)
-        h = Z.group.element(level - 1)
-        assert kernel_lemma_eval(Z, fds_element(g, h)).passed
-        assert kernel_lemma_eval(Z, rds_element(g)).passed
