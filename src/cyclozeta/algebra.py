@@ -17,7 +17,11 @@ Elements are immutable in practice (no method mutates ``terms``) and all
 products are pure functions, so values can be shared freely across threads.
 
 Arithmetic convention: word-level products (:func:`shuffle_words`,
-:func:`_quasi_shuffle_words`) yield integer counts, and :func:`_bilinear`
+:func:`_quasi_shuffle_words`) yield integer counts.  Their caches hold only
+the suffix pairs that Hoffman's recursion revisits, not the pairs an element
+product requests: :func:`_bilinear` computes each operand pair by one
+uncached :func:`_merge_step` over those suffixes, so a repeated identical
+product recomputes one merge step from cached suffixes.  :func:`_bilinear`
 asks of a ring value only ``*`` with its own type, ``+`` and ``bool``, and
 of the ring only ``one`` and ``coerce`` of ints.  A pair coefficient is
 ``c1 * c2``, or the other factor when one of them is the ring's shared
@@ -208,8 +212,13 @@ def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
     return out
 
 
-def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraElement:
-    """Extend a word-level product bilinearly."""
+def _bilinear(a: AlgebraElement, b: AlgebraElement, diamond: DiamondProduct,
+              sub) -> AlgebraElement:
+    """Extend a word-level product bilinearly.  Each operand pair is one
+    uncached :func:`_merge_step` that reads the shorter suffix pairs from
+    ``sub``: its result goes into the output at once and no later step
+    reads it, so no cache stores it, and a repeated identical product
+    recomputes that one step from the cached suffixes."""
     a._check(b)
     if not a.terms or not b.terms:
         return a._like({})
@@ -219,7 +228,7 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraEle
         for w2, c2 in b.terms.items():
             c = c2 if c1 is one else c1 if c2 is one else c1 * c2
             multiples = {1: c}
-            for word, count in words_product(w1, w2).items():
+            for word, count in _merge_step(w1, w2, diamond, sub).items():
                 term = multiples.get(count)
                 if term is None:
                     term = multiples[count] = (coerce(count) if c is one
@@ -231,13 +240,16 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, words_product) -> AlgebraEle
 @lru_cache(maxsize=200_000)
 def shuffle_words(w1: tuple, w2: tuple) -> Mapping:
     """Interleaving counts of two words; cached globally, so the result is
-    a read-only view."""
+    a read-only view.  The cache (at most 200,000 entries) holds the suffix
+    pairs that :func:`shuffle`'s merge steps revisit and the pairs the
+    regularization tables ask for, not the operand pairs of :func:`shuffle`
+    itself, which :func:`_bilinear` copies into its result at once."""
     return MappingProxyType(_merge_step(w1, w2, ZERO_DIAMOND, shuffle_words))
 
 
 def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The bilinear shuffle product."""
-    return _bilinear(a, b, shuffle_words)
+    return _bilinear(a, b, ZERO_DIAMOND, shuffle_words)
 
 
 class _quasi_shuffle_words:
@@ -264,9 +276,10 @@ class _quasi_shuffle_words:
 
 def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
                   diamond: DiamondProduct) -> AlgebraElement:
-    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond; the
-    word-level memo lasts for this one call."""
-    return _bilinear(a, b, _quasi_shuffle_words(diamond))
+    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond.  The
+    word-level memo lasts for this one call and holds the suffix pairs the
+    recursion revisits; each operand pair is one uncached merge step."""
+    return _bilinear(a, b, diamond, _quasi_shuffle_words(diamond))
 
 
 def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -140,6 +140,51 @@ class TestQuasiShuffle:
         assert counts == want
 
 
+class TestWordCachePolicy:
+    """A word cache holds the suffix pairs the recursion revisits, never the
+    operand pair an element product asked for."""
+
+    def test_single_words_store_their_suffix_pairs_only(self, Z3):
+        g, h = Z3.element(1), Z3.element(2)
+        u, v = (g, X0, h), (h, g)
+        a, b = elem(Z3, *u), elem(Z3, *v)
+        shuffle_words.cache_clear()
+        got = shuffle(a, b)
+        # every suffix pair but (u, v) itself and (empty, empty)
+        info = shuffle_words.cache_info()
+        assert info.currsize == (len(u) + 1) * (len(v) + 1) - 2 == 10
+        assert shuffle(a, b) == got
+        assert shuffle_words.cache_info().misses == info.misses
+        assert got == oracle_shuffle(a, b)
+
+    def test_operand_pair_that_is_a_suffix_pair(self, Z3):
+        one, g, h = Z3.identity(), Z3.element(1), Z3.element(2)
+        u, v = (g, X0, h), (h, g)
+        a = elem(Z3, *u) + elem(Z3, *u[1:])
+        shuffle_words.cache_clear()
+        assert shuffle(a, elem(Z3, *v)) == oracle_shuffle(a, elem(Z3, *v))
+        assert shuffle_words.cache_info().currsize == 10
+        yu, yv = ((1, g), (2, h), (1, one)), ((2, g), (1, h))
+        ya = elem(Z3, *yu, kind="y") + elem(Z3, *yu[1:], kind="y")
+        want: dict = {}
+        for w1 in (yu, yu[1:]):
+            for w, c in oracle_quasi_shuffle_words(w1, yv, HARMONIC_DIAMOND.mul).items():
+                want[w] = want.get(w, 0) + c
+        assert harmonic(ya, elem(Z3, *yv, kind="y")).terms == want
+
+    def test_all_short_products_store_only_shorter_pairs(self, Z2):
+        # a memory guard: a store of the operand pairs adds every pair of
+        # total length 6, 3645 more entries
+        words = _words_over([X0, Z2.element(0), Z2.element(1)], 5)
+        shuffle_words.cache_clear()
+        for w1 in words:
+            for w2 in words:
+                if len(w1) + len(w2) <= 6:
+                    shuffle(elem(Z2, *w1), elem(Z2, *w2))
+        shorter_pairs = sum((t + 1) * 3 ** t for t in range(1, 6))
+        assert shuffle_words.cache_info().currsize == shorter_pairs == 2004
+
+
 def _old_rule_product(a, b, words_product):
     """The bilinear product by the rule the kernel used to follow: ``c1 * c2``
     for every pair, ``c * count`` for every term, then the pruning of
