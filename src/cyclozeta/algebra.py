@@ -16,21 +16,21 @@ one.  Products:
 Elements are immutable in practice (no method mutates ``terms``) and all
 products are pure functions, so values can be shared freely across threads.
 
-Arithmetic convention: word-level products (:func:`shuffle_words`,
+Arithmetic convention: a ring value meets only values of its own ring,
+and every int or ``Fraction`` constant (a word count, a scale factor)
+enters the ring through ``ring.coerce``, the contract of
+:mod:`cyclozeta.rings`.  Word-level products (:func:`shuffle_words`,
 :func:`_quasi_shuffle_words`) yield integer counts.  Their caches hold only
 the suffix pairs that Hoffman's recursion revisits, not the pairs an element
 product requests: :func:`_bilinear` computes each operand pair by one
 uncached :func:`_merge_step` over those suffixes, so a repeated identical
-product recomputes one merge step from cached suffixes.  :func:`_bilinear`
-asks of a ring value only ``*`` with its own type, ``+`` and ``bool``, and
-of the ring only ``one`` and ``coerce`` of ints.  A pair coefficient is
-``c1 * c2``, or the other factor when one of them is the ring's shared
+product recomputes one merge step from cached suffixes.  A pair coefficient
+is ``c1 * c2``, or the other factor when one of them is the ring's shared
 ``one`` (``c1 is one``), so a product of single words builds no new value.
 Each distinct count n of a pair is scaled once, to ``c * ring.coerce(n)``,
 or to ``ring.coerce(n)`` when ``c`` is ``one``; count 1 is ``c`` itself.
-Every loop starts no sum from an int ``0``
-(``out[w] = out[w] + term if w in out else term``), and :meth:`make`
-prunes the results, dropping the false values.  The pair loop
+No loop starts a sum from an int ``0`` (``out[w] = out[w] + term if w in
+out else term``), and :meth:`make` prunes the false values.  The pair loop
 (``dmr._pair_residuals``) goes one step further over the rational ring: it
 scales a series' coefficients to integers over their common denominator,
 sums them as ints, and builds one ``Fraction`` per nonzero residual.
@@ -118,7 +118,8 @@ class AlgebraElement:
         return self.scale(-1)
 
     def scale(self, c) -> "AlgebraElement":
-        if c == 0:
+        c = self.ring.coerce(c)
+        if not c:
             return self._like({})
         return self._like({w: v * c for w, v in self.terms.items()})
 

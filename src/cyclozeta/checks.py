@@ -51,7 +51,7 @@ def fold(name: str, params: str, ring, residuals: Iterable[tuple],
     return Check(name, params, passed, largest, detail)
 
 
-def differences(lhs: dict, rhs: dict, zero=0) -> Iterator[tuple]:
+def differences(lhs: dict, rhs: dict, zero) -> Iterator[tuple]:
     """``(key, lhs[key] - rhs[key])`` over both supports, the keys of ``lhs``
     first: the residuals of a comparison of two sparse maps, in which a key
     whose coefficients cancel exactly was still compared."""

@@ -138,8 +138,8 @@ def cmd_fdt_verify(args) -> int:
     else:
         ps = power_structure(group, _divisor(args))
         results = [fdtd1_identity_check(group, ps.d, h) for h in ps.subgroup]
-    checks = [fold("fdt1-decomposition", f"d={r.d} h={r.h} branch={r.branch}",
-                   RATIONAL, differences(r.lhs.terms, r.rhs.terms), format_x_word)
+    checks = [fold("fdt1-decomposition", f"d={r.d} h={r.h} branch={r.branch}", RATIONAL,
+                   differences(r.lhs.terms, r.rhs.terms, RATIONAL.zero), format_x_word)
               for r in results]
     meta = _meta_row(group=args.group, degree=2, ring="rational", tol=0)
     return Report(meta, checks).emit()

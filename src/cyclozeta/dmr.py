@@ -13,8 +13,8 @@ drops the shuffle table before it builds the harmonic one.  Over the
 rational ring a series' coefficients are summed as integers over the lcm
 ``D`` of their denominators, and only a nonzero residual is built as a
 ``Fraction``; the cost grows with the size of ``D``.  Other rings sum their
-values as they are.  Every check returns :class:`~cyclozeta.checks.Check`
-rows, one per CLI report line.
+own values, each count coerced once.  Every check returns
+:class:`~cyclozeta.checks.Check` rows, one per CLI report line.
 
 The corrected series twists and projects with the word-algebra maps
 :func:`~cyclozeta.algebra.qg_apply` and :func:`~cyclozeta.algebra.project_piY`,
@@ -68,20 +68,22 @@ def _pair_format(kind: str):
 @lru_cache(maxsize=1)
 def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     """The word-level products the pair loop reads, which no series changes:
-    ``(words, us, vs, ends, positions, counts)``.  ``words`` and the word
-    degrees come from the word table of the alphabet and bound
+    ``(words, us, vs, ends, positions, counts, distinct)``.  ``words`` and
+    the word degrees come from the word table of the alphabet and bound
     (:func:`~cyclozeta.series._word_table`), which the series' own terms
     read as well; pair ``k`` is ``(words[us[k]], words[vs[k]])``, and its
     product ``sum_w n_w w`` is the entries ``ends[k-1]:ends[k]`` of
     ``positions`` (of ``w`` in ``words``) and ``counts`` (``n_w``), in the
-    order the word recursion yields them.  The pairs are the unordered
-    nonempty ones of total degree at most ``bound``, ``u`` at or before
-    ``v`` in ``words`` order, first word outermost: both products commute,
-    because the group is abelian, so ``(v, u)`` has the same product.  They
-    are stored flat in int arrays rather than as a tuple each, and each
-    first word gets its own word memo, dropped before the next one starts,
-    rather than one memo for the whole table: this keeps the peak memory of
-    a large ``dmr-check`` near that of the plain pair loop.  One table is cached, so the maps of one suite share it;
+    order the word recursion yields them; ``distinct`` is the set of the
+    counts, which the pair loop coerces once per call.  The pairs are the
+    unordered nonempty ones of total degree at most ``bound``, ``u`` at or
+    before ``v`` in ``words`` order, first word outermost: both products
+    commute, because the group is abelian, so ``(v, u)`` has the same
+    product.  They are stored flat in int arrays rather than as a tuple
+    each, and each first word gets its own word memo, dropped before the
+    next one starts, rather than one memo for the whole table: this keeps
+    the peak memory of a large ``dmr-check`` near that of the plain pair
+    loop.  One table is cached, so the maps of one suite share it;
     :func:`dmr_check` drops the shuffle table before it builds the harmonic
     one, and that ``cache_clear()`` also resets the hit and miss counts."""
     words, degree_of = _word_table(alphabet, bound)
@@ -100,7 +102,7 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
             us.append(u)
             vs.append(v)
             ends.append(len(positions))
-    return words, us, vs, ends, positions, counts
+    return words, us, vs, ends, positions, counts, frozenset(counts)
 
 
 def _pair_residuals(phi: TruncatedSeries, diamond):
@@ -121,9 +123,9 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
     yields the ring's zero, so the values are those of ``Fraction``
     arithmetic.  The cost of an int operation grows with the size of
     ``D``: a series whose denominators are many distinct large primes runs
-    slower than with ``Fraction``s.  Every other ring sums its values as
-    they are."""
-    words, us, vs, ends, positions, counts = _pair_table(
+    slower than with ``Fraction``s.  Every other ring sums its own values,
+    and each distinct count enters it once per call, as ``ring.coerce(n)``."""
+    words, us, vs, ends, positions, counts, distinct = _pair_table(
         phi.alphabet, phi.degree_bound, diamond)
     zero = phi.ring.zero
     get = phi.terms.get
@@ -133,14 +135,15 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
         scale = math.lcm(*(c.denominator for c in vals))
         square = scale * scale
         vals = [c.numerator * (scale // c.denominator) for c in vals]
+    factor = {n: n if integral else phi.ring.coerce(n) for n in distinct}
     terms = zip(positions, counts)
     start = 0
     for u, v, end in zip(us, vs, ends):
         product = islice(terms, end - start)
         p, n = next(product)
-        lhs = vals[p] if n == 1 else vals[p] * n
+        lhs = vals[p] if n == 1 else vals[p] * factor[n]
         for p, n in product:
-            lhs = lhs + (vals[p] if n == 1 else vals[p] * n)
+            lhs = lhs + (vals[p] if n == 1 else vals[p] * factor[n])
         start = end
         if integral:
             r = lhs * scale - vals[u] * vals[v]
@@ -201,17 +204,14 @@ def phi_corr(phi: TruncatedSeries) -> TruncatedSeries:
     group = phi.alphabet.group
     identity = group.identity()
     y_alphabet = Alphabet.y(group, phi.alphabet.letters)
-    arg = {}
-    for n in range(2, phi.degree_bound + 1):
-        word = (W.X0,) * (n - 1) + (identity,)
-        c = phi.coeff(word) * Fraction((-1) ** (n - 1), n)
-        arg[((1, identity),) * n] = c
+    arg = {((1, identity),) * n: phi.coeff((W.X0,) * (n - 1) + (identity,))
+           * ring.coerce(Fraction((-1) ** (n - 1), n)) for n in range(2, phi.degree_bound + 1)}
     return series_exp(TruncatedSeries.make(ring, y_alphabet, phi.degree_bound, arg))
 
 
 def phi_star(phi: TruncatedSeries) -> TruncatedSeries:
     """The corrected Y-side series ``phi_corr . piY(qhat(phi))``."""
-    if not phi.ring.eq(phi.coeff(()), phi.ring.one):
+    if not phi.ring.is_zero(phi.coeff(()) - phi.ring.one):
         raise InvalidArgumentError("phi_star needs (phi | 1) = 1")
     return phi_corr(phi) * project_piY(qg_apply(phi))
 
@@ -248,11 +248,12 @@ def _ambient(letters) -> FiniteAbelianGroup:
     return letters[0].group
 
 
-def _substitute(terms: dict, images, x0_factor: int) -> dict:
-    """Replace each group letter ``g`` by the sum of the letters
-    ``images(g)`` and each ``x0`` by ``x0_factor * x0``, linearly."""
+def _substitute(elem: AlgebraElement, images, x0_factor: int) -> dict:
+    """The terms of ``elem`` with each group letter ``g`` replaced by the sum
+    of the letters ``images(g)`` and each ``x0`` by ``x0_factor * x0``,
+    linearly; a word's factor other than 1 enters through ``ring.coerce``."""
     out: dict = {}
-    for word, c in terms.items():
+    for word, c in elem.terms.items():
         factor = 1
         expansions = [()]
         for letter in word:
@@ -261,7 +262,7 @@ def _substitute(terms: dict, images, x0_factor: int) -> dict:
                 expansions = [w + (W.X0,) for w in expansions]
             else:
                 expansions = [w + (g,) for w in expansions for g in images(letter)]
-        term = c * factor
+        term = c if factor == 1 else c * elem.ring.coerce(factor)
         for key in expansions:
             out[key] = out[key] + term if key in out else term
     return out
@@ -288,7 +289,7 @@ def functor_star(phi: TruncatedSeries, hom: GroupHom, kind: str) -> TruncatedSer
         raise AlphabetMismatchError("series alphabet does not match the arrow")
     out_alphabet = Alphabet.x(_ambient(target), target)
     return TruncatedSeries.make(phi.ring, out_alphabet, phi.degree_bound,
-                                _substitute(phi.terms, images, x0_factor))
+                                _substitute(phi, images, x0_factor))
 
 
 def functor_sharp(elem: AlgebraElement, hom: GroupHom, kind: str) -> AlgebraElement:
@@ -304,7 +305,7 @@ def functor_sharp(elem: AlgebraElement, hom: GroupHom, kind: str) -> AlgebraElem
     else:
         raise InvalidArgumentError(f"unknown functor kind {kind!r}")
     return AlgebraElement.make(elem.ring, "x", _ambient(target),
-                               _substitute(elem.terms, images, x0_factor))
+                               _substitute(elem, images, x0_factor))
 
 
 # -- distribution condition on series ---------------------------------------

@@ -1,10 +1,13 @@
 """Coefficient rings for the word algebras.
 
 Coefficients are plain Python values (``Fraction`` for the exact ring,
-``complex`` for the numeric one); a ring object supplies constants,
-zero/equality tests and the textual form used by the serializers.  Mixed
-arithmetic (Fraction times complex, int times Fraction, ...) is delegated to
-the Python numeric tower, so algebra code can use ordinary operators.
+``complex`` for the numeric one).  The engine asks of a value only ``+``,
+``-`` and ``*`` with its own type, and ``bool``; every int and ``Fraction``
+constant enters the ring through ``ring.coerce``, never by mixed arithmetic.
+
+A ring needs ``zero``, ``one``, ``coerce`` of ints and ``Fraction``s,
+``is_zero`` and ``abs``, plus ``name``, ``format`` and ``parse`` for the CLI
+and the serializers.
 """
 
 from __future__ import annotations
@@ -39,15 +42,10 @@ class RationalRing:
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rational ring")
 
     def is_zero(self, value) -> bool:
         return value == 0
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def abs(self, value) -> float:
         return abs(float(value))
@@ -64,7 +62,7 @@ class RationalRing:
 
 @dataclass(frozen=True)
 class ComplexRing:
-    """Complex double precision with an absolute equality tolerance."""
+    """Complex double precision with an absolute tolerance for zero."""
 
     tolerance: float = 1e-9
     name: str = "complex"
@@ -82,9 +80,6 @@ class ComplexRing:
 
     def is_zero(self, value) -> bool:
         return abs(value) <= self.tolerance
-
-    def eq(self, a, b) -> bool:
-        return abs(a - b) <= self.tolerance
 
     def abs(self, value) -> float:
         return abs(value)

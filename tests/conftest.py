@@ -3,6 +3,9 @@
 The oracles here deliberately avoid the library's code paths: shuffles are
 enumerated by position subsets instead of the recursion, nested sums are
 plain numpy partial sums, and series manipulations use naive convolution.
+The strict ring (:class:`_StrictRing`) holds exactly the contract of
+:mod:`cyclozeta.rings`: its value combines only with its own type, so a
+code path that meets a plain int or ``Fraction`` raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 
 from cyclozeta.algebra import AlgebraElement
 from cyclozeta.groups import construct_group
+from cyclozeta.regularization import ZMap
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0
 
@@ -55,6 +59,86 @@ def combo(group, *terms, ring=RATIONAL, kind="x"):
     for c, w in terms:
         acc = acc + AlgebraElement.from_word(ring, kind, group, w, c)
     return acc
+
+
+class _Strict:
+    """A ring value that adds, subtracts and multiplies only with its own
+    type: a product with an int or a ``Fraction``, on either side, raises
+    ``TypeError``."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: Fraction):
+        self.q = q
+
+    def _of(self, other) -> Fraction:
+        if type(other) is not type(self):
+            raise TypeError(f"{type(self).__name__} combined with {type(other).__name__}")
+        return other.q
+
+    def __add__(self, other):
+        return type(self)(self.q + self._of(other))
+
+    def __sub__(self, other):
+        return type(self)(self.q - self._of(other))
+
+    def __mul__(self, other):
+        return type(self)(self.q * self._of(other))
+
+    def __bool__(self):
+        return bool(self.q)
+
+
+class _Counted(_Strict):
+    """A :class:`_Strict` value that counts the products it takes part in."""
+
+    __slots__ = ()
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return super().__mul__(other)
+
+
+class _StrictRing:
+    """The ring of one value type, with a shared ``one``."""
+
+    def __init__(self, value=_Strict):
+        self.value = value
+        self.zero = value(Fraction(0))
+        self.one = value(Fraction(1))
+
+    def coerce(self, value) -> _Strict:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {value!r}")
+        return self.value(Fraction(value))
+
+    def is_zero(self, value) -> bool:
+        return not value
+
+    def abs(self, value) -> float:
+        return abs(float(value.q))
+
+
+class _StrictZMap(ZMap):
+    """The values of a rational map, wrapped as :class:`_Strict`."""
+
+    def __init__(self, rational: ZMap):
+        super().__init__(_StrictRing(), rational.group)
+        self.rational = rational
+
+    def eval_word(self, word: tuple) -> _Strict:
+        return _Strict(self.rational.eval_word(word))
+
+
+def _unwrap(value):
+    return value.q if isinstance(value, _Strict) else value
+
+
+def _lift(ring: _StrictRing, a: AlgebraElement) -> AlgebraElement:
+    """``a`` over ``ring``; a coefficient 1 becomes the ring's shared one."""
+    return AlgebraElement.make(ring, a.kind, a.group, {
+        w: ring.one if c == 1 else ring.coerce(c) for w, c in a.terms.items()})
 
 
 def oracle_shuffle_words(w1: tuple, w2: tuple) -> dict:

@@ -48,10 +48,11 @@ class TestFold:
 
     def test_cancelled_coefficients_were_compared(self, Z2):
         g = Z2.element(1)
-        same = fold("c", "p", RATIONAL, differences({(g,): 1}, {(g,): 1}), format_x_word)
+        zero = RATIONAL.zero
+        same = fold("c", "p", RATIONAL, differences({(g,): 1}, {(g,): 1}, zero), format_x_word)
         assert same == Check("c", "p", True, 0.0, "")
         # the keys of the left side come first, so a tie names a left word
-        tie = fold("c", "p", RATIONAL, differences({(g,): 1}, {(X0, g): 1, (g,): 2}),
+        tie = fold("c", "p", RATIONAL, differences({(g,): 1}, {(X0, g): 1, (g,): 2}, zero),
                    format_x_word)
         assert not tie.passed and tie.detail == "worst=xg[1]"
 

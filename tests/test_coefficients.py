@@ -1,23 +1,23 @@
 """The coefficient contract of the exact and numeric layers.
 
 Over the rational ring every stored coefficient is a ``Fraction`` (word
-products count in ints, and the ring value stays on the left of each
-product), over the complex ring a ``complex``; a stored zero is pruned
+products count in ints, which enter the ring through ``ring.coerce``), over
+the complex ring a ``complex``; a stored zero is pruned
 exactly, by the value's truthiness, never within the ring's tolerance.  An
 element is falsy exactly when it stores no term, so a T-polynomial prunes
 its word-combination coefficients by the same rule.  The correction
 automorphisms rho and sigma and the corrected series ``phi_star`` need
-nothing of a value type but its own operators, so they also run on values
-that define no reflected operator.
+nothing of a value type but its own operators, so they also run on the
+tests' strict value, which combines only with its own type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from conftest import _StrictRing, _unwrap
 from cyclozeta.algebra import AlgebraElement, harmonic, shuffle
 from cyclozeta.dmr import functor_star, phi_star
 from cyclozeta.groups import construct_group, power_structure
@@ -87,67 +87,20 @@ def test_every_coefficient_has_the_ring_type(ring, kind):
         assert not wrong, f"{name} stores coefficients of type {wrong}"
 
 
-class LeftOnly:
-    """A value with ``+ -`` against its own kind and ``*`` by its own kind,
-    an int or a ``Fraction`` on the right, and no reflected operator: the
-    shape of a formal value type, whose symbols no number knows how to
-    multiply."""
-
-    __slots__ = ("value",)
-    __hash__ = None
-
-    def __init__(self, value):
-        self.value = Fraction(value)
-
-    def __add__(self, other):
-        return LeftOnly(self.value + other.value) if type(other) is LeftOnly else NotImplemented
-
-    def __sub__(self, other):
-        return LeftOnly(self.value - other.value) if type(other) is LeftOnly else NotImplemented
-
-    def __neg__(self):
-        return LeftOnly(-self.value)
-
-    def __mul__(self, other):
-        if type(other) is LeftOnly:
-            return LeftOnly(self.value * other.value)
-        if isinstance(other, (int, Fraction)):
-            return LeftOnly(self.value * other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return type(other) is LeftOnly and self.value == other.value
-
-    def __bool__(self):
-        return bool(self.value)
-
-
-@dataclass(frozen=True)
-class LeftOnlyRing:
-    zero = LeftOnly(0)
-    one = LeftOnly(1)
-
-    def coerce(self, value):
-        return LeftOnly(value)
-
-    def eq(self, a, b):
-        return a == b
-
-
 def test_corrections_need_no_reflected_operators():
-    ring = LeftOnlyRing()
+    ring = _StrictRing()
     with pytest.raises(TypeError):
         2 * ring.one
     Z, exact = correction_zmap(ring), correction_zmap(RATIONAL)
     kernel = power_structure(G, 2).kernel
     p = {3: 1, 2: Fraction(-1, 2), 0: 4}
-    formal = TPolynomial.make({l: LeftOnly(c) for l, c in p.items()})
+    formal = TPolynomial.make({l: ring.coerce(c) for l, c in p.items()})
     rational = TPolynomial.make({l: Fraction(c) for l, c in p.items()})
     for got, want in [(rho_apply(Z, formal), rho_apply(exact, rational)),
                       (rho_apply(Z, formal, inverse=True),
                        rho_apply(exact, rational, inverse=True)),
                       (sigma_apply(Z, kernel, formal), sigma_apply(exact, kernel, rational))]:
-        assert {l: c.value for l, c in got.coeffs.items()} == want.coeffs
+        assert {l: _unwrap(c) for l, c in got.coeffs.items()} == want.coeffs
         assert len(want.coeffs) == 4
     # phi_corr reads (phi | x0 x1) and (phi | x0 x0 x1) at bound 3
     values = {(): 1, (X0, g0): Fraction(3, 2), (X0, X0, g0): Fraction(-2, 5),
@@ -155,7 +108,7 @@ def test_corrections_need_no_reflected_operators():
     got, want = (phi_star(TruncatedSeries.make(r, Alphabet.x(G), 3,
                                                {w: r.coerce(c) for w, c in values.items()}))
                  for r in (ring, RATIONAL))
-    assert {w: c.value for w, c in got.terms.items()} == want.terms
+    assert {w: _unwrap(c) for w, c in got.terms.items()} == want.terms
     assert len(want.terms) == 9
 
 

@@ -1,6 +1,6 @@
 """Repository hygiene: the README's library sketch runs, no module of the
-package imports a name it never uses, and every cache the package holds is
-bounded.
+package imports a name it never uses, every cache the package holds is
+bounded, and the rings hold exactly the contract their module names.
 
 The import check reads the source text with the standard library only, so a
 deleted public name or a dead import shows here rather than in a reader's
@@ -9,6 +9,7 @@ session.
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -16,6 +17,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from cyclozeta import rings
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cyclozeta"
@@ -89,3 +92,19 @@ def test_module_caches_are_bounded(path):
                 info().maxsize is None and inspect.signature(obj.__wrapped__).parameters):
             flagged.append(name)
     assert not flagged, f"{path.name} holds unbounded or hand-written caches: {flagged}"
+
+
+@pytest.mark.parametrize("ring", [rings.RationalRing, rings.ComplexRing],
+                         ids=lambda r: r.__name__)
+def test_rings_hold_exactly_the_documented_contract(ring):
+    # the paragraph of the rings docstring that starts "A ring needs" names
+    # the contract; a public method or property outside it needs a
+    # docstring change first.  Fields the contract does not name (the
+    # complex tolerance) configure one ring and are not part of it.
+    paragraph = re.search(r"^A ring needs .*?(?:\n\n|\Z)", rings.__doc__, re.S | re.M)
+    assert paragraph, "the rings docstring names no contract"
+    contract = set(re.findall(r"``([a-z_]+)``", paragraph.group()))
+    members = {name for name, value in vars(ring).items() if not name.startswith("_")
+               and (callable(value) or isinstance(value, property))}
+    named_fields = {f.name for f in dataclasses.fields(ring)} & contract
+    assert members | named_fields == contract

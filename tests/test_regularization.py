@@ -7,18 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import combo, elem, oracle_shuffle_words
+from conftest import (_Counted, _StrictRing, _StrictZMap, _lift, _unwrap, combo, elem,
+                      oracle_shuffle_words)
 from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, _quasi_shuffle_words,
                                harmonic, shuffle, shuffle_words)
-from cyclozeta.dmr import phi_from_Z
+from cyclozeta.dmr import (dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z,
+                           phi_star)
 from cyclozeta.errors import DegreeBoundError, NotInH0Error
 from cyclozeta.numeval import NumericZMap
-from cyclozeta.regularization import (TPolynomial, TableZMap, ZMap, _regt_word,
+from cyclozeta.regularization import (TPolynomial, TableZMap, _regt_word,
                                       _tilde_word, bar_reg, bar_reg_T, extend_Z_sh, extend_Z_st,
                                       rho_apply, sigma_apply)
-from cyclozeta.relations import _regdist_residuals
-from cyclozeta.groups import construct_group, power_structure
+from cyclozeta.relations import _regdist_residuals, zhao_case_table
+from cyclozeta.groups import construct_group, divisors_of_order, power_structure
 from cyclozeta.rings import RATIONAL
+from cyclozeta.series import series_log
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
 
 
@@ -336,95 +339,15 @@ class TestExactUntilEvaluation:
             assert extend_Z_sh(Z, a).coeffs == {l: v for l, v in levels.items() if v}
 
 
-class _Strict:
-    """A ring value that adds, subtracts and multiplies only with its own
-    type: a product with an int or a ``Fraction``, on either side, raises
-    ``TypeError``."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: Fraction):
-        self.q = q
-
-    def _of(self, other) -> Fraction:
-        if type(other) is not type(self):
-            raise TypeError(f"{type(self).__name__} combined with {type(other).__name__}")
-        return other.q
-
-    def __add__(self, other):
-        return type(self)(self.q + self._of(other))
-
-    def __sub__(self, other):
-        return type(self)(self.q - self._of(other))
-
-    def __mul__(self, other):
-        return type(self)(self.q * self._of(other))
-
-    def __bool__(self):
-        return bool(self.q)
-
-
-class _Counted(_Strict):
-    """A :class:`_Strict` value that counts the products it takes part in."""
-
-    __slots__ = ()
-    products = 0
-
-    def __mul__(self, other):
-        _Counted.products += 1
-        return super().__mul__(other)
-
-
-class _StrictRing:
-    """The ring of one value type, with a shared ``one``."""
-
-    def __init__(self, value=_Strict):
-        self.value = value
-        self.zero = value(Fraction(0))
-        self.one = value(Fraction(1))
-
-    def coerce(self, value) -> _Strict:
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot coerce {value!r}")
-        return self.value(Fraction(value))
-
-    def is_zero(self, value) -> bool:
-        return not value
-
-    def eq(self, a, b) -> bool:
-        return a.q == b.q
-
-    def abs(self, value) -> float:
-        return abs(float(value.q))
-
-
-class _StrictZMap(ZMap):
-    """The values of a rational map, wrapped as :class:`_Strict`."""
-
-    def __init__(self, rational: ZMap):
-        super().__init__(_StrictRing(), rational.group)
-        self.rational = rational
-
-    def eval_word(self, word: tuple) -> _Strict:
-        return _Strict(self.rational.eval_word(word))
-
-
-def _unwrap(value):
-    return value.q if isinstance(value, _Strict) else value
-
-
-def _lift(ring: _StrictRing, a: AlgebraElement) -> AlgebraElement:
-    """``a`` over ``ring``; a coefficient 1 becomes the ring's shared one."""
-    return AlgebraElement.make(ring, a.kind, a.group, {
-        w: ring.one if c == 1 else ring.coerce(c) for w, c in a.terms.items()})
-
-
 class TestRingContract:
-    """The regularized streams need from Z's ring only ``+``, ``-`` and
-    ``*`` among its own values, ``bool`` and ``coerce`` of ints and
-    ``Fraction``s; on such a ring they give the rational map's values.
-    The element products need only ``*`` and ``+`` among the ring's values,
-    ``bool`` and ``coerce`` of ints."""
+    """Every stream needs from Z's ring only the contract of
+    :mod:`cyclozeta.rings`: ``+``, ``-`` and ``*`` among its own values,
+    ``bool``, and ``coerce`` of ints and ``Fraction``s; on such a ring it
+    gives the rational map's values.  This holds for the element products,
+    the regularized streams and the series-level suites alike."""
+
+    SERIES_CASES = pytest.mark.parametrize("order, degree", [(3, 4), (6, 3)],
+                                           ids=["Z3-degree4", "Z6-degree3"])
 
     @staticmethod
     def _product_operands(Z3):
@@ -485,3 +408,35 @@ class TestRingContract:
         for w in x_words_up_to(ps.subgroup, 2):
             got = [(t, _unwrap(r)) for t, r in _regdist_residuals(strict, ps, w)]
             assert got == list(_regdist_residuals(rational, ps, w))
+
+    @staticmethod
+    def _series_suite(name, group, degree):
+        """The rows of one series-level suite, as a function of Z."""
+        divisors = [d for d in divisors_of_order(group) if d >= 2]
+        return {
+            "dmr_check": lambda Z: dmr_check(phi_from_Z(Z, degree)),
+            "dmrd_check": lambda Z: [dmrd_check(phi_from_Z(Z, degree), power_structure(group, d))
+                                     for d in divisors],
+            "zhao_case_table": lambda Z: [row for d in divisors
+                                          for row in zhao_case_table(Z, group, d)],
+            "eds_dmr_equality_check": lambda Z: [eds_dmr_equality_check(Z, degree)],
+        }[name]
+
+    @SERIES_CASES
+    @pytest.mark.parametrize("name", ["dmr_check", "dmrd_check", "zhao_case_table",
+                                      "eds_dmr_equality_check"])
+    def test_series_suites(self, order, degree, name):
+        group = construct_group([order])
+        rational = prime_zmap(group, degree)
+        suite = self._series_suite(name, group, degree)
+        want = suite(rational)
+        assert want and suite(_StrictZMap(rational)) == want
+
+    @SERIES_CASES
+    def test_corrected_series_and_log(self, order, degree):
+        rational = prime_zmap(construct_group([order]), degree)
+        strict = phi_from_Z(_StrictZMap(rational), degree)
+        exact = phi_from_Z(rational, degree)
+        for series in (phi_star, series_log):
+            got = series(strict)
+            assert {w: _unwrap(c) for w, c in got.terms.items()} == series(exact).terms
