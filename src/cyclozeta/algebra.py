@@ -20,13 +20,18 @@ Arithmetic convention: a ring value meets only values of its own ring,
 and every int or ``Fraction`` constant (a word count, a scale factor)
 enters the ring through ``ring.coerce``, the contract of
 :mod:`cyclozeta.rings`.  Word-level products (:func:`shuffle_words`,
-:func:`_quasi_shuffle_words`) yield integer counts.  Their caches hold only
-the suffix pairs that Hoffman's recursion revisits, not the pairs an element
-product requests: :func:`_bilinear` computes each operand pair by one
-uncached :func:`_merge_step` over those suffixes, so a repeated identical
-product recomputes one merge step from cached suffixes.  A pair coefficient
-is ``c1 * c2``, or the other factor when one of them is the ring's shared
-``one`` (``c1 is one``), so a product of single words builds no new value.
+:func:`harmonic_words`, :func:`_quasi_shuffle_words`) yield integer counts.
+Their caches hold only the pairs of nonempty suffixes that Hoffman's
+recursion revisits: :func:`_merge_step` answers a product with an empty
+word itself, and :func:`_bilinear` computes each operand pair an element
+product requests by one uncached :func:`_merge_step` over those suffixes,
+so a repeated identical product recomputes one merge step from cached
+suffixes.  The shuffle and harmonic caches live for the process, so later
+products of the same words or of their suffixes reuse them; the memo of
+any other diamond lives for one :func:`quasi_shuffle` call.  A pair
+coefficient is ``c1 * c2``, or the other factor when one of them is the
+ring's shared ``one`` (``c1 is one``), so a product of single words builds
+no new value.
 Each distinct count n of a pair is scaled once, to ``c * ring.coerce(n)``,
 or to ``ring.coerce(n)`` when ``c`` is ``one``; count 1 is ``c`` itself.
 No loop starts a sum from an int ``0`` (``out[w] = out[w] + term if w in
@@ -68,6 +73,15 @@ class AlgebraElement:
     #: the fields two operands must share to be combined
     _frame = attrgetter("ring", "kind", "group")
 
+    def __init__(self, ring, kind: str, group: FiniteAbelianGroup, terms: dict):
+        # the generated init of a frozen class stores each field through
+        # object.__setattr__, which costs twice as much per element
+        fields = self.__dict__
+        fields["ring"] = ring
+        fields["kind"] = kind
+        fields["group"] = group
+        fields["terms"] = terms
+
     @staticmethod
     def make(ring, kind, group, mapping: dict) -> "AlgebraElement":
         """Drop the exact zeros of ``mapping``.  Pruning tests the value's
@@ -88,7 +102,9 @@ class AlgebraElement:
 
     @staticmethod
     def from_word(ring, kind, group, word, coeff=None) -> "AlgebraElement":
-        c = ring.one if coeff is None else ring.coerce(coeff)
+        if coeff is None:
+            return AlgebraElement(ring, kind, group, {tuple(word): ring.one})
+        c = ring.coerce(coeff)
         return AlgebraElement(ring, kind, group, {tuple(word): c} if c else {})
 
     def _like(self, terms: dict, kind: str | None = None) -> "AlgebraElement":
@@ -190,7 +206,9 @@ HARMONIC_DIAMOND = HarmonicDiamond()
 def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
     """One step of Hoffman's recursion ``a u * b v = a (u * b v) + b (a u * v)
     + (a <> b)(u * v)``, reading the products of shorter pairs from ``sub``;
-    the zero diamond drops the last term and leaves the shuffle.  The keys
+    the zero diamond drops the last term and leaves the shuffle.  A product
+    with an empty word is that word's partner with count 1, which the step
+    answers itself, so ``sub`` only ever sees two nonempty words.  The keys
     come in that order, and the pair table and the numeric grouplike
     residuals read it."""
     if not w1:
@@ -198,16 +216,18 @@ def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
     if not w2:
         return {w1: 1}
     a, b = w1[0], w2[0]
-    out = {(a,) + word: c for word, c in sub(w1[1:], w2).items()}
+    u, v = w1[1:], w2[1:]
+    out = {(a,) + word: c for word, c in (sub(u, w2).items() if u else ((w2, 1),))}
+    tail = sub(w1, v).items() if v else ((w1, 1),)
     if b != a:  # the b-prefixed words are new keys
-        for word, c in sub(w1, w2[1:]).items():
+        for word, c in tail:
             out[(b,) + word] = c
     else:
-        for word, c in sub(w1, w2[1:]).items():
+        for word, c in tail:
             key = (b,) + word
             out[key] = out.get(key, 0) + c
     for letter, lam in diamond.mul(a, b):
-        for word, c in sub(w1[1:], w2[1:]).items():
+        for word, c in (sub(u, v).items() if u and v else ((u + v, 1),)):
             key = (letter,) + word
             out[key] = out.get(key, 0) + lam * c
     return out
@@ -240,11 +260,15 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, diamond: DiamondProduct,
 
 @lru_cache(maxsize=200_000)
 def shuffle_words(w1: tuple, w2: tuple) -> Mapping:
-    """Interleaving counts of two words; cached globally, so the result is
-    a read-only view.  The cache (at most 200,000 entries) holds the suffix
-    pairs that :func:`shuffle`'s merge steps revisit and the pairs the
-    regularization tables ask for, not the operand pairs of :func:`shuffle`
-    itself, which :func:`_bilinear` copies into its result at once."""
+    """Interleaving counts of two words; cached for the process, so the
+    result is a read-only view.  The cache (at most 200,000 entries) holds
+    the pairs of nonempty suffixes that :func:`shuffle`'s merge steps
+    revisit and the pairs the regularization tables ask for, not the
+    operand pairs of :func:`shuffle` itself, which :func:`_bilinear` copies
+    into its result at once.  :func:`~cyclozeta.regularization._tilde_word`
+    and ``_regt_word`` also ask for ``(word[:0], ...)``, so the cache does
+    hold pairs with an empty word, one per distinct such request: 266 after
+    one pass of perfbench's exact-products workload."""
     return MappingProxyType(_merge_step(w1, w2, ZERO_DIAMOND, shuffle_words))
 
 
@@ -253,38 +277,55 @@ def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return _bilinear(a, b, ZERO_DIAMOND, shuffle_words)
 
 
+@lru_cache(maxsize=200_000)
+def harmonic_words(w1: tuple, w2: tuple) -> Mapping:
+    """Harmonic (stuffle) counts of two Y words, cached for the process like
+    :func:`shuffle_words` and under the same rule: the cache (at most
+    200,000 entries) holds the pairs of nonempty suffixes that
+    :func:`harmonic`'s merge steps revisit, so a later product of the same
+    words, or of their suffixes, reads them again."""
+    return MappingProxyType(_merge_step(w1, w2, HARMONIC_DIAMOND, harmonic_words))
+
+
 class _quasi_shuffle_words:
     """The word-level quasi-shuffle ``(w1, w2) -> {word: count}`` for
     ``diamond``, with a memo of its own that lives as long as this callable;
-    the suffix pairs the recursion visits recur combinatorially often.  Pairs
-    with an empty word are answered before the memo is consulted, which saves
-    hashing them.  The recursion receives the callable as an argument, so
-    nothing refers back to it and the memo is freed as soon as the last
-    reference to the callable goes, without the cycle collector."""
+    the suffix pairs the recursion visits recur combinatorially often, and
+    :func:`_merge_step` never asks for a pair with an empty word.  The
+    recursion receives the callable as an argument, so nothing refers back
+    to it and the memo is freed as soon as the last reference to the
+    callable goes, without the cycle collector."""
 
     def __init__(self, diamond: DiamondProduct):
         self.diamond = diamond
         self.memo: dict = {}
 
     def __call__(self, w1: tuple, w2: tuple) -> dict:
-        if not w1 or not w2:
-            return _merge_step(w1, w2, self.diamond, self)
         hit = self.memo.get((w1, w2))
         if hit is None:
             hit = self.memo[w1, w2] = _merge_step(w1, w2, self.diamond, self)
         return hit
 
 
+#: the process-lived word caches of the built-in diamonds
+_WORD_CACHES = {ZERO_DIAMOND: shuffle_words, HARMONIC_DIAMOND: harmonic_words}
+
+
 def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
                   diamond: DiamondProduct) -> AlgebraElement:
-    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond.  The
-    word-level memo lasts for this one call and holds the suffix pairs the
+    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond.  The zero
+    and harmonic diamonds read their process caches, :func:`shuffle_words`
+    and :func:`harmonic_words`; any other diamond gets a word-level memo
+    that lasts for this one call.  Either holds the suffix pairs the
     recursion revisits; each operand pair is one uncached merge step."""
-    return _bilinear(a, b, diamond, _quasi_shuffle_words(diamond))
+    sub = _WORD_CACHES.get(diamond) or _quasi_shuffle_words(diamond)
+    return _bilinear(a, b, diamond, sub)
 
 
 def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The harmonic (stuffle) product on Y-side combinations."""
+    """The harmonic (stuffle) product on Y-side combinations, through
+    :func:`quasi_shuffle`, so its word pairs come from the process cache
+    :func:`harmonic_words`."""
     if a.kind != "y":
         raise AlphabetMismatchError("harmonic product needs Y-side input")
     return quasi_shuffle(a, b, HARMONIC_DIAMOND)

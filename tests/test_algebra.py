@@ -3,6 +3,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (combo, elem, oracle_quasi_shuffle_words, oracle_shuffle,
                       oracle_shuffle_words)
+from cyclozeta import algebra
 from cyclozeta.algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND, Membership,
                                ZERO_DIAMOND, _quasi_shuffle_words,
-                               format_element_combo, harmonic,
+                               format_element_combo, harmonic, harmonic_words,
                                membership, parse_element_combo,
                                project_piY, qg_apply, quasi_shuffle, shuffle,
                                shuffle_words, x_to_y, y_to_x)
@@ -43,6 +45,17 @@ class TestArith:
             elem(Z3, X0) + elem(Z4, X0)
         with pytest.raises(AlphabetMismatchError):
             elem(Z3, X0) + elem(Z3, (1, Z3.element(0)), kind="y")
+
+    def test_elements_stay_frozen(self, Z3):
+        # AlgebraElement writes its fields in its own init; a series keeps
+        # the generated one, and neither takes an assignment afterwards
+        a = elem(Z3, X0)
+        assert a == AlgebraElement(RATIONAL, "x", Z3, {(X0,): RATIONAL.one})
+        series = TruncatedSeries.one(RATIONAL, Alphabet.x(Z3), 2)
+        for value in (a, series):
+            with pytest.raises(FrozenInstanceError):
+                value.terms = {}
+        assert series.degree_bound == 2 and series.terms == {(): RATIONAL.one}
 
     def test_zero_product_short_circuits(self, Z3):
         zero = AlgebraElement.zero(RATIONAL, "x", Z3)
@@ -139,50 +152,107 @@ class TestQuasiShuffle:
         want = oracle_quasi_shuffle_words(u, v, HARMONIC_DIAMOND.mul)
         assert counts == want
 
+    def test_other_diamonds_get_a_memo_per_call(self, Z3, monkeypatch):
+        # a diamond without a process cache gets a memo for one product,
+        # freed with it, without the cycle collector; harmonic gets none
+        memos = []
+
+        class Recorded(_quasi_shuffle_words):
+            def __init__(self, diamond):
+                super().__init__(diamond)
+                memos.append((weakref.ref(self), self.memo))
+
+        monkeypatch.setattr(algebra, "_quasi_shuffle_words", Recorded)
+        u = ((1, Z3.element(1)), (2, Z3.element(2)))
+        v = ((1, Z3.element(0)), (1, Z3.element(1)))
+        a, b = elem(Z3, *u, kind="y"), elem(Z3, *v, kind="y")
+        harmonic(a, b)
+        assert memos == []
+        diamond = _SplitDiamond()
+        gc.disable()
+        try:
+            got = quasi_shuffle(a, b, diamond)
+            (alive, memo), = memos
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert len(memo) == len(u) * len(v) - 1
+        want = oracle_quasi_shuffle_words(u, v, diamond.mul)
+        assert got.terms == {w: c for w, c in want.items() if c}
+
+
+def _harmonic_oracle(u, v):
+    return oracle_quasi_shuffle_words(u, v, HARMONIC_DIAMOND.mul)
+
 
 class TestWordCachePolicy:
-    """A word cache holds the suffix pairs the recursion revisits, never the
-    operand pair an element product asked for."""
+    """A process word cache holds only the pairs of nonempty suffixes the
+    recursion revisits: never the operand pair an element product asked
+    for, and never a pair with an empty word.  Each test runs on the
+    shuffle and on the harmonic product."""
+
+    PRODUCTS = {"shuffle": (shuffle, shuffle_words, "x", oracle_shuffle_words),
+                "harmonic": (harmonic, harmonic_words, "y", _harmonic_oracle)}
+
+    @classmethod
+    def _single_words(cls, Z3):
+        """``(product, cache, kind, oracle, u, v)`` per product, for two
+        words of lengths 3 and 2."""
+        one, g, h = Z3.identity(), Z3.element(1), Z3.element(2)
+        words = {"shuffle": ((g, X0, h), (h, g)),
+                 "harmonic": (((1, g), (2, h), (1, one)), ((2, g), (1, h)))}
+        return [(*cls.PRODUCTS[name], *words[name]) for name in cls.PRODUCTS]
 
     def test_single_words_store_their_suffix_pairs_only(self, Z3):
-        g, h = Z3.element(1), Z3.element(2)
-        u, v = (g, X0, h), (h, g)
-        a, b = elem(Z3, *u), elem(Z3, *v)
-        shuffle_words.cache_clear()
-        got = shuffle(a, b)
-        # every suffix pair but (u, v) itself and (empty, empty)
-        info = shuffle_words.cache_info()
-        assert info.currsize == (len(u) + 1) * (len(v) + 1) - 2 == 10
-        assert shuffle(a, b) == got
-        assert shuffle_words.cache_info().misses == info.misses
-        assert got == oracle_shuffle(a, b)
+        for product, cache, kind, oracle, u, v in self._single_words(Z3):
+            cache.cache_clear()
+            got = product(elem(Z3, *u, kind=kind), elem(Z3, *v, kind=kind))
+            # every pair of nonempty suffixes but (u, v) itself
+            assert cache.cache_info().currsize == len(u) * len(v) - 1 == 5
+            assert got.terms == oracle(u, v)
+
+    def test_later_products_reuse_the_suffix_pairs(self, Z3):
+        # the cache outlives the product: repeating it, or multiplying the
+        # operands' suffixes, misses no pair
+        for product, cache, kind, oracle, u, v in self._single_words(Z3):
+            cache.cache_clear()
+            product(elem(Z3, *u, kind=kind), elem(Z3, *v, kind=kind))
+            info = cache.cache_info()
+            for w1, w2 in ((u, v), (u[1:], v), (u, v[1:]), (u[2:], v[1:])):
+                got = product(elem(Z3, *w1, kind=kind), elem(Z3, *w2, kind=kind))
+                assert got.terms == oracle(w1, w2)
+            assert cache.cache_info().misses == info.misses
+            assert cache.cache_info().hits > info.hits
 
     def test_operand_pair_that_is_a_suffix_pair(self, Z3):
-        one, g, h = Z3.identity(), Z3.element(1), Z3.element(2)
-        u, v = (g, X0, h), (h, g)
-        a = elem(Z3, *u) + elem(Z3, *u[1:])
-        shuffle_words.cache_clear()
-        assert shuffle(a, elem(Z3, *v)) == oracle_shuffle(a, elem(Z3, *v))
-        assert shuffle_words.cache_info().currsize == 10
-        yu, yv = ((1, g), (2, h), (1, one)), ((2, g), (1, h))
-        ya = elem(Z3, *yu, kind="y") + elem(Z3, *yu[1:], kind="y")
-        want: dict = {}
-        for w1 in (yu, yu[1:]):
-            for w, c in oracle_quasi_shuffle_words(w1, yv, HARMONIC_DIAMOND.mul).items():
-                want[w] = want.get(w, 0) + c
-        assert harmonic(ya, elem(Z3, *yv, kind="y")).terms == want
+        for product, cache, kind, oracle, u, v in self._single_words(Z3):
+            a = elem(Z3, *u, kind=kind) + elem(Z3, *u[1:], kind=kind)
+            cache.cache_clear()
+            got = product(a, elem(Z3, *v, kind=kind))
+            # (u[1:], v) is stored once, as a suffix pair of (u, v)
+            assert cache.cache_info().currsize == 5
+            want: dict = {}
+            for w1 in (u, u[1:]):
+                for w, c in oracle(w1, v).items():
+                    want[w] = want.get(w, 0) + c
+            assert got.terms == want
 
     def test_all_short_products_store_only_shorter_pairs(self, Z2):
         # a memory guard: a store of the operand pairs adds every pair of
-        # total length 6, 3645 more entries
-        words = _words_over([X0, Z2.element(0), Z2.element(1)], 5)
-        shuffle_words.cache_clear()
-        for w1 in words:
-            for w2 in words:
-                if len(w1) + len(w2) <= 6:
-                    shuffle(elem(Z2, *w1), elem(Z2, *w2))
-        shorter_pairs = sum((t + 1) * 3 ** t for t in range(1, 6))
-        assert shuffle_words.cache_info().currsize == shorter_pairs == 2004
+        # total length 6, 3645 more entries, and a store of the pairs with
+        # an empty word adds 726 more
+        e, s = Z2.element(0), Z2.element(1)
+        letters = {"x": [X0, e, s], "y": [(1, e), (1, s), (2, e)]}
+        # the nonempty pairs of total length t split t - 1 ways
+        shorter_pairs = sum((t - 1) * 3 ** t for t in range(2, 6))
+        for product, cache, kind, _ in self.PRODUCTS.values():
+            words = _words_over(letters[kind], 5)
+            cache.cache_clear()
+            for w1 in words:
+                for w2 in words:
+                    if len(w1) + len(w2) <= 6:
+                        product(elem(Z2, *w1, kind=kind), elem(Z2, *w2, kind=kind))
+            assert cache.cache_info().currsize == shorter_pairs == 1278
 
 
 def _old_rule_product(a, b, words_product):
@@ -324,16 +394,17 @@ class TestProductsFollowTheOldRule:
                 if len(w1) + len(w2) <= 5:
                     assert list(shuffle_words(w1, w2).items()) == list(
                         shuffle_ref(w1, w2).items())
-        y_words = list(y_words_up_to([e, s], 5))
+        y_words = list(y_words_up_to([e, s], 5))  # the empty word first
         harmonic_ref = _parent_words_product(HARMONIC_DIAMOND)
-        harmonic_words = _quasi_shuffle_words(HARMONIC_DIAMOND)
+        harmonic_memo = _quasi_shuffle_words(HARMONIC_DIAMOND)
         pairs = 0
         for w1 in y_words:
             for w2 in y_words:
                 if sum(n for n, _ in w1 + w2) <= 5:
                     pairs += 1
-                    assert list(harmonic_words(w1, w2).items()) == list(
-                        harmonic_ref(w1, w2).items())
+                    want = list(harmonic_ref(w1, w2).items())
+                    assert list(harmonic_words(w1, w2).items()) == want
+                    assert list(harmonic_memo(w1, w2).items()) == want
         assert pairs > 1000
 
 

@@ -77,14 +77,19 @@ def test_traced_product_and_suite_counts(harness):
         result = algebra.shuffle(
             algebra.AlgebraElement.from_word(RATIONAL, "x", group, (g, X0)),
             algebra.AlgebraElement.from_word(RATIONAL, "x", group, (h, g)))
+        y_result = algebra.harmonic(
+            algebra.AlgebraElement.from_word(RATIONAL, "y", group, ((1, g), (2, h))),
+            algebra.AlgebraElement.from_word(RATIONAL, "y", group, ((1, h),)))
         assert numeval.numeric_relation_suite(1, 1) == []  # evaluates no word
         stats = tracer.end_pass(lambda t: t)
     finally:
         tracer.uninstall()
-    # the shuffle reaches the word recursion without the public quasi_shuffle
+    # the shuffle reaches the word recursion without the public quasi_shuffle,
+    # and the harmonic product through it, so each product is counted once
     assert stats["algebra.shuffle.calls"] == 1
-    assert stats["algebra.quasi_shuffle.calls"] == 0
-    assert stats["algebra.terms_out"] == len(result.terms)
+    assert stats["algebra.quasi_shuffle.calls"] == 1
+    assert len(y_result.terms) == 5
+    assert stats["algebra.terms_out"] == len(result.terms) + len(y_result.terms)
     assert stats["numeval.numeric_relation_suite.calls"] == 1
 
 
