@@ -43,7 +43,6 @@ sums them as ints, and builds one ``Fraction`` per nonzero residual.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,7 +330,7 @@ def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return quasi_shuffle(a, b, HARMONIC_DIAMOND)
 
 
-# -- label twist, conversions, membership ---------------------------------
+# -- label twist and conversions ----------------------------------------------
 
 
 def qg_apply(a: AlgebraElement, inverse: bool = False) -> AlgebraElement:
@@ -352,23 +351,6 @@ def y_to_x(a: AlgebraElement) -> AlgebraElement:
     if a.kind != "y":
         raise AlphabetMismatchError("y_to_x needs Y-side input")
     return a.map_words(W.y_to_x_word, "x")
-
-
-class Membership(enum.Enum):
-    H0 = "in_H0"
-    H1 = "in_H1"
-    NEITHER = "neither"
-
-
-def membership(a: AlgebraElement) -> Membership:
-    """Classify an X-side combination against the convergent filtration."""
-    if a.kind != "x":
-        raise AlphabetMismatchError("membership applies to X-side input")
-    if all(W.x_word_in_h0(w) for w in a.terms):
-        return Membership.H0
-    if all(W.x_word_in_h1(w) for w in a.terms):
-        return Membership.H1
-    return Membership.NEITHER
 
 
 def project_piY(a: AlgebraElement) -> AlgebraElement:

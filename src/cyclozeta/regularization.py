@@ -145,11 +145,6 @@ def bar_reg_T(a: AlgebraElement) -> TPolynomial:
                              for l, level in _reg_levels(a).items()})
 
 
-def bar_reg(a: AlgebraElement) -> AlgebraElement:
-    """Evaluation of :func:`bar_reg_T` at T = 0 (x0 -> 0 and x1 -> 0)."""
-    return AlgebraElement.make(a.ring, "x", a.group, _reg_levels(a).get(0, {}))
-
-
 # -- evaluation maps -------------------------------------------------------
 
 

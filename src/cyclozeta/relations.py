@@ -4,22 +4,24 @@ Everything in this module lives over exact rationals in the convergent
 subalgebra: the distribution tails ``FDT``, the finite double shuffle
 elements ``FDS`` and the regularized ones ``RDS``, the two sides of each
 finite relation (:func:`fds_sides`, :func:`sharp_sides`), the exact
-decomposition of the depth-two distribution tail into those pieces.  The
+decomposition of the depth-two distribution tail into those pieces.  A
+relation element is a plain :class:`~cyclozeta.algebra.AlgebraElement`;
+its constructor refuses arguments outside the relation's range.  The
 weight-one tail carries the order of the d-torsion ``K_d`` as its x0 factor,
 as the sharp map does, so every identity here holds on every finite abelian
 group.  The regularized-distribution verifiers (the weight-two case table and
 the full word range) compare the two sides of :func:`distribution_sides`
 under an evaluation map and return :class:`~cyclozeta.checks.Check` rows.
+They decide the conclusion only; the hypotheses have suites of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .algebra import (AlgebraElement, Membership, harmonic, membership,
-                      qg_apply, shuffle, x_to_y, y_to_x)
+from .algebra import AlgebraElement, harmonic, qg_apply, shuffle, x_to_y, y_to_x
 from .checks import Check, fold
-from .dmr import functor_sharp, grouplike_check, phi_from_Z
+from .dmr import functor_sharp
 from .errors import InvalidArgumentError
 from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
                      divisors_of_order, power_structure)
@@ -32,20 +34,7 @@ def _word(group, *letters) -> AlgebraElement:
     return AlgebraElement.from_word(RATIONAL, "x", group, tuple(letters))
 
 
-@dataclass(frozen=True)
-class RelationElement:
-    """A tagged relation element of the convergent subalgebra."""
-
-    tag: str
-    params: tuple
-    value: AlgebraElement
-
-    def __post_init__(self):
-        if membership(self.value) is not Membership.H0:
-            raise InvalidArgumentError(f"{self.tag}{self.params} left the convergent subalgebra")
-
-
-def fdt1_element(ps: PowerStructure, h: GroupElement) -> RelationElement:
+def fdt1_element(ps: PowerStructure, h: GroupElement) -> AlgebraElement:
     """``|K_d| * sum_{g^d = h} x0 x_g  -  x0 x_h``.
 
     The x0 factor is the order of the d-torsion ``K_d``, the factor the sharp
@@ -56,12 +45,11 @@ def fdt1_element(ps: PowerStructure, h: GroupElement) -> RelationElement:
     acc = AlgebraElement.zero(RATIONAL, "x", group)
     for g in ps.preimages[h]:
         acc = acc + _word(group, X0, g).scale(len(ps.kernel))
-    acc = acc - _word(group, X0, h)
-    return RelationElement("FDT1", (ps.d, h), acc)
+    return acc - _word(group, X0, h)
 
 
 def fdt2_element(ps: PowerStructure, h1: GroupElement,
-                 h2: GroupElement) -> RelationElement:
+                 h2: GroupElement) -> AlgebraElement:
     """``sum_{g1^d=h1, g2^d=h2} x_{g1} x_{g2}  -  x_{h1} x_{h2}``; needs h1 != 1."""
     if h1.is_identity:
         raise InvalidArgumentError("FDT2 requires h1 != 1")
@@ -73,28 +61,25 @@ def fdt2_element(ps: PowerStructure, h1: GroupElement,
     for g1 in ps.preimages[h1]:
         for g2 in ps.preimages[h2]:
             acc = acc + _word(group, g1, g2)
-    acc = acc - _word(group, h1, h2)
-    return RelationElement("FDT2", (ps.d, h1, h2), acc)
+    return acc - _word(group, h1, h2)
 
 
-def fds_element(g1: GroupElement, g2: GroupElement) -> RelationElement:
+def fds_element(g1: GroupElement, g2: GroupElement) -> AlgebraElement:
     """``x0 x_{g1 g2} + x_{g1} x_{g1 g2} + x_{g2} x_{g1 g2} - x_{g1} x_{g2} - x_{g2} x_{g1}``."""
     if g1.is_identity or g2.is_identity:
         raise InvalidArgumentError("FDS requires g1, g2 != 1")
     group = g1.group
     g12 = g1 * g2
-    acc = (_word(group, X0, g12) + _word(group, g1, g12) + _word(group, g2, g12)
-           - _word(group, g1, g2) - _word(group, g2, g1))
-    return RelationElement("FDS", (g1, g2), acc)
+    return (_word(group, X0, g12) + _word(group, g1, g12) + _word(group, g2, g12)
+            - _word(group, g1, g2) - _word(group, g2, g1))
 
 
-def rds_element(g: GroupElement) -> RelationElement:
+def rds_element(g: GroupElement) -> AlgebraElement:
     """``x0 x_g + x_g x_g - x_g x_1``."""
     if g.is_identity:
         raise InvalidArgumentError("RDS requires g != 1")
     group = g.group
-    acc = _word(group, X0, g) + _word(group, g, g) - _word(group, g, group.identity())
-    return RelationElement("RDS", (g,), acc)
+    return _word(group, X0, g) + _word(group, g, g) - _word(group, g, group.identity())
 
 
 # -- the two sides of each finite relation -----------------------------------
@@ -144,42 +129,46 @@ def fdtd1_identity_check(group: FiniteAbelianGroup, d: int,
     so the decomposition holds on every finite abelian group.
     """
     ps = power_structure(group, d)
-    if h not in ps.preimages:
-        raise InvalidArgumentError(f"{h} is not a d-th power")
-    lhs = fdt1_element(ps, h).value
+    lhs = fdt1_element(ps, h)  # refuses an h that is not a d-th power
     kernel_nontrivial = [g for g in ps.kernel if not g.is_identity]
     acc = AlgebraElement.zero(RATIONAL, "x", group)
     if h.is_identity:
         branch = "h=1"
         for g1 in kernel_nontrivial:
             for g2 in kernel_nontrivial:
-                acc = acc + fds_element(g1, g2).value
+                acc = acc + fds_element(g1, g2)
         for g in kernel_nontrivial:
-            acc = acc + rds_element(g).value.scale(2)
+            acc = acc + rds_element(g).scale(2)
     else:
         branch = "h!=1"
         for g1 in ps.preimages[h]:
             for g2 in kernel_nontrivial:
-                acc = acc + fds_element(g1, g2).value
+                acc = acc + fds_element(g1, g2)
         for g in ps.preimages[h]:
-            acc = acc + rds_element(g).value
-        acc = acc - rds_element(h).value
-        acc = acc + fdt2_element(ps, h, group.identity()).value
-        acc = acc - fdt2_element(ps, h, h).value
+            acc = acc + rds_element(g)
+        acc = acc - rds_element(h)
+        acc = acc + fdt2_element(ps, h, group.identity())
+        acc = acc - fdt2_element(ps, h, h)
     difference = lhs - acc
     return FDTd1Report(d, h, branch, lhs, acc, difference, not difference.terms)
 
 
-def fdtd1_grid(group: FiniteAbelianGroup) -> list[FDTd1Report]:
-    """Run the decomposition over every divisor >= 2 and every d-th power."""
-    out = []
+def fdtd1_grid(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], FDTd1Report]]:
+    """Run the decomposition once per distinct identity over every divisor
+    d >= 2 and every d-th power h, each with the divisors it covers.
+
+    Both sides of the cell (d, h) are fixed by h and its preimage class
+    under ``p^d``, so divisors that share the class share the identity: on
+    4x4 the cells h=1 at d = 4, 8 and 16 are one, with ``K_d = G``."""
+    cells: dict = {}
     for d in divisors_of_order(group):
         if d < 2:
             continue
         ps = power_structure(group, d)
         for h in ps.subgroup:
-            out.append(fdtd1_identity_check(group, d, h))
-    return out
+            cells.setdefault((h, ps.preimages[h]), []).append(d)
+    return [(tuple(ds), fdtd1_identity_check(group, ds[0], h))
+            for (h, _), ds in cells.items()]
 
 
 # -- regularized distribution -------------------------------------------------
@@ -205,40 +194,22 @@ def _regdist_residuals(Z: ZMap, ps: PowerStructure, word: tuple):
         yield f"T^{l}", lhs.coeff(l, zero) - rhs.coeff(l, zero)
 
 
-def zhao_hypotheses(Z: ZMap, ps: PowerStructure) -> list[Check]:
-    """Spot-check the three hypotheses: multiplicativity of the generating
-    series through weight two, and the two finite distribution families."""
-    ring = Z.ring
-    eds = replace(grouplike_check(phi_from_Z(Z, 2), "shuffle").check,
-                  name="zhao-hypothesis-eds", params="spot_degree=2")
-    nontrivial = [h for h in ps.subgroup if not h.is_identity]
-
-    def dist_diffs(words):
-        for word in words:
-            lower, upper = sharp_sides(
-                ps, AlgebraElement.from_word(RATIONAL, "x", ps.group, word))
-            yield word, Z.eval_element(lower) - Z.eval_element(upper)
-
-    weight1 = fold("zhao-hypothesis-weight1", f"d={ps.d}", ring,
-                   dist_diffs((h,) for h in nontrivial), format_x_word)
-    depth2 = fold("zhao-hypothesis-depth2", f"d={ps.d}", ring,
-                  dist_diffs((h, h2) for h in nontrivial for h2 in ps.subgroup),
-                  format_x_word)
-    return [eds, weight1, depth2]
-
-
 def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int) -> list[Check]:
-    """The hypothesis spot checks, then every case-table cell (x0, identity
-    and each nontrivial d-th power in both slots): the regularized
-    distribution relation on ``x_{h1} x_{h2}``, compared coefficient by
-    coefficient in T; a cell's params name its word, its detail the worst T
-    power."""
+    """Every case-table cell (x0, identity and each nontrivial d-th power in
+    both slots): the regularized distribution relation on ``x_{h1} x_{h2}``,
+    compared coefficient by coefficient in T; a cell's params name its word,
+    its detail the worst T power.
+
+    The cells are the conclusion of Zhao's weight-two statement.  Its
+    hypotheses are decided by other suites, each relation once: double
+    shuffle by :func:`~cyclozeta.dmr.dmr_check`, finite distribution on the
+    weight-one and depth-two words by the ``dist`` rows of
+    :func:`~cyclozeta.numeval.numeric_relation_suite` at weight 2."""
     ps = power_structure(group, d)
     choices = [X0] + list(ps.subgroup)
-    return zhao_hypotheses(Z, ps) + [
-        fold("zhao-cell", f"d={d} cell={format_x_word((h1, h2))}",
-             Z.ring, _regdist_residuals(Z, ps, (h1, h2)), str)
-        for h1 in choices for h2 in choices]
+    return [fold("zhao-cell", f"d={d} cell={format_x_word((h1, h2))}",
+                 Z.ring, _regdist_residuals(Z, ps, (h1, h2)), str)
+            for h1 in choices for h2 in choices]
 
 
 def regdist_full_check(Z: ZMap, group: FiniteAbelianGroup, d: int,

@@ -16,10 +16,10 @@ from conftest import elem, oracle_shuffle_words
 from cyclozeta.algebra import AlgebraElement, harmonic
 from cyclozeta.dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from cyclozeta.duality import duality_suite
-from cyclozeta.groups import construct_group, power_structure
+from cyclozeta.groups import construct_group, divisors_of_order, power_structure
 from cyclozeta.numeval import NumericZMap, PolylogQuery, polylog_numeric
 from cyclozeta.regularization import TPolynomial, TableZMap, bar_reg_T, rho_apply, sigma_apply
-from cyclozeta.relations import fdtd1_grid, zhao_case_table
+from cyclozeta.relations import fdtd1_identity_check, zhao_case_table
 from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0, x_words_up_to, y_words_up_to, y_weight
 
@@ -49,10 +49,13 @@ def test_criterion_1_fdtd1_exact_identity():
     cells = 0
     worst = None
     for group in groups:
-        for result in fdtd1_grid(group):
-            cells += 1
-            if result.difference.terms:
-                worst = (group.invariant_factors, result.d, result.h)
+        for d in divisors_of_order(group):
+            if d < 2:
+                continue
+            for h in power_structure(group, d).subgroup:
+                cells += 1
+                if fdtd1_identity_check(group, d, h).difference.terms:
+                    worst = (group.invariant_factors, d, h)
     # every (G, d, h) with d >= 2 dividing |G| and h a d-th power, none skipped
     report(1, worst is None and cells == 131,
            f"depth-two decomposition exactly zero on {cells} (G,d,h) cells over "
@@ -217,10 +220,9 @@ def test_criterion_8_dmrd_numeric():
 
 def test_criterion_9_zhao_weight_two():
     Z = NumericZMap(4, tolerance=1e-5)
-    checks = zhao_case_table(Z, Z.group, 2)
-    cells = [c for c in checks if c.name == "zhao-cell"]
+    cells = zhao_case_table(Z, Z.group, 2)
     worst = max(c.residual for c in cells)
-    ok = all(c.passed for c in checks) and worst <= 1e-5
+    ok = all(c.passed for c in cells) and worst <= 1e-5
     report(9, ok, f"all {len(cells)} case-table cells equal as T-polynomials "
                   f"at N=4, d=2; worst per-coefficient residual {worst:.2e} <= 1e-5")
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (combo, elem, oracle_quasi_shuffle_words, oracle_shuffle,
                       oracle_shuffle_words)
 from cyclozeta import algebra
-from cyclozeta.algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND, Membership,
+from cyclozeta.algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND,
                                ZERO_DIAMOND, _quasi_shuffle_words,
                                format_element_combo, harmonic, harmonic_words,
-                               membership, parse_element_combo,
+                               parse_element_combo,
                                project_piY, qg_apply, quasi_shuffle, shuffle,
                                shuffle_words, x_to_y, y_to_x)
 from cyclozeta.errors import AlphabetMismatchError, NotInH1Error
@@ -535,15 +535,16 @@ class TestConversion:
 
 
 class TestMembership:
+    """Words of the convergent subalgebra H0 and of H1, the words ending in
+    a group letter."""
+
     def test_cases(self, Z3):
         g = Z3.element(1)
         one = Z3.identity()
-        assert membership(elem(Z3, X0, g)) is Membership.H0
-        assert membership(elem(Z3, one, g)) is Membership.H1
-        assert membership(elem(Z3, g, X0)) is Membership.NEITHER
-        assert membership(elem(Z3, g)) is Membership.H0
-        assert membership(elem(Z3, one)) is Membership.H1
-        assert membership(AlgebraElement.one(RATIONAL, "x", Z3)) is Membership.H0
+        for word, in_h0, in_h1 in [((X0, g), True, True), ((one, g), False, True),
+                                   ((g, X0), False, False), ((g,), True, True),
+                                   ((one,), False, True), ((), True, True)]:
+            assert (x_word_in_h0(word), x_word_in_h1(word)) == (in_h0, in_h1), word
 
     def test_h0_closed_under_both_products(self, Z3):
         import random
@@ -553,9 +554,9 @@ class TestMembership:
         for _ in range(60):
             w1, w2 = rng.choice(h0_words), rng.choice(h0_words)
             a, b = elem(Z3, *w1), elem(Z3, *w2)
-            assert membership(shuffle(a, b)) is Membership.H0
             st_prod = y_to_x(harmonic(x_to_y(a), x_to_y(b)))
-            assert membership(st_prod) is Membership.H0
+            for product in (shuffle(a, b), st_prod):
+                assert all(x_word_in_h0(w) for w in product.terms)
 
 
 class TestProjection:

@@ -5,11 +5,11 @@ verifier."""
 import pytest
 
 from conftest import combo, elem
-from cyclozeta.algebra import Membership, harmonic, membership, qg_apply, y_to_x
+from cyclozeta.algebra import harmonic, qg_apply, y_to_x
 from cyclozeta.errors import InvalidArgumentError
 from cyclozeta.groups import (construct_group, divisors_of_order, parse_group,
                               power_structure)
-from cyclozeta.numeval import NumericZMap
+from cyclozeta.numeval import NumericZMap, numeric_relation_suite, word_to_query
 from cyclozeta.regularization import bar_reg_T
 from cyclozeta.relations import (distribution_sides,
                                  fds_element, fds_sides, fdt1_element,
@@ -17,7 +17,8 @@ from cyclozeta.relations import (distribution_sides,
                                  rds_element, regdist_full_check, sharp_sides,
                                  zhao_case_table)
 from cyclozeta.rings import RATIONAL
-from cyclozeta.words import X0
+from cyclozeta.words import X0, x_word_in_h0
+from test_acceptance import invariant_factor_lists
 from test_regularization import prime_zmap
 
 
@@ -26,32 +27,41 @@ class TestBuildRelation:
         ps = power_structure(Z2, 2)
         one, sigma = Z2.identity(), Z2.element(1)
         rel = fdt1_element(ps, one)
-        assert rel.value == combo(Z2, (1, (X0, one)), (2, (X0, sigma)))
+        assert rel == combo(Z2, (1, (X0, one)), (2, (X0, sigma)))
 
     def test_rds(self, Z2):
         sigma, one = Z2.element(1), Z2.identity()
         rel = rds_element(sigma)
-        assert rel.value == combo(Z2, (1, (X0, sigma)), (1, (sigma, sigma)),
-                                  (-1, (sigma, one)))
+        assert rel == combo(Z2, (1, (X0, sigma)), (1, (sigma, sigma)),
+                            (-1, (sigma, one)))
 
     def test_fds_z2_diagonal(self, Z2):
         sigma, one = Z2.element(1), Z2.identity()
         rel = fds_element(sigma, sigma)
-        assert rel.value == combo(Z2, (1, (X0, one)), (2, (sigma, one)),
-                                  (-2, (sigma, sigma)))
+        assert rel == combo(Z2, (1, (X0, one)), (2, (sigma, one)),
+                            (-2, (sigma, sigma)))
 
-    def test_all_kinds_stay_convergent(self, Z12):
-        ps = power_structure(Z12, 3)
-        nontrivial = [g for g in Z12.elements() if not g.is_identity]
-        for h in ps.subgroup:
-            assert membership(fdt1_element(ps, h).value) in (Membership.H0,)
-            for h2 in ps.subgroup:
-                if not h.is_identity:
-                    assert membership(fdt2_element(ps, h, h2).value) is Membership.H0
-        for g1 in nontrivial[:4]:
-            for g2 in nontrivial[:4]:
-                assert membership(fds_element(g1, g2).value) is Membership.H0
-            assert membership(rds_element(g1).value) is Membership.H0
+    def test_all_kinds_stay_convergent(self):
+        # every element the fdt-verify grid builds, |K_d| != d included
+        def convergent(rel):
+            return all(x_word_in_h0(w) for w in rel.terms)
+
+        for spec in ("12", "2x2", "2x6", "4x4"):
+            group = parse_group(spec)
+            nontrivial = [g for g in group.elements() if not g.is_identity]
+            for d in divisors_of_order(group):
+                if d < 2:
+                    continue
+                ps = power_structure(group, d)
+                for h in ps.subgroup:
+                    assert convergent(fdt1_element(ps, h))
+                    for h2 in ps.subgroup:
+                        if not h.is_identity:
+                            assert convergent(fdt2_element(ps, h, h2))
+            for g1 in nontrivial:
+                for g2 in nontrivial:
+                    assert convergent(fds_element(g1, g2))
+                assert convergent(rds_element(g1))
 
     def test_parameter_validation(self, Z4):
         one = Z4.identity()
@@ -77,7 +87,7 @@ class TestRelationSides:
         for g1 in nontrivial:
             for g2 in nontrivial:
                 stuffle, shuffled = fds_sides(RATIONAL, group, (g1,), (g2,))
-                assert stuffle - shuffled == fds_element(g1, g2).value
+                assert stuffle - shuffled == fds_element(g1, g2)
 
     # |K_2| = 4 != d on each noncyclic group here, and |K_d| != d at some
     # larger d as well (2x4 at d = 4, 2x6 at d = 6, 4x4 at d = 4 and 8)
@@ -88,12 +98,12 @@ class TestRelationSides:
             ps = power_structure(group, d)
             for h in ps.subgroup:
                 lower, upper = sharp_sides(ps, elem(group, X0, h))
-                assert lower - upper == fdt1_element(ps, h).value
+                assert lower - upper == fdt1_element(ps, h)
                 if h.is_identity:
                     continue  # FDT2 needs h1 != 1
                 for h2 in ps.subgroup:
                     lower, upper = sharp_sides(ps, elem(group, h, h2))
-                    assert lower - upper == fdt2_element(ps, h, h2).value
+                    assert lower - upper == fdt2_element(ps, h, h2)
 
     @pytest.mark.parametrize("spec", ["Z4", "Z6", "2x2"])
     def test_regularized_harmonic_product_is_rds_element(self, spec):
@@ -107,7 +117,7 @@ class TestRelationSides:
                 continue
             product = qg_apply(y_to_x(harmonic(x1, elem(group, (1, g), kind="y"))),
                                inverse=True)
-            assert bar_reg_T(product).coeffs == {0: rds_element(g).value,
+            assert bar_reg_T(product).coeffs == {0: rds_element(g),
                                                  1: elem(group, g)}
 
 
@@ -137,19 +147,34 @@ class TestFDTd1:
                                    *((4, (X0, g)) for g in klein.elements()))
 
     def test_grid_z12(self, Z12):
-        reports = fdtd1_grid(Z12)
-        assert reports and all(r.passed for r in reports)
-        assert {r.d for r in reports} == {2, 3, 4, 6, 12}
+        # K_d has order d on a cyclic group, so no two cells share an identity
+        grid = fdtd1_grid(Z12)
+        assert grid and all(r.passed for _, r in grid)
+        assert all(ds == (r.d,) for ds, r in grid)
+        assert {r.d for _, r in grid} == {2, 3, 4, 6, 12}
+
+    def test_grid_has_one_row_per_identity(self):
+        # the 131 cells (G, d, h) over the abelian groups of order <= 16 hold
+        # 116 distinct identities; the 15 repeats are h = 1 at divisors with
+        # the same K_d, as d = 4, 8, 16 on 4x4
+        rows = cells = 0
+        for n in range(2, 17):
+            for factors in invariant_factor_lists(n):
+                grid = fdtd1_grid(construct_group(factors))
+                rows += len(grid)
+                cells += sum(len(ds) for ds, _ in grid)
+                sides = [(r.lhs, r.rhs) for _, r in grid]
+                assert all(a != b for i, a in enumerate(sides) for b in sides[:i])
+        assert (rows, cells) == (116, 131)
 
 
 class TestZhaoWeightTwo:
     def test_level_two_cells(self):
         Z = NumericZMap(2)
-        checks = zhao_case_table(Z, Z.group, 2)
-        cells = [c for c in checks if c.name == "zhao-cell"]
-        assert len(checks) == 3 + len(cells)  # three hypotheses, then cells
+        cells = zhao_case_table(Z, Z.group, 2)
+        assert {c.name for c in cells} == {"zhao-cell"}
         assert len(cells) == 4  # subgroup is trivial: choices are x0 and 1
-        assert all(c.passed for c in checks)
+        assert all(c.passed for c in cells)
 
     def test_x0_x0_cell_is_zero(self):
         Z = NumericZMap(2)
@@ -163,8 +188,25 @@ class TestZhaoWeightTwo:
         # Z6 has two nontrivial squares, so a cell must name its letters
         Z = NumericZMap(6)
         rows = [(c.name, c.params) for c in zhao_case_table(Z, Z.group, 2)]
-        assert len(rows) == len(set(rows)) == 3 + 4 * 4
+        assert len(rows) == len(set(rows)) == 4 * 4
         assert ("zhao-cell", "d=2 cell=xg[2]xg[4]") in rows
+
+    @pytest.mark.parametrize("level", [4, 6, 12])
+    def test_finite_distribution_hypotheses_are_relation_suite_rows(self, level):
+        # the weight-one and depth-two finite distribution words of every d
+        # each have their own dist row in relation-suite --weight 2
+        group = construct_group([level])
+        dist = {c.params for c in numeric_relation_suite(level, 2) if c.name == "dist"}
+        for d in divisors_of_order(group):
+            if d < 2:
+                continue
+            ps = power_structure(group, d)
+            for h in ps.subgroup:
+                if h.is_identity:
+                    continue
+                for word in [(h,)] + [(h, h2) for h2 in ps.subgroup]:
+                    query = word_to_query(word, level)
+                    assert f"d={d} k={query.indices} a={query.residues}" in dist
 
 
 class TestRegDist:
@@ -207,11 +249,11 @@ class TestNumericKernelMembership:
         for g in Z.group.elements():
             if g.is_identity:
                 continue
-            assert abs(Z.eval_element(rds_element(g).value)) < 1e-6
+            assert abs(Z.eval_element(rds_element(g))) < 1e-6
             for h in Z.group.elements():
                 if h.is_identity:
                     continue
-                assert abs(Z.eval_element(fds_element(g, h).value)) < 1e-6
+                assert abs(Z.eval_element(fds_element(g, h))) < 1e-6
 
     @pytest.mark.parametrize("level", [2, 4, 6])
     def test_distribution_tails_vanish(self, level):
@@ -222,4 +264,4 @@ class TestNumericKernelMembership:
                 continue
             ps = power_structure(Z.group, d)
             for h in ps.subgroup:
-                assert abs(Z.eval_element(fdt1_element(ps, h).value)) < 1e-6
+                assert abs(Z.eval_element(fdt1_element(ps, h))) < 1e-6

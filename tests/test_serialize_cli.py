@@ -286,16 +286,6 @@ class TestCliNumericCommands:
         assert code == 0
         assert out.count("zhao-cell") == 4
 
-    def test_zhao_rows_over_no_word_say_so(self, capsys):
-        # at N = 2 the only square is 1: the weight-one and depth-two
-        # hypotheses have no word to compare, so even a zero tolerance
-        # passes them
-        main(["zhao-verify", "--N", "2", "--d", "2", "--tol", "1e-300"])
-        rows = {row[0]: row for row in (line.split("\t") for line in
-                                         capsys.readouterr().out.splitlines()[2:])}
-        for check in ("zhao-hypothesis-weight1", "zhao-hypothesis-depth2"):
-            assert rows[check][2:] == ["PASS", "0.000000e+00", "words=0"]
-
     def test_regdist_smoke(self, capsys):
         code = main(["regdist", "--N", "2", "--d", "2", "--max-len", "2"])
         out = capsys.readouterr().out
@@ -310,15 +300,13 @@ class TestCliNumericCommands:
 
 def _parse_worst(check: str, detail: str, group):
     """The word a FAIL row's detail names, parsed back: a T power for a zhao
-    cell, an X word pair for the grouplike hypothesis, else one word."""
+    cell, else one word."""
     assert detail.startswith("worst=")
     text = detail[len("worst="):]
     assert text
     if check == "zhao-cell":
         assert text.startswith("T^")
         return int(text[2:])
-    if check == "zhao-hypothesis-eds":
-        return tuple(parse_x_word(part, group) for part in text.split("|"))
     if check == "eds-dmr-equality":
         return parse_y_word(text, group)
     return parse_x_word(text, group)
