@@ -35,7 +35,10 @@ no new value.
 Each distinct count n of a pair is scaled once, to ``c * ring.coerce(n)``,
 or to ``ring.coerce(n)`` when ``c`` is ``one``; count 1 is ``c`` itself.
 No loop starts a sum from an int ``0`` (``out[w] = out[w] + term if w in
-out else term``), and :meth:`make` prunes the false values.  The pair loop
+out else term``).  :meth:`make` prunes the false values, but an element
+product tests truth only where a zero can appear (:func:`_bilinear`): at
+a pair coefficient ``c1 * c2``, at each scaled count, and, through
+:meth:`make`, in a product where two terms met on one word.  The pair loop
 (``dmr._pair_residuals``) goes one step further over the rational ring: it
 scales a series' coefficients to integers over their common denominator,
 sums them as ints, and builds one ``Fraction`` per nonzero residual.
@@ -232,29 +235,57 @@ def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
     return out
 
 
+#: the scaled value of a count whose terms are zero and are not written
+_DROPPED = object()
+
+
 def _bilinear(a: AlgebraElement, b: AlgebraElement, diamond: DiamondProduct,
               sub) -> AlgebraElement:
     """Extend a word-level product bilinearly.  Each operand pair is one
     uncached :func:`_merge_step` that reads the shorter suffix pairs from
     ``sub``: its result goes into the output at once and no later step
     reads it, so no cache stores it, and a repeated identical product
-    recomputes that one step from the cached suffixes."""
+    recomputes that one step from the cached suffixes.
+
+    A pair coefficient that is false skips the pair, and a count whose
+    scaled value is false drops its words, tested once per distinct count.
+    A word pair's step yields each word once, so an output value can be
+    zero only where two terms were summed: a plain element is returned as
+    built when no word was summed, and :meth:`make` prunes it otherwise.  A
+    series goes through ``_like`` either way, which drops the words past
+    its bound."""
     a._check(b)
     if not a.terms or not b.terms:
         return a._like({})
     one, coerce = a.ring.one, a.ring.coerce
     out: dict = {}
+    summed = False
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
+            if c1 is one:
+                c = c2
+            elif c2 is one:
+                c = c1
+            else:
+                c = c1 * c2
+                if not c:
+                    continue
             multiples = {1: c}
             for word, count in _merge_step(w1, w2, diamond, sub).items():
                 term = multiples.get(count)
                 if term is None:
-                    term = multiples[count] = (coerce(count) if c is one
-                                               else c * coerce(count))
-                out[word] = out[word] + term if word in out else term
-    return a._like(out)
+                    term = coerce(count) if c is one else c * coerce(count)
+                    term = multiples[count] = term if term else _DROPPED
+                if term is _DROPPED:
+                    continue
+                if word in out:
+                    out[word] = out[word] + term
+                    summed = True
+                else:
+                    out[word] = term
+    if summed or type(a) is not AlgebraElement:
+        return a._like(out)
+    return AlgebraElement(a.ring, a.kind, a.group, out)
 
 
 @lru_cache(maxsize=200_000)

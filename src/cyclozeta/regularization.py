@@ -89,7 +89,8 @@ def _tilde_word(word: tuple) -> tuple:
     """The shuffle-algebra retraction killing x0, identity on words that end
     in a group letter, of one word as ``((word, Fraction), ...)``.  The
     shuffle counts are positive and its words distinct, so no row is zero
-    or repeated."""
+    or repeated; the rows enter through ``RATIONAL.coerce``, so they share
+    its ``Fraction`` of each int, and a ``+1`` row is ``_ONE``."""
     if x_word_in_h1(word):
         return ((word, _ONE),)
     k = len(word) - 1
@@ -99,7 +100,7 @@ def _tilde_word(word: tuple) -> tuple:
         return ()  # pure x0 power maps to 0
     n = len(word) - 1 - k
     a = word[k:k + 1]
-    return tuple((w + a, Fraction((-1) ** n * count))
+    return tuple((w + a, RATIONAL.coerce((-1) ** n * count))
                  for w, count in shuffle_words(word[:k], (X0,) * n).items())
 
 

@@ -128,7 +128,12 @@ def fdtd1_identity_check(group: FiniteAbelianGroup, d: int,
     d-torsion ``K_d``, which balance the ``|K_d|`` in :func:`fdt1_element`,
     so the decomposition holds on every finite abelian group.
     """
-    ps = power_structure(group, d)
+    return _fdtd1_report(power_structure(group, d), h)
+
+
+def _fdtd1_report(ps: PowerStructure, h: GroupElement) -> FDTd1Report:
+    """:func:`fdtd1_identity_check` on a power structure already built."""
+    group = ps.group
     lhs = fdt1_element(ps, h)  # refuses an h that is not a d-th power
     kernel_nontrivial = [g for g in ps.kernel if not g.is_identity]
     acc = AlgebraElement.zero(RATIONAL, "x", group)
@@ -150,7 +155,7 @@ def fdtd1_identity_check(group: FiniteAbelianGroup, d: int,
         acc = acc + fdt2_element(ps, h, group.identity())
         acc = acc - fdt2_element(ps, h, h)
     difference = lhs - acc
-    return FDTd1Report(d, h, branch, lhs, acc, difference, not difference.terms)
+    return FDTd1Report(ps.d, h, branch, lhs, acc, difference, not difference.terms)
 
 
 def fdtd1_grid(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], FDTd1Report]]:
@@ -166,9 +171,9 @@ def fdtd1_grid(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], FDTd1Re
             continue
         ps = power_structure(group, d)
         for h in ps.subgroup:
-            cells.setdefault((h, ps.preimages[h]), []).append(d)
-    return [(tuple(ds), fdtd1_identity_check(group, ds[0], h))
-            for (h, _), ds in cells.items()]
+            cells.setdefault((h, ps.preimages[h]), []).append(ps)
+    return [(tuple(p.d for p in pss), _fdtd1_report(pss[0], h))
+            for (h, _), pss in cells.items()]
 
 
 # -- regularized distribution -------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (combo, elem, oracle_quasi_shuffle_words, oracle_shuffle,
                       oracle_shuffle_words)
-from cyclozeta import algebra
+from cyclozeta import algebra, rings
 from cyclozeta.algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND,
                                ZERO_DIAMOND, _quasi_shuffle_words,
                                format_element_combo, harmonic, harmonic_words,
@@ -408,6 +408,48 @@ class TestProductsFollowTheOldRule:
         assert pairs > 1000
 
 
+class _CancellingDiamond(DiamondProduct):
+    """``y_{n,g} <> y_{m,h}`` is ``y_{n+m,gh} - y_{n+m,gh}``: the merged
+    word of every merge step gets the count 0."""
+
+    def mul(self, a, b):
+        (n1, g1), (n2, g2) = a, b
+        merged = (n1 + n2, g1 * g2)
+        return ((merged, 1), (merged, -1))
+
+
+class TestProductsPruneWhereZerosAppear:
+    """An element product tests truth only at a pair coefficient, at each
+    scaled count and where two terms met on one word; no zero is stored."""
+
+    def test_summed_words_that_cancel_are_dropped(self, Z3):
+        g, h = Z3.element(1), Z3.element(2)
+        a = combo(Z3, (1, (g,)), (-1, (h,)))
+        b = combo(Z3, (1, (h,)), (1, (g,)))
+        got = shuffle(a, b)
+        assert got == combo(Z3, (2, (g, g)), (-2, (h, h)))
+        assert set(got.terms) == {(g, g), (h, h)}  # no x_g x_h, no x_h x_g
+
+    @pytest.mark.parametrize("c", [1, Fraction(3, 2)])
+    def test_zero_count_words_are_dropped(self, Z3, c):
+        g, h = (1, Z3.element(1)), (1, Z3.element(2))
+        a = combo(Z3, (c, (g,)), kind="y")
+        b = elem(Z3, h, kind="y")
+        diamond = _CancellingDiamond()
+        merged = ((2, Z3.identity()),)
+        assert _quasi_shuffle_words(diamond)((g,), (h,))[merged] == 0
+        got = quasi_shuffle(a, b, diamond)
+        assert got.terms == {(g, h): RATIONAL.coerce(c), (h, g): RATIONAL.coerce(c)}
+
+    def test_underflowing_harmonic_of_single_words_is_false(self, Z3):
+        g, h = Z3.element(1), Z3.element(2)
+        a = combo(Z3, (1e-200, ((1, g),)), ring=COMPLEX, kind="y")
+        b = combo(Z3, (1e-200, ((2, h),)), ring=COMPLEX, kind="y")
+        assert a and b
+        got = harmonic(a, b)
+        assert not got and got.terms == {}
+
+
 def _words_over(letters, max_len):
     out = []
     for n in range(1, max_len + 1):
@@ -628,6 +670,14 @@ class TestRingAxioms:
         assert ring.one * a == a
         assert a + ring.zero == a
         assert ring.is_zero(a - a)
+
+    def test_rational_coerce_shares_one_fraction_per_int(self):
+        for _ in range(2):  # also once the int cache was emptied
+            assert RATIONAL.coerce(1) is RATIONAL.one
+            assert RATIONAL.coerce(0) is RATIONAL.zero
+            assert RATIONAL.coerce(6) is RATIONAL.coerce(6)
+            assert type(RATIONAL.coerce(-6)) is Fraction and RATIONAL.coerce(-6) == -6
+            rings._int_fraction.cache_clear()
 
     @given(st.complex_numbers(max_magnitude=10, allow_nan=False,
                               allow_infinity=False),

@@ -5,6 +5,7 @@ verifier."""
 import pytest
 
 from conftest import combo, elem
+from cyclozeta import relations
 from cyclozeta.algebra import harmonic, qg_apply, y_to_x
 from cyclozeta.errors import InvalidArgumentError
 from cyclozeta.groups import (construct_group, divisors_of_order, parse_group,
@@ -166,6 +167,24 @@ class TestFDTd1:
                 sides = [(r.lhs, r.rhs) for _, r in grid]
                 assert all(a != b for i, a in enumerate(sides) for b in sides[:i])
         assert (rows, cells) == (116, 131)
+
+    def test_grid_builds_each_power_structure_once(self, monkeypatch):
+        # one power_structure per (G, d) with d >= 2 over the 25 abelian
+        # groups of order <= 16, the trivial one included; each identity
+        # reuses the structure of its first divisor
+        built = []
+
+        def counted(group, d):
+            built.append((group.invariant_factors, d))
+            return power_structure(group, d)
+
+        monkeypatch.setattr(relations, "power_structure", counted)
+        groups = [construct_group(factors) for n in range(1, 17)
+                  for factors in invariant_factor_lists(n)]
+        assert len(groups) == 25
+        for group in groups:
+            fdtd1_grid(group)
+        assert len(built) == len(set(built)) == 65
 
 
 class TestZhaoWeightTwo:
