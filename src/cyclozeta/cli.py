@@ -23,7 +23,7 @@ from .groups import divisors_of_order, parse_group, power_structure
 from .numeval import (DEFAULT_TOLERANCE, NumericZMap, PolylogQuery,
                       numeric_relation_suite, polylog_numeric)
 from .regularization import bar_reg_T
-from .relations import fdtd1_grid, fdtd1_identity_check, regdist_full_check, zhao_case_table
+from .relations import _fdtd1_report, fdtd1_grid, regdist_full_check, zhao_case_table
 from .rings import COMPLEX, RATIONAL, ring_from_name
 from .words import format_x_word
 
@@ -137,9 +137,8 @@ def cmd_fdt_verify(args) -> int:
         results = fdtd1_grid(group)
     else:
         ps = power_structure(group, _divisor(args))
-        results = [((ps.d,), fdtd1_identity_check(group, ps.d, h)) for h in ps.subgroup]
-    checks = [fold("fdt1-decomposition",
-                   f"d={','.join(map(str, ds))} h={r.h} branch={r.branch}", RATIONAL,
+        results = [((ps.d,), _fdtd1_report(ps, h)) for h in ps.subgroup]
+    checks = [fold("fdt1-decomposition", f"d={','.join(map(str, ds))} h={r.h}", RATIONAL,
                    differences(r.lhs.terms, r.rhs.terms, RATIONAL.zero), format_x_word)
               for ds, r in results]
     meta = _meta_row(group=args.group, degree=2, ring="rational", tol=0)

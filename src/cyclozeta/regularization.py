@@ -116,11 +116,17 @@ def _regt_word(word: tuple) -> tuple:
     while m < len(word) and word[m] is not X0 and word[m].is_identity:
         m += 1
     if m == len(word):
-        return ((m, (), Fraction(1, math.factorial(m))),)
+        return ((m, (), _over_factorial(1, m)),)
     b, u = word[m:m + 1], word[m + 1:]
-    return tuple((m - k, b + w, Fraction((-1) ** k * count, math.factorial(m - k)))
+    return tuple((m - k, b + w, _over_factorial((-1) ** k * count, m - k))
                  for k in range(m + 1)
                  for w, count in shuffle_words(word[:k], u).items())
+
+
+def _over_factorial(n: int, l: int) -> Fraction:
+    """``n / l!``, an integer through ``RATIONAL.coerce``, so a ``+1`` is ``_ONE``."""
+    c = Fraction(n, math.factorial(l))
+    return RATIONAL.coerce(c.numerator) if c.denominator == 1 else c
 
 
 def _reg_levels(a: AlgebraElement) -> dict:

@@ -5,8 +5,10 @@ subalgebra: the distribution tails ``FDT``, the finite double shuffle
 elements ``FDS`` and the regularized ones ``RDS``, the two sides of each
 finite relation (:func:`fds_sides`, :func:`sharp_sides`), the exact
 decomposition of the depth-two distribution tail into those pieces.  A
-relation element is a plain :class:`~cyclozeta.algebra.AlgebraElement`;
-its constructor refuses arguments outside the relation's range.  The
+relation element is a plain :class:`~cyclozeta.algebra.AlgebraElement`
+summed once from ``(coefficient, word)`` pairs; its constructor refuses
+arguments outside the relation's range, but its formula reads at any letter
+(``FDS(1, g)`` is ``RDS(g)``): the decomposition is one sum for all h.  The
 weight-one tail carries the order of the d-torsion ``K_d`` as its x0 factor,
 as the sharp map does, so every identity here holds on every finite abelian
 group.  The regularized-distribution verifiers (the weight-two case table and
@@ -30,8 +32,13 @@ from .rings import RATIONAL
 from .words import X0, format_x_word, x_words_up_to
 
 
-def _word(group, *letters) -> AlgebraElement:
-    return AlgebraElement.from_word(RATIONAL, "x", group, tuple(letters))
+def _combination(group: FiniteAbelianGroup, pieces) -> AlgebraElement:
+    """``sum c * word`` over the ``(c, word)`` pairs, each ``c`` through ``RATIONAL.coerce``."""
+    out: dict = {}
+    for c, word in pieces:
+        c = RATIONAL.coerce(c)
+        out[word] = out[word] + c if word in out else c
+    return AlgebraElement.make(RATIONAL, "x", group, out)
 
 
 def fdt1_element(ps: PowerStructure, h: GroupElement) -> AlgebraElement:
@@ -41,11 +48,8 @@ def fdt1_element(ps: PowerStructure, h: GroupElement) -> AlgebraElement:
     map gives (:func:`sharp_sides`); it is ``d`` on every cyclic group."""
     if h not in ps.preimages:
         raise InvalidArgumentError(f"{h} is not a d-th power")
-    group = ps.group
-    acc = AlgebraElement.zero(RATIONAL, "x", group)
-    for g in ps.preimages[h]:
-        acc = acc + _word(group, X0, g).scale(len(ps.kernel))
-    return acc - _word(group, X0, h)
+    return _combination(ps.group, [(len(ps.kernel), (X0, g)) for g in ps.preimages[h]]
+                        + [(-1, (X0, h))])
 
 
 def fdt2_element(ps: PowerStructure, h1: GroupElement,
@@ -56,30 +60,34 @@ def fdt2_element(ps: PowerStructure, h1: GroupElement,
     for h in (h1, h2):
         if h not in ps.preimages:
             raise InvalidArgumentError(f"{h} is not a d-th power")
-    group = ps.group
-    acc = AlgebraElement.zero(RATIONAL, "x", group)
-    for g1 in ps.preimages[h1]:
-        for g2 in ps.preimages[h2]:
-            acc = acc + _word(group, g1, g2)
-    return acc - _word(group, h1, h2)
+    return _combination(ps.group, _fdt2(ps, h1, h2))
+
+
+def _fdt2(ps: PowerStructure, h1: GroupElement, h2: GroupElement) -> list:
+    """The words of :func:`fdt2_element`, unrefused: at ``h1 = h2 = 1`` too."""
+    return ([(1, (g1, g2)) for g1 in ps.preimages[h1] for g2 in ps.preimages[h2]]
+            + [(-1, (h1, h2))])
 
 
 def fds_element(g1: GroupElement, g2: GroupElement) -> AlgebraElement:
     """``x0 x_{g1 g2} + x_{g1} x_{g1 g2} + x_{g2} x_{g1 g2} - x_{g1} x_{g2} - x_{g2} x_{g1}``."""
     if g1.is_identity or g2.is_identity:
         raise InvalidArgumentError("FDS requires g1, g2 != 1")
-    group = g1.group
+    return _combination(g1.group, _fds(g1, g2))
+
+
+def _fds(g1: GroupElement, g2: GroupElement) -> list:
+    """The words of :func:`fds_element`, unrefused: ``rds_element(g1)`` at ``g2 = 1``."""
     g12 = g1 * g2
-    return (_word(group, X0, g12) + _word(group, g1, g12) + _word(group, g2, g12)
-            - _word(group, g1, g2) - _word(group, g2, g1))
+    return [(1, (X0, g12)), (1, (g1, g12)), (1, (g2, g12)),
+            (-1, (g1, g2)), (-1, (g2, g1))]
 
 
 def rds_element(g: GroupElement) -> AlgebraElement:
-    """``x0 x_g + x_g x_g - x_g x_1``."""
+    """``x0 x_g + x_g x_g - x_g x_1``: the FDS formula at ``(g, 1)``."""
     if g.is_identity:
         raise InvalidArgumentError("RDS requires g != 1")
-    group = g.group
-    return _word(group, X0, g) + _word(group, g, g) - _word(group, g, group.identity())
+    return _combination(g.group, _fds(g, g.group.identity()))
 
 
 # -- the two sides of each finite relation -----------------------------------
@@ -112,7 +120,6 @@ def sharp_sides(ps: PowerStructure,
 class FDTd1Report:
     d: int
     h: GroupElement
-    branch: str
     lhs: AlgebraElement
     rhs: AlgebraElement
     difference: AlgebraElement
@@ -122,40 +129,31 @@ class FDTd1Report:
 def fdtd1_identity_check(group: FiniteAbelianGroup, d: int,
                          h: GroupElement) -> FDTd1Report:
     """Exact equality of the depth-two distribution tail against its
-    decomposition into double-shuffle and lower-weight pieces.
-
-    Both branches sum over the ``|K_d| - 1`` nontrivial elements of the
-    d-torsion ``K_d``, which balance the ``|K_d|`` in :func:`fdt1_element`,
-    so the decomposition holds on every finite abelian group.
-    """
+    decomposition into double-shuffle and lower-weight pieces, one formula
+    for every d-th power h, with ``K_d*`` the nontrivial d-torsion:
+    ``FDT1(h) = sum_{g1^d=h, g2 in K_d*} FDS(g1, g2) + sum_{g^d=h} RDS(g)
+    - RDS(h) + FDT2(h, 1) - FDT2(h, h)``.  Each piece reads at any letter:
+    FDS(1, g) is RDS(g), and the FDT2 terms cancel at h = 1.  The
+    ``|K_d| - 1`` elements of ``K_d*`` balance the ``|K_d|`` of
+    :func:`fdt1_element`, so it holds on every finite abelian group."""
     return _fdtd1_report(power_structure(group, d), h)
+
+
+def _fdtd1_families(ps: PowerStructure, h: GroupElement) -> list:
+    """The decomposition's five families of ``(sign, [(c, word), ...])``."""
+    one, preimages = ps.group.identity(), ps.preimages[h]
+    return [[(1, _fds(g1, g2)) for g1 in preimages for g2 in ps.kernel if g2 != one],
+            [(1, _fds(g, one)) for g in preimages], [(-1, _fds(h, one))],
+            [(1, _fdt2(ps, h, one))], [(-1, _fdt2(ps, h, h))]]
 
 
 def _fdtd1_report(ps: PowerStructure, h: GroupElement) -> FDTd1Report:
     """:func:`fdtd1_identity_check` on a power structure already built."""
-    group = ps.group
     lhs = fdt1_element(ps, h)  # refuses an h that is not a d-th power
-    kernel_nontrivial = [g for g in ps.kernel if not g.is_identity]
-    acc = AlgebraElement.zero(RATIONAL, "x", group)
-    if h.is_identity:
-        branch = "h=1"
-        for g1 in kernel_nontrivial:
-            for g2 in kernel_nontrivial:
-                acc = acc + fds_element(g1, g2)
-        for g in kernel_nontrivial:
-            acc = acc + rds_element(g).scale(2)
-    else:
-        branch = "h!=1"
-        for g1 in ps.preimages[h]:
-            for g2 in kernel_nontrivial:
-                acc = acc + fds_element(g1, g2)
-        for g in ps.preimages[h]:
-            acc = acc + rds_element(g)
-        acc = acc - rds_element(h)
-        acc = acc + fdt2_element(ps, h, group.identity())
-        acc = acc - fdt2_element(ps, h, h)
-    difference = lhs - acc
-    return FDTd1Report(ps.d, h, branch, lhs, acc, difference, not difference.terms)
+    rhs = _combination(ps.group, [(sign * c, word) for family in _fdtd1_families(ps, h)
+                                  for sign, words in family for c, word in words])
+    difference = lhs - rhs
+    return FDTd1Report(ps.d, h, lhs, rhs, difference, not difference.terms)
 
 
 def fdtd1_grid(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], FDTd1Report]]:
@@ -166,10 +164,7 @@ def fdtd1_grid(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], FDTd1Re
     under ``p^d``, so divisors that share the class share the identity: on
     4x4 the cells h=1 at d = 4, 8 and 16 are one, with ``K_d = G``."""
     cells: dict = {}
-    for d in divisors_of_order(group):
-        if d < 2:
-            continue
-        ps = power_structure(group, d)
+    for ps in (power_structure(group, d) for d in divisors_of_order(group) if d >= 2):
         for h in ps.subgroup:
             cells.setdefault((h, ps.preimages[h]), []).append(ps)
     return [(tuple(p.d for p in pss), _fdtd1_report(pss[0], h))
@@ -193,8 +188,7 @@ def _regdist_residuals(Z: ZMap, ps: PowerStructure, word: tuple):
     distribution relation on the X word ``word``, through the larger degree:
     two zero polynomials still compare their constant terms."""
     zero = Z.ring.zero
-    lhs, rhs = distribution_sides(
-        Z, ps, AlgebraElement.from_word(RATIONAL, "x", ps.group, word))
+    lhs, rhs = distribution_sides(Z, ps, _combination(ps.group, [(1, word)]))
     for l in range(max(lhs.degree(), rhs.degree()) + 1):
         yield f"T^{l}", lhs.coeff(l, zero) - rhs.coeff(l, zero)
 

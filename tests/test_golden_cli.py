@@ -62,6 +62,8 @@ COMMANDS = {
     "fdt-verify-Z12": ["fdt-verify", "--group", "Z12"],
     # |K_2| = 4 and |K_4| = |K_8| = 16 differ from d
     "fdt-verify-4x4": ["fdt-verify", "--group", "4x4"],
+    # one divisor: the rows share the command's power structure
+    "fdt-verify-4x4-d2": ["fdt-verify", "--group", "4x4", "--d", "2"],
     "duality-test-Z3": ["duality-test", "--group", "Z3", "--degree", "4",
                         "--maps", "50"],
 }

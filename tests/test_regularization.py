@@ -89,6 +89,19 @@ class TestWordCaches:
         for cached in (_tilde_word, _regt_word):
             assert cached.cache_info().maxsize is not None
 
+    def test_unit_rows_are_the_shared_one(self, Z3):
+        # every row equal to 1 is the rational ring's one, so _reg_levels
+        # skips its product; over the X words of length <= 6 over Z3
+        tilde = [row for w in x_words_up_to(Z3.elements(), 6) for row in _tilde_word(w)]
+        regt = [c for w, _ in tilde for _, _, c in _regt_word(w)]
+        units = [c for c in [c for _, c in tilde] + regt if c == 1]
+        assert units and all(c is RATIONAL.one for c in units)
+        # so is a row past T^1: in x1^4 x0 x0 x1, the T^2 row x0 (x1 x1 sh
+        # x0 x1) / 2! holds x0 x1 x0 x1 x1 twice
+        one = Z3.identity()
+        rows = [c for l, _, c in _regt_word((one,) * 4 + (X0, X0, one)) if l == 2 and c == 1]
+        assert rows and all(c is RATIONAL.one for c in rows)
+
 
 class TestBarRegT:
     def test_x1_to_T(self, Z3):

@@ -2,18 +2,21 @@
 depth-two decomposition, and the weight-two regularized distribution
 verifier."""
 
+import contextlib
+import io
+
 import pytest
 
 from conftest import combo, elem
-from cyclozeta import relations
+from cyclozeta import cli, relations
 from cyclozeta.algebra import harmonic, qg_apply, y_to_x
 from cyclozeta.errors import InvalidArgumentError
 from cyclozeta.groups import (construct_group, divisors_of_order, parse_group,
                               power_structure)
 from cyclozeta.numeval import NumericZMap, numeric_relation_suite, word_to_query
 from cyclozeta.regularization import bar_reg_T
-from cyclozeta.relations import (distribution_sides,
-                                 fds_element, fds_sides, fdt1_element,
+from cyclozeta.relations import (_combination, _fdtd1_families, _fdtd1_report,
+                                 distribution_sides, fds_element, fds_sides, fdt1_element,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
                                  rds_element, regdist_full_check, sharp_sides,
                                  zhao_case_table)
@@ -125,14 +128,14 @@ class TestRelationSides:
 class TestFDTd1:
     def test_z2_identity_branch(self, Z2):
         report = fdtd1_identity_check(Z2, 2, Z2.identity())
-        assert report.passed and report.branch == "h=1"
+        assert report.passed
         assert report.lhs == combo(Z2, (1, (X0, Z2.identity())),
                                    (2, (X0, Z2.element(1))))
 
     def test_z4_nonidentity_branch(self, Z4):
         h = Z4.element(2)  # the square of the generator
         report = fdtd1_identity_check(Z4, 2, h)
-        assert report.passed and report.branch == "h!=1"
+        assert report.passed
         assert report.difference.terms == {}
 
     def test_z6_d3(self, Z6):
@@ -143,7 +146,7 @@ class TestFDTd1:
         # |K_2| = 4 on the Klein four-group: the x0 factor is 4, not d = 2
         klein = construct_group([2, 2])
         report = fdtd1_identity_check(klein, 2, klein.identity())
-        assert report.passed and report.branch == "h=1"
+        assert report.passed
         assert report.lhs == combo(klein, (-1, (X0, klein.identity())),
                                    *((4, (X0, g)) for g in klein.elements()))
 
@@ -185,6 +188,63 @@ class TestFDTd1:
         for group in groups:
             fdtd1_grid(group)
         assert len(built) == len(set(built)) == 65
+
+    def test_fdt_verify_at_one_divisor_builds_one_power_structure(self, monkeypatch):
+        # each row reuses the command's structure: 4 rows at 4x4, d=2
+        built = []
+
+        def counted(group, d):
+            built.append((group.invariant_factors, d))
+            return power_structure(group, d)
+
+        monkeypatch.setattr(relations, "power_structure", counted)
+        monkeypatch.setattr(cli, "power_structure", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["fdt-verify", "--group", "4x4", "--d", "2"]) == 0
+        assert built == [((4, 4), 2)]
+
+
+class TestFDTd1OneFormula:
+    """The decomposition is one sum of five piece families for every h."""
+
+    @staticmethod
+    def cells(group):
+        for d in divisors_of_order(group):
+            if d >= 2:
+                ps = power_structure(group, d)
+                yield from ((ps, h) for h in ps.subgroup)
+
+    def test_identity_cell_is_the_kernel_sum(self):
+        # at h = 1: FDS over K_d* x K_d* plus twice RDS over K_d*, built
+        # from the public elements one addition at a time
+        for n in range(2, 17):
+            for factors in invariant_factor_lists(n):
+                group = construct_group(factors)
+                for ps, h in self.cells(group):
+                    if not h.is_identity:
+                        continue
+                    nontrivial = [g for g in ps.kernel if not g.is_identity]
+                    expected = combo(group)
+                    for g1 in nontrivial:
+                        for g2 in nontrivial:
+                            expected = expected + fds_element(g1, g2)
+                    for g in nontrivial:
+                        expected = expected + rds_element(g).scale(2)
+                    assert _fdtd1_report(ps, h).rhs == expected
+
+    @pytest.mark.parametrize("spec", ["Z6", "Z12", "2x2", "4x4"])
+    def test_every_family_is_needed(self, spec):
+        # dropping any one of the five families breaks every cell
+        group = parse_group(spec)
+        for ps, h in self.cells(group):
+            families = _fdtd1_families(ps, h)
+            assert len(families) == 5
+            for i in range(5):
+                rest = families[:i] + families[i + 1:]
+                rhs = _combination(group, [(sign * c, word) for family in rest
+                                           for sign, words in family
+                                           for c, word in words])
+                assert rhs != fdt1_element(ps, h), (ps.d, h, i)
 
 
 class TestZhaoWeightTwo:
