@@ -15,7 +15,7 @@ import sys
 
 from . import serialize
 from .algebra import harmonic, parse_element_combo, shuffle
-from .checks import differences, fold
+from .checks import fold
 from .dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from .duality import duality_suite
 from .errors import CycloZetaError, ParseError
@@ -138,8 +138,12 @@ def cmd_fdt_verify(args) -> int:
     else:
         ps = power_structure(group, _divisor(args))
         results = [((ps.d,), _fdtd1_report(ps, h)) for h in ps.subgroup]
+    # each row reads the stored difference over both supports, so a word
+    # whose two sides cancel still counts as compared
+    zero = RATIONAL.zero
     checks = [fold("fdt1-decomposition", f"d={','.join(map(str, ds))} h={r.h}", RATIONAL,
-                   differences(r.lhs.terms, r.rhs.terms, RATIONAL.zero), format_x_word)
+                   ((w, r.difference.terms.get(w, zero)) for w in {**r.lhs.terms, **r.rhs.terms}),
+                   format_x_word)
               for ds, r in results]
     meta = _meta_row(group=args.group, degree=2, ring="rational", tol=0)
     return Report(meta, checks).emit()

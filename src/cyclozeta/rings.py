@@ -52,10 +52,12 @@ class RationalRing:
         return _ONE
 
     def coerce(self, value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
+        # ints first: ``Fraction`` is an ABC, so testing against it runs
+        # ``ABCMeta.__instancecheck__``
         if isinstance(value, int):
             return _int_fraction(value)
+        if isinstance(value, Fraction):
+            return value
         raise TypeError(f"cannot coerce {value!r} into the rational ring")
 
     def is_zero(self, value) -> bool:

@@ -6,6 +6,7 @@ import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -678,6 +679,15 @@ class TestRingAxioms:
             assert RATIONAL.coerce(6) is RATIONAL.coerce(6)
             assert type(RATIONAL.coerce(-6)) is Fraction and RATIONAL.coerce(-6) == -6
             rings._int_fraction.cache_clear()
+
+    def test_rational_coerce_keeps_fractions_and_bools_and_refuses_the_rest(self):
+        q = Fraction(3, 4)
+        assert RATIONAL.coerce(q) is q
+        assert RATIONAL.coerce(True) is RATIONAL.one
+        assert RATIONAL.coerce(False) is RATIONAL.zero
+        for value in (0.5, 2.0, np.int64(2), "1"):
+            with pytest.raises(TypeError):
+                RATIONAL.coerce(value)
 
     @given(st.complex_numbers(max_magnitude=10, allow_nan=False,
                               allow_infinity=False),

@@ -1,6 +1,7 @@
 """Repository hygiene: the README's library sketch runs, no module of the
-package imports a name it never uses, every cache the package holds is
-bounded, and the rings hold exactly the contract their module names.
+package imports a name it never uses, importing a module loads only the
+modules it depends on, every cache the package holds is bounded, and the
+rings hold exactly the contract their module names.
 
 The import check reads the source text with the standard library only, so a
 deleted public name or a dead import shows here rather than in a reader's
@@ -13,7 +14,10 @@ import dataclasses
 import importlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,7 @@ from cyclozeta import rings
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cyclozeta"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_readme_sketch_runs():
@@ -76,13 +80,34 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _submodules_loaded_by(module: str) -> set:
+    """The ``cyclozeta`` submodules a fresh interpreter holds after
+    ``import <module>``, without the package prefix."""
+    code = (f"import sys, {module}\n"
+            "print(*(n for n in sys.modules if n.startswith('cyclozeta.')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return {name.removeprefix("cyclozeta.") for name in result.stdout.split()}
+
+
+def test_imports_load_only_their_dependencies():
+    # the package file re-exports nothing, so a caller of the exact engine
+    # does not compile the numeric evaluator or the CLI
+    assert _submodules_loaded_by("cyclozeta") == set()
+    assert _submodules_loaded_by("cyclozeta.regularization") == {
+        "errors", "groups", "words", "algebra", "rings", "regularization"}
+    assert not _submodules_loaded_by("cyclozeta.duality") & {"numeval", "cli", "serialize"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_caches_are_bounded(path):
     # a cache without a bound grows for as long as the process runs; only
     # a function of no arguments can hold a single entry without one.  A
     # cache is a functools one (it has cache_parameters), not a hand-written
     # class with the same methods.
-    module = importlib.import_module(f"cyclozeta.{path.stem}")
+    name = "cyclozeta" if path.stem == "__init__" else f"cyclozeta.{path.stem}"
+    module = importlib.import_module(name)
     flagged = []
     for name, obj in vars(module).items():
         info = getattr(obj, "cache_info", None)
