@@ -101,6 +101,12 @@ def _numeric_report(args, degree, checks) -> int:
     return Report(meta, checks).emit()
 
 
+def _on_numeric_map(handler):
+    """A numeric suite's handler, called with the evaluation map that its
+    ``--N`` and ``--tol`` name: the one place the CLI builds a map."""
+    return lambda args: handler(args, NumericZMap(args.N, args.tol))
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -156,20 +162,19 @@ def cmd_duality_test(args) -> int:
     return Report(meta, [check]).emit()
 
 
-def cmd_dmr_check(args) -> int:
-    Z = NumericZMap(args.N, args.tol)
-    # at degree 1 no word pair is inside the bound, and phi_from_Z sets the
-    # unit, x0 and x1 coefficients by construction
+def cmd_dmr_check(args, Z) -> int:
+    # at degree 1 no word pair is inside the bound; phi_from_Z sets the unit,
+    # x0 and x1 coefficients by construction, so the vanish row could not fail
     phi = phi_from_Z(Z, _bound(args, "degree", least=2))
-    checks = dmr_check(phi)
+    sh, st, _ = dmr_check(phi)
     if args.save_phi:
         serialize.write_text(args.save_phi, serialize.format_series(phi))
-    return _numeric_report(args, args.degree, checks)
+    return _numeric_report(args, args.degree, [sh, st])
 
 
-def cmd_dmrd_check(args) -> int:
-    Z = NumericZMap(args.N, args.tol)
-    # at d = 1 both arrows are identities; dmr-check's vanish row covers it
+def cmd_dmrd_check(args, Z) -> int:
+    # at d = 1 both arrows are identities and the condition reduces to
+    # (phi | x1) = 0, which phi_from_Z holds by construction
     divisors = ([_divisor(args)] if args.d is not None
                 else [d for d in divisors_of_order(Z.group) if d >= 2])
     structures = [power_structure(Z.group, d) for d in divisors]
@@ -177,21 +182,18 @@ def cmd_dmrd_check(args) -> int:
     return _numeric_report(args, args.degree, [dmrd_check(phi, ps) for ps in structures])
 
 
-def cmd_eds_dmr_check(args) -> int:
-    Z = NumericZMap(args.N, args.tol)
+def cmd_eds_dmr_check(args, Z) -> int:
     return _numeric_report(args, args.degree,
                            [eds_dmr_equality_check(Z, _bound(args, "degree"))])
 
 
-def cmd_zhao_verify(args) -> int:
-    Z = NumericZMap(args.N, args.tol)
-    return _numeric_report(args, 2, zhao_case_table(Z, Z.group, _divisor(args)))
+def cmd_zhao_verify(args, Z) -> int:
+    return _numeric_report(args, 2, zhao_case_table(Z, _divisor(args)))
 
 
-def cmd_regdist(args) -> int:
-    Z = NumericZMap(args.N, args.tol)
+def cmd_regdist(args, Z) -> int:
     return _numeric_report(args, args.max_len, [regdist_full_check(
-        Z, Z.group, _divisor(args), _bound(args, "max_len"))])
+        Z, _divisor(args), _bound(args, "max_len"))])
 
 
 def cmd_polylog(args) -> int:
@@ -209,10 +211,10 @@ def cmd_polylog(args) -> int:
     return 0
 
 
-def cmd_relation_suite(args) -> int:
+def cmd_relation_suite(args, Z) -> int:
     # no finite double shuffle or distribution identity has weight one
     return _numeric_report(args, args.weight, numeric_relation_suite(
-        args.N, _bound(args, "weight", least=2), args.tol))
+        Z, _bound(args, "weight", least=2)))
 
 
 # -- parser -------------------------------------------------------------------
@@ -264,25 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = numeric_common("dmr-check", cmd_dmr_check,
+    p = numeric_common("dmr-check", _on_numeric_map(cmd_dmr_check),
                        "double shuffle membership of the numeric series")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--save-phi")
 
-    p = numeric_common("dmrd-check", cmd_dmrd_check,
+    p = numeric_common("dmrd-check", _on_numeric_map(cmd_dmrd_check),
                        "distribution condition on the numeric series")
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--d", type=int)
 
-    p = numeric_common("eds-dmr-check", cmd_eds_dmr_check,
+    p = numeric_common("eds-dmr-check", _on_numeric_map(cmd_eds_dmr_check),
                        "coefficientwise equality of the two corrected series")
     p.add_argument("--degree", type=int, default=4)
 
-    p = numeric_common("zhao-verify", cmd_zhao_verify,
+    p = numeric_common("zhao-verify", _on_numeric_map(cmd_zhao_verify),
                        "weight-two regularized distribution cells")
     p.add_argument("--d", type=int, required=True)
 
-    p = numeric_common("regdist", cmd_regdist,
+    p = numeric_common("regdist", _on_numeric_map(cmd_regdist),
                        "regularized distribution over a word range")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-len", type=int, default=3)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--z", required=True)
 
-    p = numeric_common("relation-suite", cmd_relation_suite,
+    p = numeric_common("relation-suite", _on_numeric_map(cmd_relation_suite),
                        "finite double shuffle and distribution residuals")
     p.add_argument("--weight", type=int, default=2)
 

@@ -52,10 +52,10 @@ from operator import mul
 from .algebra import AlgebraElement
 from .checks import Check, fold
 from .errors import DivergentSeriesError, InvalidArgumentError, NotInH0Error
-from .groups import construct_group, power_structure
+from .groups import construct_group, divisors_of_order, power_structure
 from .regularization import ZMap
 from .relations import fds_sides, sharp_sides
-from .rings import ComplexRing
+from .rings import RATIONAL, ComplexRing
 from .words import format_x_word, qg_y_word, x_word_blocks, x_word_in_h0, x_words_up_to
 
 DEFAULT_TOLERANCE = 1e-5
@@ -234,14 +234,13 @@ class NumericZMap(ZMap):
             raise InvalidArgumentError("level must be >= 1")
         super().__init__(ComplexRing(tolerance), construct_group([level]))
         self.level = level
-        self.tolerance = tolerance
         self._cache: dict[tuple, PolylogValue] = {}
 
     def eval_word_detailed(self, word: tuple) -> PolylogValue:
         hit = self._cache.get(word)
         if hit is None:
             hit = polylog_numeric(
-                word_to_query(word, self.level, self.tolerance))
+                word_to_query(word, self.level, self.ring.tolerance))
             self._cache[word] = hit
         return hit
 
@@ -252,15 +251,14 @@ class NumericZMap(ZMap):
 # -- the numeric identity suites ---------------------------------------------
 
 
-def numeric_relation_suite(level: int, weight_bound: int,
-                           tolerance: float = DEFAULT_TOLERANCE) -> list[Check]:
+def numeric_relation_suite(Z: NumericZMap, weight_bound: int) -> list[Check]:
     """Residuals of the finite double shuffle identities and of the
-    distribution identities among the numeric values up to a weight bound,
+    distribution identities among the values of ``Z`` up to a weight bound,
     one row each; the detail holds the summed tail bound of the values the
-    row used.  Both products commute, so the double shuffle identity on
-    ``u, v`` is the one on ``v, u``: each unordered pair is one row, ``u``
-    not after ``v`` in word order."""
-    Z = NumericZMap(level, tolerance)
+    row used.  Both sides are built over the rationals, and each coefficient
+    enters ``Z.ring`` through ``coerce``.  Both products commute, so the
+    double shuffle identity on ``u, v`` is the one on ``v, u``: each
+    unordered pair is one row, ``u`` not after ``v`` in word order."""
     ring = Z.ring
     group = Z.group
     rows: list[Check] = []
@@ -269,7 +267,7 @@ def numeric_relation_suite(level: int, weight_bound: int,
         total, bound = ring.zero, 0.0
         for w, c in elem.terms.items():
             detail = Z.eval_word_detailed(w)
-            total += c * detail.value
+            total += ring.coerce(c) * detail.value
             bound += abs(c) * detail.tail_bound
         return total, bound
 
@@ -286,15 +284,12 @@ def numeric_relation_suite(level: int, weight_bound: int,
         for v in words[i:]:
             if len(u) + len(v) <= weight_bound:
                 rows.append(row("fds", f"{format_x_word(u)}|{format_x_word(v)}",
-                                (u, v), fds_sides(ring, group, u, v)))
-    for d in range(2, level + 1):
-        if level % d != 0:
-            continue
+                                (u, v), fds_sides(group, u, v)))
+    for ps in (power_structure(group, d) for d in divisors_of_order(group) if d >= 2):
         # the words whose summation arguments are all d-th powers
-        ps = power_structure(group, d)
         for w in convergent(ps.subgroup):
-            query = word_to_query(w, level)
-            params = f"d={d} k={query.indices} a={query.residues}"
-            elem = AlgebraElement.from_word(ring, "x", group, w)
+            query = word_to_query(w, Z.level)
+            params = f"d={ps.d} k={query.indices} a={query.residues}"
+            elem = AlgebraElement.from_word(RATIONAL, "x", group, w)
             rows.append(row("dist", params, w, sharp_sides(ps, elem)))
     return rows

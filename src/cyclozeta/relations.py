@@ -93,13 +93,14 @@ def rds_element(g: GroupElement) -> AlgebraElement:
 # -- the two sides of each finite relation -----------------------------------
 
 
-def fds_sides(ring, group: FiniteAbelianGroup, u: tuple,
+def fds_sides(group: FiniteAbelianGroup, u: tuple,
               v: tuple) -> tuple[AlgebraElement, AlgebraElement]:
     """The two sides the finite double shuffle relation equates on the X
-    words ``u`` and ``v`` ending in group letters: ``q^-1(u * v)``, the
-    harmonic product taken through the Y encoding, and ``q^-1 u sh q^-1 v``."""
-    eu = AlgebraElement.from_word(ring, "x", group, u)
-    ev = AlgebraElement.from_word(ring, "x", group, v)
+    words ``u`` and ``v`` ending in group letters, over the rationals:
+    ``q^-1(u * v)``, the harmonic product taken through the Y encoding, and
+    ``q^-1 u sh q^-1 v``."""
+    eu = AlgebraElement.from_word(RATIONAL, "x", group, u)
+    ev = AlgebraElement.from_word(RATIONAL, "x", group, v)
     stuffle = qg_apply(y_to_x(harmonic(x_to_y(eu), x_to_y(ev))), inverse=True)
     return stuffle, shuffle(qg_apply(eu, inverse=True), qg_apply(ev, inverse=True))
 
@@ -193,26 +194,26 @@ def _regdist_residuals(Z: ZMap, ps: PowerStructure, word: tuple):
         yield f"T^{l}", lhs.coeff(l, zero) - rhs.coeff(l, zero)
 
 
-def zhao_case_table(Z: ZMap, group: FiniteAbelianGroup, d: int) -> list[Check]:
+def zhao_case_table(Z: ZMap, d: int) -> list[Check]:
     """Every case-table cell (x0, identity and each nontrivial d-th power in
-    both slots): the regularized distribution relation on ``x_{h1} x_{h2}``,
-    compared coefficient by coefficient in T; a cell's params name its word,
-    its detail the worst T power.
+    both slots) but ``x0 x0``: the regularized distribution relation on
+    ``x_{h1} x_{h2}``, compared coefficient by coefficient in T; a cell's
+    params name its word, its detail the worst T power.  Both sides of the
+    ``x0 x0`` cell regularize to 0 for every Z, so it could not fail.
 
     The cells are the conclusion of Zhao's weight-two statement.  Its
     hypotheses are decided by other suites, each relation once: double
     shuffle by :func:`~cyclozeta.dmr.dmr_check`, finite distribution on the
     weight-one and depth-two words by the ``dist`` rows of
     :func:`~cyclozeta.numeval.numeric_relation_suite` at weight 2."""
-    ps = power_structure(group, d)
+    ps = power_structure(Z.group, d)
     choices = [X0] + list(ps.subgroup)
     return [fold("zhao-cell", f"d={d} cell={format_x_word((h1, h2))}",
                  Z.ring, _regdist_residuals(Z, ps, (h1, h2)), str)
-            for h1 in choices for h2 in choices]
+            for h1 in choices for h2 in choices if (h1, h2) != (X0, X0)]
 
 
-def regdist_full_check(Z: ZMap, group: FiniteAbelianGroup, d: int,
-                       max_len: int) -> Check:
+def regdist_full_check(Z: ZMap, d: int, max_len: int) -> Check:
     """The regularized distribution relation on every word over the d-th
     power alphabet up to ``max_len``, every coefficient of T, as the one row
     ``regdist-T-level``; the detail names the worst word.
@@ -225,7 +226,7 @@ def regdist_full_check(Z: ZMap, group: FiniteAbelianGroup, d: int,
     so a generator's residual is an integer combination of the residuals
     here: exactly over the rationals, up to rounding over the complex
     numbers."""
-    ps = power_structure(group, d)
+    ps = power_structure(Z.group, d)
     residuals = ((w, c) for w in x_words_up_to(ps.subgroup, max_len)
                  for _, c in _regdist_residuals(Z, ps, w))
     return fold("regdist-T-level", f"d={d}", Z.ring, residuals, format_x_word)

@@ -220,7 +220,7 @@ def test_criterion_8_dmrd_numeric():
 
 def test_criterion_9_zhao_weight_two():
     Z = NumericZMap(4, tolerance=1e-5)
-    cells = zhao_case_table(Z, Z.group, 2)
+    cells = zhao_case_table(Z, 2)
     worst = max(c.residual for c in cells)
     ok = all(c.passed for c in cells) and worst <= 1e-5
     report(9, ok, f"all {len(cells)} case-table cells equal as T-polynomials "

@@ -1,7 +1,8 @@
 """Repository hygiene: the README's library sketch runs, no module of the
 package imports a name it never uses, importing a module loads only the
-modules it depends on, every cache the package holds is bounded, and the
-rings hold exactly the contract their module names.
+modules it depends on, the CLI builds its numeric map in one place, every
+cache the package holds is bounded, and the rings hold exactly the contract
+their module names.
 
 The import check reads the source text with the standard library only, so a
 deleted public name or a dead import shows here rather than in a reader's
@@ -98,6 +99,15 @@ def test_imports_load_only_their_dependencies():
     assert _submodules_loaded_by("cyclozeta.regularization") == {
         "errors", "groups", "words", "algebra", "rings", "regularization"}
     assert not _submodules_loaded_by("cyclozeta.duality") & {"numeval", "cli", "serialize"}
+
+
+def test_cli_builds_the_numeric_map_once():
+    # every numeric suite is handed the map the one seam builds, so a test
+    # can run each suite on another map by replacing that one name
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "NumericZMap"]
+    assert len(calls) == 1, f"cli.py builds NumericZMap at lines {calls}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -182,25 +182,25 @@ class TestZcEval:
 
 class TestIdentitySuites:
     def test_weight_two_level_three(self):
-        checks = numeric_relation_suite(3, 2, tolerance=1e-5)
+        checks = numeric_relation_suite(NumericZMap(3, 1e-5), 2)
         assert checks and all(c.passed for c in checks)
         assert max(c.residual for c in checks) < 1e-5
         assert {c.name for c in checks} == {"fds", "dist"}
 
     def test_distribution_level_two(self):
-        checks = numeric_relation_suite(2, 2, tolerance=1e-6)
+        checks = numeric_relation_suite(NumericZMap(2, 1e-6), 2)
         dist_rows = [c for c in checks if c.name == "dist"]
         assert dist_rows
         assert all(r.residual < 1e-6 for r in dist_rows)
 
     def test_level_one_distribution_empty(self):
-        checks = numeric_relation_suite(1, 4, tolerance=1e-5)
+        checks = numeric_relation_suite(NumericZMap(1, 1e-5), 4)
         assert [(c.name, c.params) for c in checks] == [("fds", "x0xg[0]|x0xg[0]")]
         assert all(c.passed for c in checks)
 
     def test_one_row_per_unordered_pair(self):
         # both products commute: the identity on v, u is the one on u, v
-        checks = numeric_relation_suite(3, 3, tolerance=1e-5)
+        checks = numeric_relation_suite(NumericZMap(3, 1e-5), 3)
         pairs = [tuple(c.params.split("|")) for c in checks if c.name == "fds"]
         assert len(pairs) == 21 and all(c.passed for c in checks)
         for n, (u, v) in enumerate(pairs):

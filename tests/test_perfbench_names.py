@@ -80,7 +80,8 @@ def test_traced_product_and_suite_counts(harness):
         y_result = algebra.harmonic(
             algebra.AlgebraElement.from_word(RATIONAL, "y", group, ((1, g), (2, h))),
             algebra.AlgebraElement.from_word(RATIONAL, "y", group, ((1, h),)))
-        assert numeval.numeric_relation_suite(1, 1) == []  # evaluates no word
+        # evaluates no word
+        assert numeval.numeric_relation_suite(numeval.NumericZMap(1), 1) == []
         stats = tracer.end_pass(lambda t: t)
     finally:
         tracer.uninstall()

@@ -436,7 +436,7 @@ class TestRingContract:
             "dmrd_check": lambda Z: [dmrd_check(phi_from_Z(Z, degree), power_structure(group, d))
                                      for d in divisors],
             "zhao_case_table": lambda Z: [row for d in divisors
-                                          for row in zhao_case_table(Z, group, d)],
+                                          for row in zhao_case_table(Z, d)],
             "eds_dmr_equality_check": lambda Z: [eds_dmr_equality_check(Z, degree)],
         }[name]
 

@@ -20,7 +20,6 @@ from cyclozeta.relations import (_combination, _fdtd1_families, _fdtd1_report,
                                  fdt2_element, fdtd1_grid, fdtd1_identity_check,
                                  rds_element, regdist_full_check, sharp_sides,
                                  zhao_case_table)
-from cyclozeta.rings import RATIONAL
 from cyclozeta.words import X0, x_word_in_h0
 from test_acceptance import invariant_factor_lists
 from test_regularization import prime_zmap
@@ -90,7 +89,7 @@ class TestRelationSides:
         nontrivial = [g for g in group.elements() if not g.is_identity]
         for g1 in nontrivial:
             for g2 in nontrivial:
-                stuffle, shuffled = fds_sides(RATIONAL, group, (g1,), (g2,))
+                stuffle, shuffled = fds_sides(group, (g1,), (g2,))
                 assert stuffle - shuffled == fds_element(g1, g2)
 
     # |K_2| = 4 != d on each noncyclic group here, and |K_d| != d at some
@@ -250,24 +249,24 @@ class TestFDTd1OneFormula:
 class TestZhaoWeightTwo:
     def test_level_two_cells(self):
         Z = NumericZMap(2)
-        cells = zhao_case_table(Z, Z.group, 2)
+        cells = zhao_case_table(Z, 2)
         assert {c.name for c in cells} == {"zhao-cell"}
-        assert len(cells) == 4  # subgroup is trivial: choices are x0 and 1
+        assert len(cells) == 3  # subgroup is trivial: choices are x0 and 1, not x0x0
         assert all(c.passed for c in cells)
 
-    def test_x0_x0_cell_is_zero(self):
+    def test_x0_x0_cell_is_absent(self):
+        # both sides regularize to 0 for every map, so the cell could not fail
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 2)
-        cells = {c.params: c for c in zhao_case_table(Z, Z.group, 2)}
-        assert cells["d=2 cell=x0x0"].passed
+        assert "d=2 cell=x0x0" not in {c.params for c in zhao_case_table(Z, 2)}
         lhs, rhs = distribution_sides(Z, ps, elem(Z.group, X0, X0, ring=Z.ring))
         assert not lhs.coeffs and not rhs.coeffs
 
     def test_rows_are_told_apart(self):
         # Z6 has two nontrivial squares, so a cell must name its letters
         Z = NumericZMap(6)
-        rows = [(c.name, c.params) for c in zhao_case_table(Z, Z.group, 2)]
-        assert len(rows) == len(set(rows)) == 4 * 4
+        rows = [(c.name, c.params) for c in zhao_case_table(Z, 2)]
+        assert len(rows) == len(set(rows)) == 4 * 4 - 1
         assert ("zhao-cell", "d=2 cell=xg[2]xg[4]") in rows
 
     @pytest.mark.parametrize("level", [4, 6, 12])
@@ -275,7 +274,8 @@ class TestZhaoWeightTwo:
         # the weight-one and depth-two finite distribution words of every d
         # each have their own dist row in relation-suite --weight 2
         group = construct_group([level])
-        dist = {c.params for c in numeric_relation_suite(level, 2) if c.name == "dist"}
+        dist = {c.params for c in numeric_relation_suite(NumericZMap(level), 2)
+                if c.name == "dist"}
         for d in divisors_of_order(group):
             if d < 2:
                 continue
@@ -291,19 +291,19 @@ class TestZhaoWeightTwo:
 class TestRegDist:
     def test_divisor_one_trivial_for_any_map(self, Z4):
         Z = prime_zmap(Z4, 3)
-        check = regdist_full_check(Z, Z4, 1, 3)
+        check = regdist_full_check(Z, 1, 3)
         assert check.passed and check.residual == 0
         assert check.name == "regdist-T-level"
 
     def test_broken_map_fails_and_names_a_word(self, Z4):
         # independent prime values satisfy no distribution relation at d = 2
-        check = regdist_full_check(prime_zmap(Z4, 3), Z4, 2, 3)
+        check = regdist_full_check(prime_zmap(Z4, 3), 2, 3)
         assert not check.passed and check.residual > 0
         assert check.detail == "worst=xg[2]xg[2]x0"
 
     def test_numeric_level_two(self):
         Z = NumericZMap(2)
-        check = regdist_full_check(Z, Z.group, 2, 3)
+        check = regdist_full_check(Z, 2, 3)
         assert check.passed and check.residual < 1e-5
 
     def test_divisor_one_identity_cell(self):
@@ -312,7 +312,7 @@ class TestRegDist:
         Z = NumericZMap(2)
         ps = power_structure(Z.group, 1)
         one = Z.group.identity()
-        cells = {c.params: c for c in zhao_case_table(Z, Z.group, 1)}
+        cells = {c.params: c for c in zhao_case_table(Z, 1)}
         assert cells["d=1 cell=xg[0]xg[0]"].passed
         lhs, _ = distribution_sides(Z, ps, elem(Z.group, one, one, ring=Z.ring))
         assert abs(lhs.coeff(2, 0j) - 0.5) < 1e-12

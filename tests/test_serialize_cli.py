@@ -7,15 +7,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import combo, elem
-from cyclozeta import serialize
+from cyclozeta import cli, serialize
 from cyclozeta.algebra import shuffle
 from cyclozeta.cli import main
 from cyclozeta.errors import ParseError
-from cyclozeta.groups import construct_group
+from cyclozeta.groups import construct_group, divisors_of_order
 from cyclozeta.regularization import bar_reg_T
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries
 from cyclozeta.words import X0, parse_x_word, parse_y_word
+from test_regularization import prime_zmap
 
 
 class TestSerializeRoundTrips:
@@ -284,7 +285,7 @@ class TestCliNumericCommands:
         code = main(["zhao-verify", "--N", "2", "--d", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("zhao-cell") == 4
+        assert out.count("zhao-cell") == 3  # x0 and 1 in each slot, not x0x0
 
     def test_regdist_smoke(self, capsys):
         code = main(["regdist", "--N", "2", "--d", "2", "--max-len", "2"])
@@ -351,6 +352,37 @@ class TestCliWorstDetail:
                              ("dmr-harmonic-grouplike", parse_y_word)):
             u, v = rows[check][4][len("worst="):].split("|")
             assert parse(u, group) and parse(v, group)
+
+
+class TestEveryRowCanFail:
+    """Each numeric suite, run through the CLI's one map seam on distinct
+    primes (``prime_zmap``, which satisfies no relation), prints only FAIL
+    rows: a row that passed there would pass for every linear map."""
+
+    # its two sides apply one correction to the same values; the row needs
+    # a harmonic regularization of its own (ROADMAP item 3)
+    OPEN = {"eds-dmr-equality"}
+
+    @staticmethod
+    def _commands(order):
+        n = str(order)
+        divisors = [str(d) for d in divisors_of_order(construct_group([order])) if d >= 2]
+        return ([[name, "--N", n, "--degree", "3"]
+                 for name in ("dmr-check", "dmrd-check", "eds-dmr-check")]
+                + [["zhao-verify", "--N", n, "--d", d] for d in divisors]
+                + [["regdist", "--N", n, "--d", d, "--max-len", "2"] for d in divisors])
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 6])
+    def test_every_row_fails_on_independent_values(self, monkeypatch, capsys, order):
+        monkeypatch.setattr(cli, "NumericZMap",
+                            lambda level, tol: prime_zmap(construct_group([level]), 3))
+        passed = set()
+        for argv in self._commands(order):
+            main(argv)
+            rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[2:]]
+            assert rows, argv
+            passed |= {row[0] for row in rows if row[2] != "FAIL"}
+        assert passed == self.OPEN
 
 
 class TestCommandConfig:
