@@ -23,7 +23,7 @@ from .groups import divisors_of_order, parse_group, power_structure
 from .numeval import (DEFAULT_TOLERANCE, NumericZMap, PolylogQuery,
                       numeric_relation_suite, polylog_numeric)
 from .regularization import bar_reg_T
-from .relations import _fdtd1_report, fdtd1_grid, regdist_full_check, zhao_case_table
+from .relations import fdtd1_grid, regdist_full_check, zhao_case_table
 from .rings import COMPLEX, RATIONAL, ring_from_name
 from .words import format_x_word
 
@@ -88,6 +88,13 @@ def _divisor(args):
     return args.d
 
 
+def _divisors(args, group) -> list[int]:
+    """``[--d]``, or every divisor d >= 2 of the group's order when it is unset."""
+    if args.d is not None:
+        return [_divisor(args)]
+    return [d for d in divisors_of_order(group) if d >= 2]
+
+
 def _check_tolerance(args) -> None:
     """Reject a ``--tol`` (flag or config value) no residual can be held to:
     with nan every comparison is false, so even a zero residual would FAIL."""
@@ -139,11 +146,7 @@ def cmd_reg(args) -> int:
 
 def cmd_fdt_verify(args) -> int:
     group = parse_group(args.group)
-    if args.d is None:
-        results = fdtd1_grid(group)
-    else:
-        ps = power_structure(group, _divisor(args))
-        results = [((ps.d,), _fdtd1_report(ps, h)) for h in ps.subgroup]
+    results = fdtd1_grid(group, _divisors(args, group))
     # each row reads the stored difference over both supports, so a word
     # whose two sides cancel still counts as compared
     zero = RATIONAL.zero
@@ -175,9 +178,7 @@ def cmd_dmr_check(args, Z) -> int:
 def cmd_dmrd_check(args, Z) -> int:
     # at d = 1 both arrows are identities and the condition reduces to
     # (phi | x1) = 0, which phi_from_Z holds by construction
-    divisors = ([_divisor(args)] if args.d is not None
-                else [d for d in divisors_of_order(Z.group) if d >= 2])
-    structures = [power_structure(Z.group, d) for d in divisors]
+    structures = [power_structure(Z.group, d) for d in _divisors(args, Z.group)]
     phi = phi_from_Z(Z, _bound(args, "degree"))
     return _numeric_report(args, args.degree, [dmrd_check(phi, ps) for ps in structures])
 
@@ -212,7 +213,7 @@ def cmd_polylog(args) -> int:
 
 
 def cmd_relation_suite(args, Z) -> int:
-    # no finite double shuffle or distribution identity has weight one
+    # no finite double shuffle identity pairs two words within weight one
     return _numeric_report(args, args.weight, numeric_relation_suite(
         Z, _bound(args, "weight", least=2)))
 
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True)
 
     p = numeric_common("relation-suite", _on_numeric_map(cmd_relation_suite),
-                       "finite double shuffle and distribution residuals")
+                       "finite double shuffle residuals")
     p.add_argument("--weight", type=int, default=2)
 
     return parser

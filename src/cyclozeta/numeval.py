@@ -49,13 +49,12 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import mul
 
-from .algebra import AlgebraElement
 from .checks import Check, fold
 from .errors import DivergentSeriesError, InvalidArgumentError, NotInH0Error
-from .groups import construct_group, divisors_of_order, power_structure
+from .groups import construct_group
 from .regularization import ZMap
-from .relations import fds_sides, sharp_sides
-from .rings import RATIONAL, ComplexRing
+from .relations import fds_sides
+from .rings import ComplexRing
 from .words import format_x_word, qg_y_word, x_word_blocks, x_word_in_h0, x_words_up_to
 
 DEFAULT_TOLERANCE = 1e-5
@@ -252,44 +251,27 @@ class NumericZMap(ZMap):
 
 
 def numeric_relation_suite(Z: NumericZMap, weight_bound: int) -> list[Check]:
-    """Residuals of the finite double shuffle identities and of the
-    distribution identities among the values of ``Z`` up to a weight bound,
-    one row each; the detail holds the summed tail bound of the values the
-    row used.  Both sides are built over the rationals, and each coefficient
-    enters ``Z.ring`` through ``coerce``.  Both products commute, so the
-    double shuffle identity on ``u, v`` is the one on ``v, u``: each
-    unordered pair is one row, ``u`` not after ``v`` in word order."""
-    ring = Z.ring
-    group = Z.group
+    """Residuals of the finite double shuffle identities among the values of
+    ``Z`` up to a weight bound, one row each; the detail holds the summed
+    tail bound of the values the row used.  Both sides are built over the
+    rationals and evaluated by ``Z.eval_element``.  Both products commute,
+    so the double shuffle identity on ``u, v`` is the one on ``v, u``: each
+    unordered pair is one row, ``u`` not after ``v`` in word order.
+
+    Finite distribution has no rows here: on a convergent word the
+    regularization and ``sigma`` are the identity, so the relation is the
+    T^0 coefficient that ``regdist`` decides on the same word."""
+    words = [w for w in x_words_up_to(Z.group.elements(), weight_bound)
+             if w and x_word_in_h0(w)]
     rows: list[Check] = []
-
-    def eval_with_bound(elem: AlgebraElement) -> tuple[complex, float]:
-        total, bound = ring.zero, 0.0
-        for w, c in elem.terms.items():
-            detail = Z.eval_word_detailed(w)
-            total += ring.coerce(c) * detail.value
-            bound += abs(c) * detail.tail_bound
-        return total, bound
-
-    def row(name: str, params: str, word, sides) -> Check:
-        (left, b1), (right, b2) = map(eval_with_bound, sides)
-        check = fold(name, params, ring, [(word, left - right)], str)
-        return replace(check, detail=f"bound={b1 + b2:.3e}")
-
-    def convergent(letters):
-        return [w for w in x_words_up_to(letters, weight_bound) if w and x_word_in_h0(w)]
-
-    words = convergent(group.elements())
     for i, u in enumerate(words):
         for v in words[i:]:
             if len(u) + len(v) <= weight_bound:
-                rows.append(row("fds", f"{format_x_word(u)}|{format_x_word(v)}",
-                                (u, v), fds_sides(group, u, v)))
-    for ps in (power_structure(group, d) for d in divisors_of_order(group) if d >= 2):
-        # the words whose summation arguments are all d-th powers
-        for w in convergent(ps.subgroup):
-            query = word_to_query(w, Z.level)
-            params = f"d={ps.d} k={query.indices} a={query.residues}"
-            elem = AlgebraElement.from_word(RATIONAL, "x", group, w)
-            rows.append(row("dist", params, w, sharp_sides(ps, elem)))
+                sides = fds_sides(Z.group, u, v)
+                left, right = map(Z.eval_element, sides)
+                bound = sum(abs(c) * Z.eval_word_detailed(w).tail_bound
+                            for side in sides for w, c in side.terms.items())
+                check = fold("fds", f"{format_x_word(u)}|{format_x_word(v)}", Z.ring,
+                             [((u, v), left - right)], str)
+                rows.append(replace(check, detail=f"bound={bound:.3e}"))
     return rows

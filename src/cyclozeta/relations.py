@@ -14,7 +14,8 @@ as the sharp map does, so every identity here holds on every finite abelian
 group.  The regularized-distribution verifiers (the weight-two case table and
 the full word range) compare the two sides of :func:`distribution_sides`
 under an evaluation map and return :class:`~cyclozeta.checks.Check` rows.
-They decide the conclusion only; the hypotheses have suites of their own.
+On a convergent word the relation's only coefficient is T^0, the finite
+distribution relation, so the full word range decides that relation too.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .algebra import AlgebraElement, harmonic, qg_apply, shuffle, x_to_y, y_to_x
 from .checks import Check, fold
 from .dmr import functor_sharp
 from .errors import InvalidArgumentError
-from .groups import (FiniteAbelianGroup, GroupElement, PowerStructure,
-                     divisors_of_order, power_structure)
+from .groups import FiniteAbelianGroup, GroupElement, PowerStructure, power_structure
 from .regularization import TPolynomial, ZMap, extend_Z_sh, sigma_apply
 from .rings import RATIONAL
 from .words import X0, format_x_word, x_words_up_to
@@ -157,15 +157,16 @@ def _fdtd1_report(ps: PowerStructure, h: GroupElement) -> FDTd1Report:
     return FDTd1Report(ps.d, h, lhs, rhs, difference, not difference.terms)
 
 
-def fdtd1_grid(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], FDTd1Report]]:
-    """Run the decomposition once per distinct identity over every divisor
-    d >= 2 and every d-th power h, each with the divisors it covers.
+def fdtd1_grid(group: FiniteAbelianGroup,
+               divisors) -> list[tuple[tuple[int, ...], FDTd1Report]]:
+    """Run the decomposition once per distinct identity over the given
+    divisors d and every d-th power h, each with the divisors it covers.
 
     Both sides of the cell (d, h) are fixed by h and its preimage class
     under ``p^d``, so divisors that share the class share the identity: on
     4x4 the cells h=1 at d = 4, 8 and 16 are one, with ``K_d = G``."""
     cells: dict = {}
-    for ps in (power_structure(group, d) for d in divisors_of_order(group) if d >= 2):
+    for ps in (power_structure(group, d) for d in divisors):
         for h in ps.subgroup:
             cells.setdefault((h, ps.preimages[h]), []).append(ps)
     return [(tuple(p.d for p in pss), _fdtd1_report(pss[0], h))
@@ -204,8 +205,8 @@ def zhao_case_table(Z: ZMap, d: int) -> list[Check]:
     The cells are the conclusion of Zhao's weight-two statement.  Its
     hypotheses are decided by other suites, each relation once: double
     shuffle by :func:`~cyclozeta.dmr.dmr_check`, finite distribution on the
-    weight-one and depth-two words by the ``dist`` rows of
-    :func:`~cyclozeta.numeval.numeric_relation_suite` at weight 2."""
+    weight-one and depth-two words by :func:`regdist_full_check` at length
+    2, as the T^0 coefficients of those convergent words."""
     ps = power_structure(Z.group, d)
     choices = [X0] + list(ps.subgroup)
     return [fold("zhao-cell", f"d={d} cell={format_x_word((h1, h2))}",

@@ -1,8 +1,8 @@
 """Repository hygiene: the README's library sketch runs, no module of the
 package imports a name it never uses, importing a module loads only the
-modules it depends on, the CLI builds its numeric map in one place, every
-cache the package holds is bounded, and the rings hold exactly the contract
-their module names.
+modules it depends on, the CLI builds its numeric map in one place and
+imports no private name, every cache the package holds is bounded, and the
+rings hold exactly the contract their module names.
 
 The import check reads the source text with the standard library only, so a
 deleted public name or a dead import shows here rather than in a reader's
@@ -108,6 +108,16 @@ def test_cli_builds_the_numeric_map_once():
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "NumericZMap"]
     assert len(calls) == 1, f"cli.py builds NumericZMap at lines {calls}"
+
+
+def test_cli_imports_no_private_name():
+    # an underscore name is its module's own: the CLI adapts the library
+    # through public names, so a private helper can change without it
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name.startswith("_")]
+    assert not private, f"cli.py imports private names: {private}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

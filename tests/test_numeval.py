@@ -17,6 +17,7 @@ from cyclozeta import numeval
 from cyclozeta.errors import DivergentSeriesError, NotInH0Error
 from cyclozeta.numeval import (NumericZMap, PolylogQuery, numeric_relation_suite,
                                polylog_numeric, word_to_query)
+from cyclozeta.relations import regdist_full_check
 from cyclozeta.words import X0
 
 
@@ -185,13 +186,13 @@ class TestIdentitySuites:
         checks = numeric_relation_suite(NumericZMap(3, 1e-5), 2)
         assert checks and all(c.passed for c in checks)
         assert max(c.residual for c in checks) < 1e-5
-        assert {c.name for c in checks} == {"fds", "dist"}
+        assert {c.name for c in checks} == {"fds"}
 
     def test_distribution_level_two(self):
-        checks = numeric_relation_suite(NumericZMap(2, 1e-6), 2)
-        dist_rows = [c for c in checks if c.name == "dist"]
-        assert dist_rows
-        assert all(r.residual < 1e-6 for r in dist_rows)
+        # finite distribution is regdist's T^0 coefficient (TestRegDist in
+        # test_relations shows the two residuals are one)
+        check = regdist_full_check(NumericZMap(2, 1e-6), 2, 2)
+        assert check.passed and check.residual < 1e-6
 
     def test_level_one_distribution_empty(self):
         checks = numeric_relation_suite(NumericZMap(1, 1e-5), 4)

@@ -13,16 +13,21 @@ from cyclozeta.algebra import harmonic, qg_apply, y_to_x
 from cyclozeta.errors import InvalidArgumentError
 from cyclozeta.groups import (construct_group, divisors_of_order, parse_group,
                               power_structure)
-from cyclozeta.numeval import NumericZMap, numeric_relation_suite, word_to_query
+from cyclozeta.numeval import NumericZMap
 from cyclozeta.regularization import bar_reg_T
 from cyclozeta.relations import (_combination, _fdtd1_families, _fdtd1_report,
-                                 distribution_sides, fds_element, fds_sides, fdt1_element,
-                                 fdt2_element, fdtd1_grid, fdtd1_identity_check,
-                                 rds_element, regdist_full_check, sharp_sides,
-                                 zhao_case_table)
-from cyclozeta.words import X0, x_word_in_h0
+                                 _regdist_residuals, distribution_sides, fds_element,
+                                 fds_sides, fdt1_element, fdt2_element, fdtd1_grid,
+                                 fdtd1_identity_check, rds_element, regdist_full_check,
+                                 sharp_sides, zhao_case_table)
+from cyclozeta.words import X0, x_word_in_h0, x_words_up_to
 from test_acceptance import invariant_factor_lists
 from test_regularization import prime_zmap
+
+
+def every_divisor(group):
+    """Every divisor d >= 2 of the group's order, as ``fdt-verify`` without ``--d``."""
+    return [d for d in divisors_of_order(group) if d >= 2]
 
 
 class TestBuildRelation:
@@ -151,7 +156,7 @@ class TestFDTd1:
 
     def test_grid_z12(self, Z12):
         # K_d has order d on a cyclic group, so no two cells share an identity
-        grid = fdtd1_grid(Z12)
+        grid = fdtd1_grid(Z12, [2, 3, 4, 6, 12])
         assert grid and all(r.passed for _, r in grid)
         assert all(ds == (r.d,) for ds, r in grid)
         assert {r.d for _, r in grid} == {2, 3, 4, 6, 12}
@@ -163,7 +168,8 @@ class TestFDTd1:
         rows = cells = 0
         for n in range(2, 17):
             for factors in invariant_factor_lists(n):
-                grid = fdtd1_grid(construct_group(factors))
+                group = construct_group(factors)
+                grid = fdtd1_grid(group, every_divisor(group))
                 rows += len(grid)
                 cells += sum(len(ds) for ds, _ in grid)
                 sides = [(r.lhs, r.rhs) for _, r in grid]
@@ -185,7 +191,7 @@ class TestFDTd1:
                   for factors in invariant_factor_lists(n)]
         assert len(groups) == 25
         for group in groups:
-            fdtd1_grid(group)
+            fdtd1_grid(group, every_divisor(group))
         assert len(built) == len(set(built)) == 65
 
     def test_fdt_verify_at_one_divisor_builds_one_power_structure(self, monkeypatch):
@@ -269,23 +275,30 @@ class TestZhaoWeightTwo:
         assert len(rows) == len(set(rows)) == 4 * 4 - 1
         assert ("zhao-cell", "d=2 cell=xg[2]xg[4]") in rows
 
-    @pytest.mark.parametrize("level", [4, 6, 12])
-    def test_finite_distribution_hypotheses_are_relation_suite_rows(self, level):
+    def test_finite_distribution_hypotheses_are_in_regdist_range(self, monkeypatch):
         # the weight-one and depth-two finite distribution words of every d
-        # each have their own dist row in relation-suite --weight 2
-        group = construct_group([level])
-        dist = {c.params for c in numeric_relation_suite(NumericZMap(level), 2)
-                if c.name == "dist"}
-        for d in divisors_of_order(group):
-            if d < 2:
-                continue
-            ps = power_structure(group, d)
-            for h in ps.subgroup:
-                if h.is_identity:
+        # are words regdist --max-len 2 compares, where their T^0 residual is
+        # the finite relation (TestRegDist)
+        compared = set()
+
+        def recorded(Z, ps, word):
+            compared.add(word)
+            return iter(())
+
+        monkeypatch.setattr(relations, "_regdist_residuals", recorded)
+        for level in (4, 6, 12):
+            Z = NumericZMap(level)
+            for d in divisors_of_order(Z.group):
+                if d < 2:
                     continue
-                for word in [(h,)] + [(h, h2) for h2 in ps.subgroup]:
-                    query = word_to_query(word, level)
-                    assert f"d={d} k={query.indices} a={query.residues}" in dist
+                compared.clear()
+                regdist_full_check(Z, d, 2)
+                ps = power_structure(Z.group, d)
+                for h in ps.subgroup:
+                    if h.is_identity:
+                        continue
+                    for word in [(h,)] + [(h, h2) for h2 in ps.subgroup]:
+                        assert word in compared, (level, d, word)
 
 
 class TestRegDist:
@@ -300,6 +313,23 @@ class TestRegDist:
         check = regdist_full_check(prime_zmap(Z4, 3), 2, 3)
         assert not check.passed and check.residual > 0
         assert check.detail == "worst=xg[2]xg[2]x0"
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 6])
+    def test_finite_distribution_is_the_t0_residual(self, level):
+        # on a convergent word reg and sigma are the identity: the relation
+        # has no T power but T^0, whose residual is the finite relation's
+        group = construct_group([level])
+        Z = prime_zmap(group, 3)
+        for d in divisors_of_order(group):
+            if d < 2:
+                continue
+            ps = power_structure(group, d)
+            for word in x_words_up_to(ps.subgroup, 3):
+                if not word or not x_word_in_h0(word):
+                    continue
+                lower, upper = sharp_sides(ps, elem(group, *word))
+                assert list(_regdist_residuals(Z, ps, word)) == [
+                    ("T^0", Z.eval_element(lower) - Z.eval_element(upper))]
 
     def test_numeric_level_two(self):
         Z = NumericZMap(2)

@@ -12,6 +12,7 @@ from cyclozeta.algebra import shuffle
 from cyclozeta.cli import main
 from cyclozeta.errors import ParseError
 from cyclozeta.groups import construct_group, divisors_of_order
+from cyclozeta.numeval import NumericZMap, PolylogValue
 from cyclozeta.regularization import bar_reg_T
 from cyclozeta.rings import COMPLEX, RATIONAL
 from cyclozeta.series import Alphabet, TruncatedSeries
@@ -354,6 +355,17 @@ class TestCliWorstDetail:
             assert parse(u, group) and parse(v, group)
 
 
+class PrimeNumericZMap(NumericZMap):
+    """``prime_zmap``'s values as a numeric map, each with tail bound 0."""
+
+    def __init__(self, level, tol):
+        super().__init__(level, tol)
+        self.primes = prime_zmap(self.group, 3).table
+
+    def eval_word_detailed(self, word):
+        return PolylogValue(complex(self.primes[word]), 0.0, False)
+
+
 class TestEveryRowCanFail:
     """Each numeric suite, run through the CLI's one map seam on distinct
     primes (``prime_zmap``, which satisfies no relation), prints only FAIL
@@ -370,12 +382,12 @@ class TestEveryRowCanFail:
         return ([[name, "--N", n, "--degree", "3"]
                  for name in ("dmr-check", "dmrd-check", "eds-dmr-check")]
                 + [["zhao-verify", "--N", n, "--d", d] for d in divisors]
-                + [["regdist", "--N", n, "--d", d, "--max-len", "2"] for d in divisors])
+                + [["regdist", "--N", n, "--d", d, "--max-len", "2"] for d in divisors]
+                + [["relation-suite", "--N", n, "--weight", "3"]])
 
     @pytest.mark.parametrize("order", [2, 3, 4, 6])
     def test_every_row_fails_on_independent_values(self, monkeypatch, capsys, order):
-        monkeypatch.setattr(cli, "NumericZMap",
-                            lambda level, tol: prime_zmap(construct_group([level]), 3))
+        monkeypatch.setattr(cli, "NumericZMap", PrimeNumericZMap)
         passed = set()
         for argv in self._commands(order):
             main(argv)
