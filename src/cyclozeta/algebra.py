@@ -8,10 +8,13 @@ with a degree bound, and every operation here returns a series when given
 one.  Products:
 
 * :func:`shuffle` -- the interleaving product, on either alphabet;
-* :func:`quasi_shuffle` -- the generic letter-merging product driven by a
-  :class:`DiamondProduct`;
-* :func:`harmonic` -- the Y-side specialization merging ``y_{n1,g1}`` and
-  ``y_{n2,g2}`` into ``y_{n1+n2, g1 g2}``.
+* :func:`harmonic` -- the Y-side product that also merges ``y_{n1,g1}`` and
+  ``y_{n2,g2}`` into ``y_{n1+n2, g1 g2}``;
+* :func:`quasi_shuffle` -- either of the two, picked by its name,
+  ``"shuffle"`` or ``"harmonic"``.
+
+Both are Hoffman's quasi-shuffle construction: one recursion step,
+:func:`_merge_step`, that merges letters for the harmonic product only.
 
 Elements are immutable in practice (no method mutates ``terms``) and all
 products are pure functions, so values can be shared freely across threads.
@@ -27,8 +30,7 @@ word itself, and :func:`_bilinear` computes each operand pair an element
 product requests by one uncached :func:`_merge_step` over those suffixes,
 so a repeated identical product recomputes one merge step from cached
 suffixes.  The shuffle and harmonic caches live for the process, so later
-products of the same words or of their suffixes reuse them; the memo of
-any other diamond lives for one :func:`quasi_shuffle` call.  A pair
+products of the same words or of their suffixes reuse them.  A pair
 coefficient is ``c1 * c2``, or the other factor when one of them is the
 ring's shared ``one`` (``c1 is one``), so a product of single words builds
 no new value.
@@ -37,8 +39,8 @@ or to ``ring.coerce(n)`` when ``c`` is ``one``; count 1 is ``c`` itself.
 No loop starts a sum from an int ``0`` (``out[w] = out[w] + term if w in
 out else term``).  :meth:`make` prunes the false values, but an element
 product tests truth only where a zero can appear (:func:`_bilinear`): at
-a pair coefficient ``c1 * c2``, at each scaled count, and, through
-:meth:`make`, in a product where two terms met on one word.  The pair loop
+a pair coefficient ``c1 * c2``, and, through :meth:`make`, in a product
+where two terms met on one word; every count is at least 1.  The pair loop
 (``dmr._pair_residuals``) goes one step further over the rational ring: it
 scales a series' coefficients to integers over their common denominator,
 sums them as ints, and builds one ``Fraction`` per nonzero residual.
@@ -48,13 +50,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from .errors import AlphabetMismatchError, ParseError
+from .errors import AlphabetMismatchError, InvalidArgumentError, ParseError
 from .groups import FiniteAbelianGroup
 from . import words as W
 
@@ -175,44 +176,17 @@ class AlgebraElement:
         return format_element_combo(self)
 
 
-# -- diamond products ---------------------------------------------------------
-
-
-class DiamondProduct:
-    """A commutative, associative product on letters with sparse constants.
-
-    ``mul(a, b)`` returns the finitely many ``(letter, rational)`` pairs of
-    ``a <> b``; the empty result is the zero product, which degenerates the
-    quasi-shuffle to the plain shuffle.
-    """
-
-    def mul(self, a, b) -> Iterable[tuple[object, Fraction]]:
-        return ()
-
-
-class HarmonicDiamond(DiamondProduct):
-    """Y-letter merge ``y_{n1,g1} <> y_{n2,g2} = y_{n1+n2, g1 g2}``."""
-
-    def mul(self, a, b):
-        (n1, g1), (n2, g2) = a, b
-        return (((n1 + n2, g1 * g2), 1),)
-
-
-ZERO_DIAMOND = DiamondProduct()
-HARMONIC_DIAMOND = HarmonicDiamond()
-
-
 # -- products ------------------------------------------------------------
 
 
-def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
+def _merge_step(w1: tuple, w2: tuple, harmonic: bool, sub) -> dict:
     """One step of Hoffman's recursion ``a u * b v = a (u * b v) + b (a u * v)
-    + (a <> b)(u * v)``, reading the products of shorter pairs from ``sub``;
-    the zero diamond drops the last term and leaves the shuffle.  A product
-    with an empty word is that word's partner with count 1, which the step
-    answers itself, so ``sub`` only ever sees two nonempty words.  The keys
-    come in that order, and the pair table and the numeric grouplike
-    residuals read it."""
+    + [a, b] (u * v)``, reading the products of shorter pairs from ``sub``.
+    The harmonic product merges ``[y_{n1,g1}, y_{n2,g2}] = y_{n1+n2, g1 g2}``;
+    the shuffle drops the last term.  A product with an empty word is that
+    word's partner with count 1, which the step answers itself, so ``sub``
+    only ever sees two nonempty words.  The keys come in that order, and
+    the pair table and the numeric grouplike residuals read it."""
     if not w1:
         return {w2: 1}
     if not w2:
@@ -228,35 +202,35 @@ def _merge_step(w1: tuple, w2: tuple, diamond: DiamondProduct, sub) -> dict:
         for word, c in tail:
             key = (b,) + word
             out[key] = out.get(key, 0) + c
-    for letter, lam in diamond.mul(a, b):
+    if harmonic:
+        (n1, g1), (n2, g2) = a, b
+        merged = (n1 + n2, g1 * g2)
         for word, c in (sub(u, v).items() if u and v else ((u + v, 1),)):
-            key = (letter,) + word
-            out[key] = out.get(key, 0) + lam * c
+            key = (merged,) + word
+            out[key] = out.get(key, 0) + c
     return out
 
 
-#: the scaled value of a count whose terms are zero and are not written
-_DROPPED = object()
-
-
-def _bilinear(a: AlgebraElement, b: AlgebraElement, diamond: DiamondProduct,
+def _bilinear(a: AlgebraElement, b: AlgebraElement, product: str,
               sub) -> AlgebraElement:
-    """Extend a word-level product bilinearly.  Each operand pair is one
-    uncached :func:`_merge_step` that reads the shorter suffix pairs from
-    ``sub``: its result goes into the output at once and no later step
-    reads it, so no cache stores it, and a repeated identical product
-    recomputes that one step from the cached suffixes.
+    """Extend the word-level ``product`` (``"shuffle"`` or ``"harmonic"``)
+    bilinearly.  Each operand pair is one uncached :func:`_merge_step` that
+    reads the shorter suffix pairs from ``sub``: its result goes into the
+    output at once and no later step reads it, so no cache stores it, and a
+    repeated identical product recomputes that one step from the cached
+    suffixes.
 
-    A pair coefficient that is false skips the pair, and a count whose
-    scaled value is false drops its words, tested once per distinct count.
-    A word pair's step yields each word once, so an output value can be
-    zero only where two terms were summed: a plain element is returned as
-    built when no word was summed, and :meth:`make` prunes it otherwise.  A
-    series goes through ``_like`` either way, which drops the words past
-    its bound."""
+    A pair coefficient that is false skips the pair: a product of two
+    complex values can underflow.  Every count is at least 1, so a nonzero
+    coefficient scaled by it is nonzero.  A word pair's step yields each
+    word once, so an output value can be zero only where two terms were
+    summed: a plain element is returned as built when no word was summed,
+    and :meth:`make` prunes it otherwise.  A series goes through ``_like``
+    either way, which drops the words past its bound."""
     a._check(b)
     if not a.terms or not b.terms:
         return a._like({})
+    harmonic = product == "harmonic"
     one, coerce = a.ring.one, a.ring.coerce
     out: dict = {}
     summed = False
@@ -271,13 +245,11 @@ def _bilinear(a: AlgebraElement, b: AlgebraElement, diamond: DiamondProduct,
                 if not c:
                     continue
             multiples = {1: c}
-            for word, count in _merge_step(w1, w2, diamond, sub).items():
+            for word, count in _merge_step(w1, w2, harmonic, sub).items():
                 term = multiples.get(count)
                 if term is None:
-                    term = coerce(count) if c is one else c * coerce(count)
-                    term = multiples[count] = term if term else _DROPPED
-                if term is _DROPPED:
-                    continue
+                    term = multiples[count] = (coerce(count) if c is one
+                                               else c * coerce(count))
                 if word in out:
                     out[word] = out[word] + term
                     summed = True
@@ -299,12 +271,12 @@ def shuffle_words(w1: tuple, w2: tuple) -> Mapping:
     and ``_regt_word`` also ask for ``(word[:0], ...)``, so the cache does
     hold pairs with an empty word, one per distinct such request: 266 after
     one pass of perfbench's exact-products workload."""
-    return MappingProxyType(_merge_step(w1, w2, ZERO_DIAMOND, shuffle_words))
+    return MappingProxyType(_merge_step(w1, w2, False, shuffle_words))
 
 
 def shuffle(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The bilinear shuffle product."""
-    return _bilinear(a, b, ZERO_DIAMOND, shuffle_words)
+    return _bilinear(a, b, "shuffle", shuffle_words)
 
 
 @lru_cache(maxsize=200_000)
@@ -314,51 +286,53 @@ def harmonic_words(w1: tuple, w2: tuple) -> Mapping:
     200,000 entries) holds the pairs of nonempty suffixes that
     :func:`harmonic`'s merge steps revisit, so a later product of the same
     words, or of their suffixes, reads them again."""
-    return MappingProxyType(_merge_step(w1, w2, HARMONIC_DIAMOND, harmonic_words))
+    return MappingProxyType(_merge_step(w1, w2, True, harmonic_words))
 
 
 class _quasi_shuffle_words:
-    """The word-level quasi-shuffle ``(w1, w2) -> {word: count}`` for
-    ``diamond``, with a memo of its own that lives as long as this callable;
-    the suffix pairs the recursion visits recur combinatorially often, and
-    :func:`_merge_step` never asks for a pair with an empty word.  The
-    recursion receives the callable as an argument, so nothing refers back
-    to it and the memo is freed as soon as the last reference to the
-    callable goes, without the cycle collector."""
+    """The word-level ``product`` ``(w1, w2) -> {word: count}`` with a memo
+    of its own that lives as long as this callable: the grouplike pair table
+    keeps one per first word.  The suffix pairs the recursion visits recur
+    combinatorially often, and :func:`_merge_step` never asks for a pair
+    with an empty word.  The recursion receives the callable as an
+    argument, so nothing refers back to it and the memo is freed as soon as
+    the last reference to the callable goes, without the cycle collector."""
 
-    def __init__(self, diamond: DiamondProduct):
-        self.diamond = diamond
+    def __init__(self, product: str):
+        self.harmonic = product == "harmonic"
         self.memo: dict = {}
 
     def __call__(self, w1: tuple, w2: tuple) -> dict:
         hit = self.memo.get((w1, w2))
         if hit is None:
-            hit = self.memo[w1, w2] = _merge_step(w1, w2, self.diamond, self)
+            hit = self.memo[w1, w2] = _merge_step(w1, w2, self.harmonic, self)
         return hit
 
 
-#: the process-lived word caches of the built-in diamonds
-_WORD_CACHES = {ZERO_DIAMOND: shuffle_words, HARMONIC_DIAMOND: harmonic_words}
+#: the process word cache of each product
+_WORD_CACHES = {"shuffle": shuffle_words, "harmonic": harmonic_words}
 
 
 def quasi_shuffle(a: AlgebraElement, b: AlgebraElement,
-                  diamond: DiamondProduct) -> AlgebraElement:
-    """The quasi-shuffle product ``*_<>`` for an arbitrary diamond.  The zero
-    and harmonic diamonds read their process caches, :func:`shuffle_words`
-    and :func:`harmonic_words`; any other diamond gets a word-level memo
-    that lasts for this one call.  Either holds the suffix pairs the
-    recursion revisits; each operand pair is one uncached merge step."""
-    sub = _WORD_CACHES.get(diamond) or _quasi_shuffle_words(diamond)
-    return _bilinear(a, b, diamond, sub)
+                  product: str) -> AlgebraElement:
+    """The quasi-shuffle ``product`` of two elements: ``"shuffle"``, or
+    ``"harmonic"`` on Y-side input.  Each reads its process word cache,
+    :func:`shuffle_words` or :func:`harmonic_words`, which holds the suffix
+    pairs the recursion revisits; each operand pair is one uncached merge
+    step."""
+    sub = _WORD_CACHES.get(product)
+    if sub is None:
+        raise InvalidArgumentError(f"unknown product {product!r}")
+    if product == "harmonic" and a.kind != "y":
+        raise AlphabetMismatchError("harmonic product needs Y-side input")
+    return _bilinear(a, b, product, sub)
 
 
 def harmonic(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The harmonic (stuffle) product on Y-side combinations, through
     :func:`quasi_shuffle`, so its word pairs come from the process cache
     :func:`harmonic_words`."""
-    if a.kind != "y":
-        raise AlphabetMismatchError("harmonic product needs Y-side input")
-    return quasi_shuffle(a, b, HARMONIC_DIAMOND)
+    return quasi_shuffle(a, b, "harmonic")
 
 
 # -- label twist and conversions ----------------------------------------------

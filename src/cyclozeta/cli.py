@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: it parses flags, runs
 the corresponding check or calculator, prints a machine-readable TSV report
 to stdout (diagnostics go to stderr) and exits 0 exactly when no row failed.
-Parse or precondition errors exit 2.
+Parse or precondition errors, and an output file that cannot be written,
+exit 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import serialize
 from .algebra import harmonic, parse_element_combo, shuffle
-from .checks import fold
+from .checks import differences, fold
 from .dmr import dmr_check, dmrd_check, eds_dmr_equality_check, phi_from_Z
 from .duality import duality_suite
 from .errors import CycloZetaError, ParseError
@@ -103,6 +104,14 @@ def _check_tolerance(args) -> None:
         raise ParseError(f"--tol must be a finite number >= 0, got {tol}")
 
 
+def _write(path, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad input."""
+    try:
+        serialize.write_text(path, text)
+    except OSError as exc:
+        raise CycloZetaError(exc) from None
+
+
 def _numeric_report(args, degree, checks) -> int:
     meta = _meta_row(group=f"Z{args.N}", degree=degree, ring="complex", tol=args.tol)
     return Report(meta, checks).emit()
@@ -128,7 +137,7 @@ def cmd_product(args) -> int:
               else a.concat(b))
     print(str(result))
     if args.out:
-        serialize.write_text(args.out, serialize.format_element(result))
+        _write(args.out, serialize.format_element(result))
     return 0
 
 
@@ -140,19 +149,15 @@ def cmd_reg(args) -> int:
     text = serialize.format_tpoly(tp, ring)
     print(text)
     if args.out:
-        serialize.write_text(args.out, text + "\n")
+        _write(args.out, text + "\n")
     return 0
 
 
 def cmd_fdt_verify(args) -> int:
     group = parse_group(args.group)
     results = fdtd1_grid(group, _divisors(args, group))
-    # each row reads the stored difference over both supports, so a word
-    # whose two sides cancel still counts as compared
-    zero = RATIONAL.zero
     checks = [fold("fdt1-decomposition", f"d={','.join(map(str, ds))} h={r.h}", RATIONAL,
-                   ((w, r.difference.terms.get(w, zero)) for w in {**r.lhs.terms, **r.rhs.terms}),
-                   format_x_word)
+                   differences(r.lhs.terms, r.rhs.terms, RATIONAL.zero), format_x_word)
               for ds, r in results]
     meta = _meta_row(group=args.group, degree=2, ring="rational", tol=0)
     return Report(meta, checks).emit()
@@ -169,9 +174,9 @@ def cmd_dmr_check(args, Z) -> int:
     # at degree 1 no word pair is inside the bound; phi_from_Z sets the unit,
     # x0 and x1 coefficients by construction, so the vanish row could not fail
     phi = phi_from_Z(Z, _bound(args, "degree", least=2))
-    sh, st, _ = dmr_check(phi)
     if args.save_phi:
-        serialize.write_text(args.save_phi, serialize.format_series(phi))
+        _write(args.save_phi, serialize.format_series(phi))
+    sh, st, _ = dmr_check(phi)
     return _numeric_report(args, args.degree, [sh, st])
 
 

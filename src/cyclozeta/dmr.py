@@ -34,8 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
-                      _quasi_shuffle_words, project_piY, qg_apply)
+from .algebra import AlgebraElement, _quasi_shuffle_words, project_piY, qg_apply
 from .checks import Check, differences, fold
 from .errors import AlphabetMismatchError, InvalidArgumentError
 from .groups import FiniteAbelianGroup, GroupHom, PowerStructure
@@ -66,8 +65,9 @@ def _pair_format(kind: str):
 
 
 @lru_cache(maxsize=1)
-def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
-    """The word-level products the pair loop reads, which no series changes:
+def _pair_table(alphabet: Alphabet, bound: int, product: str) -> tuple:
+    """The word-level products, in ``product`` (``"shuffle"`` or
+    ``"harmonic"``), that the pair loop reads, which no series changes:
     ``(words, us, vs, ends, positions, counts, distinct)``.  ``words`` and
     the word degrees come from the word table of the alphabet and bound
     (:func:`~cyclozeta.series._word_table`), which the series' own terms
@@ -92,7 +92,7 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     firsts = [i for i, d in enumerate(degrees) if 0 < d < bound]
     us, vs, ends, positions, counts = (array("I") for _ in range(5))
     for k, u in enumerate(firsts):
-        qs = _quasi_shuffle_words(diamond)
+        qs = _quasi_shuffle_words(product)
         for v in firsts[k:]:
             if degrees[u] + degrees[v] > bound:
                 break  # firsts runs by degree
@@ -105,12 +105,12 @@ def _pair_table(alphabet: Alphabet, bound: int, diamond) -> tuple:
     return words, us, vs, ends, positions, counts, frozenset(counts)
 
 
-def _pair_residuals(phi: TruncatedSeries, diamond):
+def _pair_residuals(phi: TruncatedSeries, product: str):
     """``((u, v), sum_w (phi|w) n_w - (phi|u)(phi|v))`` over the unordered
     nonempty word pairs of total degree at most the bound of ``phi``, ``u``
-    first in word order, where ``u *_diamond v = sum_w n_w w``: the only
-    pair loop that multiplies words.  The products commute, because the
-    group is abelian, so ``(v, u)`` would give the same residual.  It reads
+    first in word order, where ``u * v = sum_w n_w w`` in ``product``: the
+    only pair loop that multiplies words.  The products commute, because
+    the group is abelian, so ``(v, u)`` would give the same residual.  It reads
     the counts from :func:`_pair_table` and the coefficients of ``phi`` by
     position, so each word is hashed once per series.  The sum starts from
     its first term (every product of two nonempty words has one) and skips
@@ -126,7 +126,7 @@ def _pair_residuals(phi: TruncatedSeries, diamond):
     slower than with ``Fraction``s.  Every other ring sums its own values,
     and each distinct count enters it once per call, as ``ring.coerce(n)``."""
     words, us, vs, ends, positions, counts, distinct = _pair_table(
-        phi.alphabet, phi.degree_bound, diamond)
+        phi.alphabet, phi.degree_bound, product)
     zero = phi.ring.zero
     get = phi.terms.get
     vals = [get(w, zero) for w in words]
@@ -159,10 +159,9 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
     because the group is abelian, so each unordered pair is checked once,
     named ``u|v`` with ``u`` first in word order, and ``pairs_checked``
     counts unordered pairs."""
-    diamond = {"shuffle": ZERO_DIAMOND, "harmonic": HARMONIC_DIAMOND}.get(product)
-    if diamond is None:
+    if product not in ("shuffle", "harmonic"):
         raise InvalidArgumentError(f"unknown coproduct {product!r}")
-    if diamond is HARMONIC_DIAMOND and phi.alphabet.kind != "y":
+    if product == "harmonic" and phi.alphabet.kind != "y":
         raise AlphabetMismatchError("the harmonic check needs a Y-side series")
     ring = phi.ring
     alphabet = phi.alphabet
@@ -174,7 +173,7 @@ def grouplike_check(phi: TruncatedSeries, product: str = "shuffle") -> Grouplike
         nonlocal checked
         yield ((), ()), phi.coeff(()) - ring.one
         # every word of a product of two words in the loop is within the bound
-        for checked, row in enumerate(_pair_residuals(phi, diamond), 1):
+        for checked, row in enumerate(_pair_residuals(phi, product), 1):
             yield row
 
     check = fold(f"dmr-{product}-grouplike", f"N={alphabet.group.order}", ring,

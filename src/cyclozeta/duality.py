@@ -23,7 +23,6 @@ from functools import cache
 from itertools import combinations
 from math import lcm, prod
 
-from .algebra import HARMONIC_DIAMOND
 from .checks import Check
 from .errors import InvalidArgumentError
 from .groups import FiniteAbelianGroup
@@ -87,7 +86,7 @@ def functional_is_multiplicative(group: FiniteAbelianGroup, table: dict,
                                  weight_bound: int) -> bool:
     """Direct pairwise test of ``phi(u * v) = phi(u) phi(v)``."""
     return not any(r for _, r in _pair_residuals(
-        functional_series(group, table, weight_bound), HARMONIC_DIAMOND))
+        functional_series(group, table, weight_bound), "harmonic"))
 
 
 def functional_series(group: FiniteAbelianGroup, table: dict,

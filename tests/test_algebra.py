@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import (combo, elem, oracle_quasi_shuffle_words, oracle_shuffle,
                       oracle_shuffle_words)
 from cyclozeta import algebra, rings
-from cyclozeta.algebra import (AlgebraElement, DiamondProduct, HARMONIC_DIAMOND,
-                               ZERO_DIAMOND, _quasi_shuffle_words,
+from cyclozeta.algebra import (AlgebraElement, _quasi_shuffle_words,
                                format_element_combo, harmonic, harmonic_words,
                                parse_element_combo,
                                project_piY, qg_apply, quasi_shuffle, shuffle,
                                shuffle_words, x_to_y, y_to_x)
-from cyclozeta.errors import AlphabetMismatchError, NotInH1Error
+from cyclozeta.errors import (AlphabetMismatchError, InvalidArgumentError,
+                              NotInH1Error)
 from cyclozeta.rings import COMPLEX, RATIONAL, ComplexRing
 from cyclozeta.series import Alphabet, TruncatedSeries
 from cyclozeta.words import (X0, x_to_y_word, x_word_in_h0, x_word_in_h1,
@@ -61,7 +61,19 @@ class TestArith:
     def test_zero_product_short_circuits(self, Z3):
         zero = AlgebraElement.zero(RATIONAL, "x", Z3)
         assert shuffle(zero, elem(Z3, X0)).terms == {}
-        assert quasi_shuffle(zero, elem(Z3, X0), ZERO_DIAMOND).terms == {}
+        assert quasi_shuffle(zero, elem(Z3, X0), "shuffle").terms == {}
+
+
+def _harmonic_merge(a, b):
+    """The harmonic letter merge ``y_{n1,g1} <> y_{n2,g2} = y_{n1+n2, g1 g2}``,
+    as the ``(letter, constant)`` pairs the recursion oracles read."""
+    (n1, g1), (n2, g2) = a, b
+    return (((n1 + n2, g1 * g2), 1),)
+
+
+def _no_merge(a, b):
+    """The shuffle's letter merge: none."""
+    return ()
 
 
 class TestShuffle:
@@ -112,7 +124,19 @@ class TestQuasiShuffle:
             for w2 in itertools.product(letters, repeat=1):
                 a = elem(Z4, *w1, kind="y")
                 b = elem(Z4, *w2, kind="y")
-                assert quasi_shuffle(a, b, ZERO_DIAMOND) == shuffle(a, b)
+                assert quasi_shuffle(a, b, "shuffle") == shuffle(a, b)
+
+    def test_harmonic_refuses_x_side_input(self, Z3):
+        a, b = elem(Z3, Z3.element(1)), elem(Z3, Z3.element(2))
+        with pytest.raises(AlphabetMismatchError, match="Y-side"):
+            quasi_shuffle(a, b, "harmonic")
+        with pytest.raises(AlphabetMismatchError, match="Y-side"):
+            harmonic(a, b)
+
+    def test_unknown_product_name_is_refused(self, Z3):
+        a = elem(Z3, (1, Z3.element(1)), kind="y")
+        with pytest.raises(InvalidArgumentError, match="'stuffle'"):
+            quasi_shuffle(a, a, "stuffle")
 
     def test_weight_merge(self, Z6):
         g, h = Z6.element(1), Z6.element(2)
@@ -125,15 +149,14 @@ class TestQuasiShuffle:
 
     def test_against_recursion_oracle(self, Z3):
         letters = [(1, Z3.element(0)), (1, Z3.element(1)), (2, Z3.element(2))]
-        diamond_fn = lambda a, b: HARMONIC_DIAMOND.mul(a, b)
         for r1 in range(1, 3):
             for r2 in range(1, 3):
                 for w1 in itertools.product(letters, repeat=r1):
                     for w2 in itertools.product(letters, repeat=r2):
                         got = quasi_shuffle(elem(Z3, *w1, kind="y"),
                                             elem(Z3, *w2, kind="y"),
-                                            HARMONIC_DIAMOND)
-                        want = oracle_quasi_shuffle_words(w1, w2, diamond_fn)
+                                            "harmonic")
+                        want = oracle_quasi_shuffle_words(w1, w2, _harmonic_merge)
                         assert got.terms == {w: Fraction(c) for w, c in want.items()}
 
     def test_word_memo_dies_without_the_cycle_collector(self, Z3):
@@ -143,47 +166,36 @@ class TestQuasiShuffle:
         v = ((1, Z3.element(0)), (1, Z3.element(1)))
         gc.disable()
         try:
-            qs = _quasi_shuffle_words(HARMONIC_DIAMOND)
+            qs = _quasi_shuffle_words("harmonic")
             counts = qs(u, v)
             dropped = weakref.ref(qs)
             del qs
             assert dropped() is None
         finally:
             gc.enable()
-        want = oracle_quasi_shuffle_words(u, v, HARMONIC_DIAMOND.mul)
+        want = oracle_quasi_shuffle_words(u, v, _harmonic_merge)
         assert counts == want
 
-    def test_other_diamonds_get_a_memo_per_call(self, Z3, monkeypatch):
-        # a diamond without a process cache gets a memo for one product,
-        # freed with it, without the cycle collector; harmonic gets none
+    def test_harmonic_builds_no_memo_per_call(self, Z3, monkeypatch):
+        # harmonic reads its process cache; only the grouplike pair table
+        # builds word memos
         memos = []
 
         class Recorded(_quasi_shuffle_words):
-            def __init__(self, diamond):
-                super().__init__(diamond)
-                memos.append((weakref.ref(self), self.memo))
+            def __init__(self, product):
+                super().__init__(product)
+                memos.append(self.memo)
 
         monkeypatch.setattr(algebra, "_quasi_shuffle_words", Recorded)
         u = ((1, Z3.element(1)), (2, Z3.element(2)))
         v = ((1, Z3.element(0)), (1, Z3.element(1)))
-        a, b = elem(Z3, *u, kind="y"), elem(Z3, *v, kind="y")
-        harmonic(a, b)
+        got = harmonic(elem(Z3, *u, kind="y"), elem(Z3, *v, kind="y"))
         assert memos == []
-        diamond = _SplitDiamond()
-        gc.disable()
-        try:
-            got = quasi_shuffle(a, b, diamond)
-            (alive, memo), = memos
-            assert alive() is None
-        finally:
-            gc.enable()
-        assert len(memo) == len(u) * len(v) - 1
-        want = oracle_quasi_shuffle_words(u, v, diamond.mul)
-        assert got.terms == {w: c for w, c in want.items() if c}
+        assert got.terms == oracle_quasi_shuffle_words(u, v, _harmonic_merge)
 
 
 def _harmonic_oracle(u, v):
-    return oracle_quasi_shuffle_words(u, v, HARMONIC_DIAMOND.mul)
+    return oracle_quasi_shuffle_words(u, v, _harmonic_merge)
 
 
 class TestWordCachePolicy:
@@ -270,17 +282,7 @@ def _old_rule_product(a, b, words_product):
     return a._like(out)
 
 
-class _SplitDiamond(DiamondProduct):
-    """A letter product with several terms and non-unit constants, so the
-    counts of a pair exceed 1 and repeat: ``y_{n,g} <> y_{m,h}`` is
-    ``2 y_{n+m,gh} - 1/3 y_{n+m,g}``."""
-
-    def mul(self, a, b):
-        (n1, g1), (n2, g2) = a, b
-        return (((n1 + n2, g1 * g2), 2), ((n1 + n2, g1), Fraction(-1, 3)))
-
-
-def _parent_merge_step(w1, w2, diamond, sub):
+def _parent_merge_step(w1, w2, merge, sub):
     """The recursion step as it was written before its halves were built
     by a comprehension and a plain store; the key order must not change."""
     if not w1:
@@ -294,19 +296,19 @@ def _parent_merge_step(w1, w2, diamond, sub):
     for word, c in sub(w1, w2[1:]).items():
         key = (w2[0],) + word
         out[key] = out.get(key, 0) + c
-    for letter, lam in diamond.mul(w1[0], w2[0]):
+    for letter, lam in merge(w1[0], w2[0]):
         for word, c in sub(w1[1:], w2[1:]).items():
             key = (letter,) + word
             out[key] = out.get(key, 0) + lam * c
     return out
 
 
-def _parent_words_product(diamond):
+def _parent_words_product(merge):
     memo: dict = {}
 
     def product(w1, w2):
         if (w1, w2) not in memo:
-            memo[w1, w2] = _parent_merge_step(w1, w2, diamond, product)
+            memo[w1, w2] = _parent_merge_step(w1, w2, merge, product)
         return memo[w1, w2]
     return product
 
@@ -341,20 +343,18 @@ class TestProductsFollowTheOldRule:
     @pytest.mark.parametrize("ring, coeffs", RINGS)
     def test_harmonic(self, Z3, ring, coeffs):
         a, b = self._operands(Z3, ring, coeffs, "y")
-        want = _old_rule_product(a, b, lambda u, v: oracle_quasi_shuffle_words(
-            u, v, HARMONIC_DIAMOND.mul))
-        assert harmonic(a, b) == want
+        assert harmonic(a, b) == _old_rule_product(a, b, _harmonic_oracle)
 
     @pytest.mark.parametrize("ring, coeffs", RINGS)
     def test_quasi_shuffle_with_repeated_counts(self, Z3, ring, coeffs):
-        a, b = self._operands(Z3, ring, coeffs, "y")
-        diamond = _SplitDiamond()
-        got = quasi_shuffle(a, b, diamond)
-        want = _old_rule_product(a, b, lambda u, v: oracle_quasi_shuffle_words(
-            u, v, diamond.mul))
-        assert got == want
-        words = _quasi_shuffle_words(diamond)  # some pair has two counts above 1
-        assert any(len(set(words(u, v).values()) - {1}) > 1 for u in a.terms for v in b.terms)
+        # x0x0 sh x0xg[1] has the counts 3, 2 and 1, each scaled once
+        g = Z3.element(1)
+        assert sorted(shuffle_words((X0, X0), (X0, g)).values()) == [1, 2, 3]
+        a, b = self._operands(Z3, ring, coeffs, "x")
+        a = a + combo(Z3, (coeffs[1], (X0, X0)), ring=ring)
+        b = b + combo(Z3, (coeffs[4], (X0, g)), ring=ring)
+        got = quasi_shuffle(a, b, "shuffle")
+        assert got == _old_rule_product(a, b, oracle_shuffle_words)
 
     def test_truncated_series(self, Z3):
         alphabet = Alphabet.x(Z3)
@@ -389,15 +389,15 @@ class TestProductsFollowTheOldRule:
     def test_word_products_keep_the_key_order(self, Z2):
         e, s = Z2.element(0), Z2.element(1)
         x_words = [()] + _words_over([X0, e, s], 5)
-        shuffle_ref = _parent_words_product(ZERO_DIAMOND)
+        shuffle_ref = _parent_words_product(_no_merge)
         for w1 in x_words:
             for w2 in x_words:
                 if len(w1) + len(w2) <= 5:
                     assert list(shuffle_words(w1, w2).items()) == list(
                         shuffle_ref(w1, w2).items())
         y_words = list(y_words_up_to([e, s], 5))  # the empty word first
-        harmonic_ref = _parent_words_product(HARMONIC_DIAMOND)
-        harmonic_memo = _quasi_shuffle_words(HARMONIC_DIAMOND)
+        harmonic_ref = _parent_words_product(_harmonic_merge)
+        harmonic_memo = _quasi_shuffle_words("harmonic")
         pairs = 0
         for w1 in y_words:
             for w2 in y_words:
@@ -409,19 +409,9 @@ class TestProductsFollowTheOldRule:
         assert pairs > 1000
 
 
-class _CancellingDiamond(DiamondProduct):
-    """``y_{n,g} <> y_{m,h}`` is ``y_{n+m,gh} - y_{n+m,gh}``: the merged
-    word of every merge step gets the count 0."""
-
-    def mul(self, a, b):
-        (n1, g1), (n2, g2) = a, b
-        merged = (n1 + n2, g1 * g2)
-        return ((merged, 1), (merged, -1))
-
-
 class TestProductsPruneWhereZerosAppear:
-    """An element product tests truth only at a pair coefficient, at each
-    scaled count and where two terms met on one word; no zero is stored."""
+    """An element product tests truth only at a pair coefficient and where
+    two terms met on one word; no zero is stored."""
 
     def test_summed_words_that_cancel_are_dropped(self, Z3):
         g, h = Z3.element(1), Z3.element(2)
@@ -430,17 +420,6 @@ class TestProductsPruneWhereZerosAppear:
         got = shuffle(a, b)
         assert got == combo(Z3, (2, (g, g)), (-2, (h, h)))
         assert set(got.terms) == {(g, g), (h, h)}  # no x_g x_h, no x_h x_g
-
-    @pytest.mark.parametrize("c", [1, Fraction(3, 2)])
-    def test_zero_count_words_are_dropped(self, Z3, c):
-        g, h = (1, Z3.element(1)), (1, Z3.element(2))
-        a = combo(Z3, (c, (g,)), kind="y")
-        b = elem(Z3, h, kind="y")
-        diamond = _CancellingDiamond()
-        merged = ((2, Z3.identity()),)
-        assert _quasi_shuffle_words(diamond)((g,), (h,))[merged] == 0
-        got = quasi_shuffle(a, b, diamond)
-        assert got.terms == {(g, h): RATIONAL.coerce(c), (h, g): RATIONAL.coerce(c)}
 
     def test_underflowing_harmonic_of_single_words_is_false(self, Z3):
         g, h = Z3.element(1), Z3.element(2)
@@ -491,19 +470,15 @@ class TestProductLaws:
                          lambda w: elem(Z2, *w, kind="y"), harmonic, 6)
 
     def test_diamond_laws_small_alphabet(self, Z4):
-        # commutativity and associativity of the harmonic letter merge itself
-        letters = [(n, g) for n in (1, 2) for g in Z4.elements()]
+        # commutativity and associativity of harmonic on single letters,
+        # where the letter merge meets every label pair of the group
+        letters = [elem(Z4, (n, g), kind="y") for n in (1, 2) for g in Z4.elements()]
         for a in letters:
             for b in letters:
-                assert HARMONIC_DIAMOND.mul(a, b) == HARMONIC_DIAMOND.mul(b, a)
+                ab = harmonic(a, b)
+                assert ab == harmonic(b, a)
                 for c in letters:
-                    left = [(l2, c1 * c2)
-                            for l1, c1 in HARMONIC_DIAMOND.mul(a, b)
-                            for l2, c2 in HARMONIC_DIAMOND.mul(l1, c)]
-                    right = [(l2, c1 * c2)
-                             for l1, c1 in HARMONIC_DIAMOND.mul(b, c)
-                             for l2, c2 in HARMONIC_DIAMOND.mul(a, l1)]
-                    assert left == right
+                    assert harmonic(ab, c) == harmonic(a, harmonic(b, c))
 
 
 class TestQg:

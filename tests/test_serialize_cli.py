@@ -179,6 +179,21 @@ class TestCli:
         one = series.alphabet.group.identity()
         assert abs(series.coeff((X0, one)) - math.pi ** 2 / 6) < 1e-6
 
+    @pytest.mark.parametrize("argv", [
+        ["product", "--group", "Z3", "--shuffle", "xg[1]", "xg[2]", "--out"],
+        ["reg", "--group", "Z2", "xg[0]xg[1]", "--out"],
+        ["dmr-check", "--N", "2", "--degree", "2", "--save-phi"],
+    ], ids=["product", "reg", "dmr-check"])
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, argv):
+        # exit 1 means a FAIL row; a file that cannot be written is bad input
+        path = tmp_path / "missing" / "out.txt"
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        if argv[0] == "dmr-check":
+            assert captured.out == ""  # bad input prints no report
+
     def test_bad_arguments_exit_two(self, capsys):
         code = main(["fdt-verify", "--group", "Zx"])
         assert code == 2

@@ -10,9 +10,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import combo, elem
-from cyclozeta.algebra import (AlgebraElement, HARMONIC_DIAMOND, ZERO_DIAMOND,
-                              harmonic, project_piY, qg_apply, quasi_shuffle,
-                              shuffle, x_to_y, y_to_x)
+from cyclozeta.algebra import (AlgebraElement, harmonic, project_piY, qg_apply,
+                              quasi_shuffle, shuffle, x_to_y, y_to_x)
 from cyclozeta import dmr, duality
 from cyclozeta.checks import Check
 from cyclozeta.dmr import (GrouplikeReport, _pair_residuals, _pair_table,
@@ -38,7 +37,7 @@ def x_series(group, degree, mapping, letters=None):
                                 mapping)
 
 
-def element_pair_residual(series, diamond, u, v):
+def element_pair_residual(series, product, u, v):
     """``(series | u * v) - (series | u)(series | v)`` from element products:
     multiply the two words as elements and pair the product with the
     series."""
@@ -47,12 +46,12 @@ def element_pair_residual(series, diamond, u, v):
     prod = quasi_shuffle(
         AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, u),
         AlgebraElement.from_word(RATIONAL, alphabet.kind, alphabet.group, v),
-        diamond)
+        product)
     lhs = sum(c * coeff(w) for w, c in prod.terms.items())
     return lhs - coeff(u) * coeff(v)
 
 
-def element_pair_residuals(series, diamond):
+def element_pair_residuals(series, product):
     """The pair loop's residuals from element products, over the unordered
     pairs ``(u, v)`` of nonempty words within the bound, ``u`` at or before
     ``v`` in ``words_up_to`` order: both products commute, because the
@@ -63,7 +62,7 @@ def element_pair_residuals(series, diamond):
     for i, u in enumerate(words):
         for v in words[i:]:
             if alphabet.word_degree(u) + alphabet.word_degree(v) <= bound:
-                yield (u, v), element_pair_residual(series, diamond, u, v)
+                yield (u, v), element_pair_residual(series, product, u, v)
 
 
 def random_series(alphabet, degree, rng, density=0.5):
@@ -249,15 +248,15 @@ class TestGrouplike:
         s = x_series(Z3, 2, {(X0,): Fraction(1)})
         assert not grouplike_check(s, "shuffle").passed
 
-    @pytest.mark.parametrize("coefficients, kind, diamond", [
-        ("rational", "x", ZERO_DIAMOND),
-        ("rational", "y", ZERO_DIAMOND),
-        ("rational", "y", HARMONIC_DIAMOND),
-        ("complex", "y", HARMONIC_DIAMOND),
-        ("primes", "x", ZERO_DIAMOND),
+    @pytest.mark.parametrize("coefficients, kind, product", [
+        ("rational", "x", "shuffle"),
+        ("rational", "y", "shuffle"),
+        ("rational", "y", "harmonic"),
+        ("complex", "y", "harmonic"),
+        ("primes", "x", "shuffle"),
     ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic",
             "prime-denominators-x-shuffle"])
-    def test_pair_loop_matches_element_products(self, Z3, coefficients, kind, diamond):
+    def test_pair_loop_matches_element_products(self, Z3, coefficients, kind, product):
         """The pair loop reads word-level counts from a table shared by every
         series with the same alphabet and bound; the formula it replaces
         multiplies the two words as elements and pairs the product.  Two
@@ -285,9 +284,9 @@ class TestGrouplike:
                 series = TruncatedSeries.make(RATIONAL, alphabet, 4, terms)
             else:
                 series = random_series(alphabet, 4, rng)
-            got = list(_pair_residuals(series, diamond))
+            got = list(_pair_residuals(series, product))
             assert len(got) > 100
-            assert got == list(element_pair_residuals(series, diamond))
+            assert got == list(element_pair_residuals(series, product))
             if series.ring is RATIONAL:
                 assert all(type(r) is Fraction for _, r in got)
             if coefficients == "primes":
@@ -295,16 +294,16 @@ class TestGrouplike:
         info = _pair_table.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    @pytest.mark.parametrize("coefficients, kind, diamond", [
-        ("rational", "x", ZERO_DIAMOND),
-        ("rational", "y", ZERO_DIAMOND),
-        ("rational", "y", HARMONIC_DIAMOND),
-        ("complex", "y", HARMONIC_DIAMOND),
-        ("primes", "x", ZERO_DIAMOND),
+    @pytest.mark.parametrize("coefficients, kind, product", [
+        ("rational", "x", "shuffle"),
+        ("rational", "y", "shuffle"),
+        ("rational", "y", "harmonic"),
+        ("complex", "y", "harmonic"),
+        ("primes", "x", "shuffle"),
     ], ids=["x-shuffle", "y-shuffle", "y-harmonic", "complex-y-harmonic",
             "prime-denominators-x-shuffle"])
     def test_reversed_pairs_have_equal_residuals(self, Z3, coefficients, kind,
-                                                 diamond):
+                                                 product):
         """The pair loop visits ``(u, v)`` and not ``(v, u)``: for every
         ordered pair the element-product residual of ``(v, u)`` equals that
         of ``(u, v)``, exactly over the rationals and within rounding over
@@ -329,8 +328,8 @@ class TestGrouplike:
                    if alphabet.word_degree(u) + alphabet.word_degree(v) <= 4]
         assert len(ordered) > 100
         for u, v in ordered:
-            forward = element_pair_residual(series, diamond, u, v)
-            backward = element_pair_residual(series, diamond, v, u)
+            forward = element_pair_residual(series, product, u, v)
+            backward = element_pair_residual(series, product, v, u)
             if series.ring is RATIONAL:
                 assert backward == forward
             else:
@@ -344,11 +343,11 @@ class TestGrouplike:
         alphabet = Alphabet.y(Z3)
         terms = random_series(alphabet, 4, rng).terms
         _pair_table.cache_clear()
-        for bound, diamond in ((4, HARMONIC_DIAMOND), (3, HARMONIC_DIAMOND),
-                               (3, ZERO_DIAMOND), (4, HARMONIC_DIAMOND)):
+        for bound, product in ((4, "harmonic"), (3, "harmonic"),
+                               (3, "shuffle"), (4, "harmonic")):
             series = TruncatedSeries.make(RATIONAL, alphabet, bound, terms)
-            got = list(_pair_residuals(series, diamond))
-            assert got == list(element_pair_residuals(series, diamond))
+            got = list(_pair_residuals(series, product))
+            assert got == list(element_pair_residuals(series, product))
             assert _pair_table.cache_info().currsize == 1
         assert _pair_table.cache_info().misses == 4
 
@@ -358,17 +357,17 @@ class TestGrouplike:
         rng = random.Random(10)
         alphabet = Alphabet.y(Z3)
         cases = []
-        for bound, diamond in ((3, HARMONIC_DIAMOND), (3, ZERO_DIAMOND)):
+        for bound, product in ((3, "harmonic"), (3, "shuffle")):
             series = random_series(alphabet, bound, rng)
-            expected = list(element_pair_residuals(series, diamond))
-            cases.append((series, diamond, expected))
+            expected = list(element_pair_residuals(series, product))
+            cases.append((series, product, expected))
         _pair_table.cache_clear()
         wrong = []
 
         def alternate(first):
             for k in range(20):
-                series, diamond, expected = cases[(first + k) % 2]
-                if list(_pair_residuals(series, diamond)) != expected:
+                series, product, expected = cases[(first + k) % 2]
+                if list(_pair_residuals(series, product)) != expected:
                     wrong.append(k)
 
         threads = [threading.Thread(target=alternate, args=(i,)) for i in range(4)]
@@ -392,7 +391,7 @@ class TestGrouplike:
         no harmonic table is built while the shuffle table lives."""
         phi = phi_from_Z(prime_zmap(Z3, 4), 4)
         grouplike_check(phi, "shuffle")
-        table = weakref.ref(_pair_table(phi.alphabet, 4, ZERO_DIAMOND)[4])
+        table = weakref.ref(_pair_table(phi.alphabet, 4, "shuffle")[4])
         freed = []
 
         def spy(series, real=dmr.phi_star):
@@ -794,7 +793,7 @@ class TestDualitySuite:
         word = ((1, Z3.element(1)), (1, Z3.element(2)))
         table[word] += 1
         series = functional_series(Z3, table, 3)
-        failing = [pair for pair, r in _pair_residuals(series, HARMONIC_DIAMOND) if r]
+        failing = [pair for pair, r in _pair_residuals(series, "harmonic") if r]
         assert failing and all(u != v for u, v in failing)
         report = grouplike_check(series, "harmonic")
         assert not report.passed and report.check.detail == worst
